@@ -5,9 +5,14 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/machine"
+	"repro/internal/modelzoo"
+	"repro/internal/obs"
+	"repro/internal/taxonomy"
+	"repro/internal/workload"
 )
 
 // update regenerates the golden metric files instead of comparing:
@@ -26,6 +31,8 @@ func TestGoldenMetrics(t *testing.T) {
 	}{
 		{"metrics_iup_vecadd.prom", func() error { return run("IUP", "vecadd", 8, 1, "", false, true, false, machine.BackendDefault) }},
 		{"metrics_iup_vecadd.json", func() error { return run("IUP", "vecadd", 8, 1, "", false, false, true, machine.BackendDefault) }},
+		{"metrics_imp2_dot.prom", func() error { return run("IMP-II", "dot", 16, 4, "", false, true, false, machine.BackendDefault) }},
+		{"metrics_imp2_dot.json", func() error { return run("IMP-II", "dot", 16, 4, "", false, false, true, machine.BackendDefault) }},
 	}
 	for _, tc := range cases {
 		out, err := capture(t, tc.fn)
@@ -69,5 +76,24 @@ func TestRun_MetricsJSON(t *testing.T) {
 	var doc any
 	if err := json.Unmarshal([]byte(out[start:]), &doc); err != nil {
 		t.Fatalf("metrics block is not valid JSON: %v\n%s", err, out[start:])
+	}
+}
+
+// TestPrintMetricsCrossCheck: -metrics fails, naming the metric, when the
+// run stats disagree with the trace it emitted.
+func TestPrintMetricsCrossCheck(t *testing.T) {
+	c, err := taxonomy.LookupString("IMP-II")
+	if err != nil {
+		t.Fatal(err)
+	}
+	trace := obs.NewTrace()
+	res, err := modelzoo.RunKernel(c, "dot", 16, 4, workload.WithTracer(trace))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res.Stats.MemReads--
+	_, err = capture(t, func() error { return printMetrics(c, trace, trace.Events(), res.Stats, false) })
+	if err == nil || !strings.Contains(err.Error(), obs.MetricMemReads) {
+		t.Fatalf("drifted stats: error %v does not name %s", err, obs.MetricMemReads)
 	}
 }

@@ -265,7 +265,7 @@ func run(className, kernel string, n, procs int, tracePath string, traceASCII, m
 		fmt.Print(chart)
 	}
 	if metrics || metricsJSON {
-		if err := printMetrics(c, events, res.Stats, metricsJSON); err != nil {
+		if err := printMetrics(c, trace, events, res.Stats, metricsJSON); err != nil {
 			return err
 		}
 	}
@@ -284,14 +284,14 @@ func writeChrome(path string, c taxonomy.Class, kernel string, events []obs.Even
 	})
 }
 
-// printMetrics aggregates the trace into a registry, prints the Prometheus
-// text exposition (or, with asJSON, a JSON document), and cross-checks the
-// counters against the run stats — the invariant that the metrics layer
-// observes exactly what the machine accounted. The USP runner is exempt:
-// fabric cycles are not evented. In JSON mode a cross-check failure is
-// still an error, but the confirmation line is suppressed to keep the
-// emitted document parseable on its own.
-func printMetrics(c taxonomy.Class, events []obs.Event, stats machine.Stats, asJSON bool) error {
+// printMetrics aggregates the trace's events into a registry, prints the
+// Prometheus text exposition (or, with asJSON, a JSON document), and
+// cross-checks the trace against the run stats — the invariant that the
+// metrics layer observes exactly what the machine accounted. The USP
+// runner is exempt: fabric cycles are not evented. In JSON mode a
+// cross-check failure is still an error, but the confirmation line is
+// suppressed to keep the emitted document parseable on its own.
+func printMetrics(c taxonomy.Class, trace *obs.Trace, events []obs.Event, stats machine.Stats, asJSON bool) error {
 	reg := obs.NewRegistry()
 	if err := obs.Collect(reg, events); err != nil {
 		return err
@@ -307,27 +307,8 @@ func printMetrics(c taxonomy.Class, events []obs.Event, stats machine.Stats, asJ
 	if c.Name.Machine == taxonomy.UniversalFlow {
 		return nil
 	}
-	checks := []struct {
-		metric string
-		want   int64
-	}{
-		{obs.MetricInstructions, stats.Instructions},
-		{obs.MetricALUOps, stats.ALUOps},
-		{obs.MetricMemReads, stats.MemReads},
-		{obs.MetricMemWrites, stats.MemWrites},
-		{obs.MetricMessages, stats.Messages},
-		{obs.MetricBarriers, stats.Barriers},
-		{obs.MetricNetConflict, stats.NetConflictCycles},
-	}
-	var bad []string
-	for _, ch := range checks {
-		got, _ := reg.CounterValue(ch.metric)
-		if got != ch.want {
-			bad = append(bad, fmt.Sprintf("%s = %d, stats say %d", ch.metric, got, ch.want))
-		}
-	}
-	if len(bad) > 0 {
-		return fmt.Errorf("metrics/stats cross-check failed:\n  %s", strings.Join(bad, "\n  "))
+	if err := trace.Check(stats.Totals()); err != nil {
+		return err
 	}
 	if !asJSON {
 		fmt.Println("\nmetrics cross-check: counters match the run stats")

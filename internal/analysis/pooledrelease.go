@@ -32,11 +32,13 @@ var DefaultPoolConfig = PoolConfig{
 		{"repro/internal/machine", "GetMemory"},
 		{"repro/internal/machine", "GetRegs"},
 		{"repro/internal/obs", "AcquireTrace"},
+		{"repro/internal/obs", "AcquireHeadTrace"},
 	},
 	Releases: []PoolFunc{
 		{"repro/internal/machine", "PutMemory"},
 		{"repro/internal/machine", "PutRegs"},
 		{"repro/internal/obs", "ReleaseTrace"},
+		{"repro/internal/obs", "ReleaseHeadTrace"},
 	},
 	ReleaseMethods: []string{"Release"},
 }
@@ -467,7 +469,7 @@ func isReleaseLike(fn *types.Func) bool {
 		return false // indirect call: assume it takes ownership
 	}
 	switch fn.Name() {
-	case "PutMemory", "PutRegs", "ReleaseTrace", "Release", "Put":
+	case "PutMemory", "PutRegs", "ReleaseTrace", "ReleaseHeadTrace", "Release", "Put":
 		return true
 	}
 	return false

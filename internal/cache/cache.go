@@ -178,6 +178,10 @@ func (c *Cache) Lookup(key string) ([]byte, bool) {
 	return v, ok
 }
 
+// Contains reports whether the local LRU holds key. Unlike Lookup it
+// counts no hit or miss and leaves the entry's recency alone.
+func (c *Cache) Contains(key string) bool { return c.lru.has(key) }
+
 // Len reports the number of live local entries.
 func (c *Cache) Len() int { return c.lru.len() }
 

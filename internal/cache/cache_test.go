@@ -10,6 +10,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // echoLoader is a deterministic loader: the value is a pure function of
@@ -166,12 +167,13 @@ func TestSingleflightCoalesces(t *testing.T) {
 	var wg sync.WaitGroup
 	results := make([][]byte, stampede)
 	started := make(chan struct{}, stampede)
+	canon := []byte(`{"n":64}`)
 	for i := 0; i < stampede; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			started <- struct{}{}
-			v, _, err := c.Fetch(context.Background(), "/v1/simulate", []byte(`{"n":64}`))
+			v, _, err := c.Fetch(context.Background(), "/v1/simulate", canon)
 			if err != nil {
 				t.Error(err)
 			}
@@ -180,6 +182,12 @@ func TestSingleflightCoalesces(t *testing.T) {
 	}
 	for i := 0; i < stampede; i++ {
 		<-started
+	}
+	// A goroutine signals started before it calls Fetch, so hold the
+	// leader until every other caller has joined its flight.
+	key := Key("/v1/simulate", canon)
+	for deadline := time.Now().Add(10 * time.Second); c.flight.waiters(key) < stampede-1 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
 	}
 	close(release)
 	wg.Wait()

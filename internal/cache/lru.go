@@ -46,6 +46,17 @@ func (s *lruStore) get(key string) ([]byte, bool) {
 	return el.Value.(*lruEntry).val, true
 }
 
+// has reports whether key is live without promoting it.
+func (s *lruStore) has(key string) bool {
+	if s.max <= 0 {
+		return false
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	_, ok := s.items[key]
+	return ok
+}
+
 // put stores val under key, evicting least recently used entries past the
 // capacity. val must not be mutated after put.
 func (s *lruStore) put(key string, val []byte) {

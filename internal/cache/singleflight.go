@@ -17,9 +17,10 @@ type flightGroup struct {
 
 // flightCall is one in-flight computation.
 type flightCall struct {
-	wg  sync.WaitGroup
-	val []byte
-	err error
+	wg      sync.WaitGroup
+	val     []byte
+	err     error
+	waiters int // callers sharing the flight; guarded by flightGroup.mu
 }
 
 // newFlightGroup builds an empty group.
@@ -33,6 +34,7 @@ func newFlightGroup() *flightGroup {
 func (g *flightGroup) Do(key string, fn func() ([]byte, error)) (val []byte, err error, shared bool) {
 	g.mu.Lock()
 	if c, ok := g.m[key]; ok {
+		c.waiters++
 		g.mu.Unlock()
 		c.wg.Wait()
 		return c.val, c.err, true
@@ -70,3 +72,13 @@ type panicErr struct{ val any }
 
 // Error implements error.
 func (e *panicErr) Error() string { return "cache: in-flight load panicked" }
+
+// waiters reports how many callers have joined key's open flight.
+func (g *flightGroup) waiters(key string) int {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if c, ok := g.m[key]; ok {
+		return c.waiters
+	}
+	return 0
+}

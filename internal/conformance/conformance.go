@@ -25,7 +25,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"strings"
 
 	"repro/internal/isa"
 	"repro/internal/machine"
@@ -381,8 +380,8 @@ func (c Cell) Execute(p Params, opts ...workload.Option) (workload.Result, []isa
 }
 
 // Run executes one cell: the kernel runs with a tracer attached, the output
-// is compared against the pure-Go reference, and the trace is aggregated
-// into metrics that must reproduce the run's machine.Stats exactly.
+// is compared against the pure-Go reference, and the trace's folded totals
+// must reproduce the run's machine.Stats exactly.
 func Run(c Cell, p Params) CellResult {
 	r := CellResult{Kernel: c.Kernel, Class: c.Class}
 	if err := p.Validate(); err != nil {
@@ -407,8 +406,8 @@ func Run(c Cell, p Params) CellResult {
 		return r
 	}
 	if !c.metricsExempt {
-		if err := crossCheckMetrics(trace.Events(), res.Stats); err != nil {
-			r.Err = err.Error()
+		if err := trace.Check(res.Stats.Totals()); err != nil {
+			r.Err = "conformance: " + err.Error()
 			return r
 		}
 	}
@@ -441,39 +440,6 @@ func diffOutput(got, want []isa.Word) error {
 		if got[i] != want[i] {
 			return fmt.Errorf("conformance: output[%d] = %d, reference says %d", i, got[i], want[i])
 		}
-	}
-	return nil
-}
-
-// crossCheckMetrics aggregates the traced events into a registry and
-// verifies the standard counters reproduce the machine's own accounting —
-// the observability invariant of internal/obs, enforced per matrix cell.
-func crossCheckMetrics(events []obs.Event, stats machine.Stats) error {
-	reg := obs.NewRegistry()
-	if err := obs.Collect(reg, events); err != nil {
-		return err
-	}
-	checks := []struct {
-		metric string
-		want   int64
-	}{
-		{obs.MetricInstructions, stats.Instructions},
-		{obs.MetricALUOps, stats.ALUOps},
-		{obs.MetricMemReads, stats.MemReads},
-		{obs.MetricMemWrites, stats.MemWrites},
-		{obs.MetricMessages, stats.Messages},
-		{obs.MetricBarriers, stats.Barriers},
-		{obs.MetricNetConflict, stats.NetConflictCycles},
-	}
-	var bad []string
-	for _, ch := range checks {
-		got, _ := reg.CounterValue(ch.metric)
-		if got != ch.want {
-			bad = append(bad, fmt.Sprintf("%s = %d, stats say %d", ch.metric, got, ch.want))
-		}
-	}
-	if len(bad) > 0 {
-		return fmt.Errorf("conformance: metrics/stats cross-check failed: %s", strings.Join(bad, "; "))
 	}
 	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/isa"
+	"repro/internal/obs"
 	"repro/internal/workload"
 )
 
@@ -173,8 +174,8 @@ func TestRunDetectsStatsDrift(t *testing.T) {
 	if r.Pass {
 		t.Fatal("cell with drifted ALU count passed")
 	}
-	if !strings.Contains(r.Err, "cross-check") {
-		t.Errorf("error %q does not mention the cross-check", r.Err)
+	if !strings.Contains(r.Err, "cross-check") || !strings.Contains(r.Err, obs.MetricALUOps) {
+		t.Errorf("error %q does not name the cross-checked %s", r.Err, obs.MetricALUOps)
 	}
 	r = Run(lie(func(res *workload.Result) { res.Stats.Cycles = 0 }), DefaultParams())
 	if r.Pass {

@@ -34,6 +34,20 @@ type Stats struct {
 	NetConflictCycles int64
 }
 
+// Totals returns the counters a trace of the run must reproduce, the
+// argument of obs.Trace.Check.
+func (s Stats) Totals() obs.Totals {
+	return obs.Totals{
+		Instructions:      s.Instructions,
+		ALUOps:            s.ALUOps,
+		MemReads:          s.MemReads,
+		MemWrites:         s.MemWrites,
+		Messages:          s.Messages,
+		Barriers:          s.Barriers,
+		NetConflictCycles: s.NetConflictCycles,
+	}
+}
+
 // Add accumulates other into s.
 func (s *Stats) Add(other Stats) {
 	s.Instructions += other.Instructions

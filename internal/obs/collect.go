@@ -2,6 +2,7 @@ package obs
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/isa"
 )
@@ -103,4 +104,86 @@ func Collect(reg *Registry, events []Event) error {
 	reg.MustGauge(MetricCycles, "run makespan in guest cycles (max event end)").Set(float64(maxCycle))
 	reg.MustGauge(MetricTracks, "distinct processor tracks observed").Set(float64(len(tracks)))
 	return nil
+}
+
+// Totals are the seven run counters an event stream must reproduce
+// exactly: the machine.Stats fields that MetricInstructions through
+// MetricNetConflict mirror. They are what the trace-vs-Stats cross-check
+// compares, without building a Registry.
+type Totals struct {
+	Instructions      int64
+	ALUOps            int64
+	MemReads          int64
+	MemWrites         int64
+	Messages          int64
+	Barriers          int64
+	NetConflictCycles int64
+}
+
+// add folds one event into the totals: exactly what Collect counts under
+// the seven corresponding names.
+func (tot *Totals) add(e *Event) {
+	switch e.Kind {
+	case KindInstr:
+		tot.Instructions++
+		if e.Flags&FlagALU != 0 {
+			tot.ALUOps++
+		}
+	case KindMemRead:
+		tot.MemReads++
+	case KindMemWrite:
+		tot.MemWrites++
+	case KindSend, KindRecv:
+		tot.Messages++
+	case KindBarrier:
+		tot.Barriers++
+	case KindStall:
+		tot.NetConflictCycles += e.Arg
+	case KindWait, KindReconfig, KindPhase:
+		// Not part of machine.Stats' summed counters.
+	}
+}
+
+// totals folds the recorded events into the run totals in place, under
+// the recorder's lock: no copy of the event buffer and no allocation.
+func (t *Trace) totals() Totals {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	var tot Totals
+	for i := range t.events {
+		tot.add(&t.events[i])
+	}
+	return tot
+}
+
+// Check is the trace-vs-Stats cross-check: it folds the recorded events
+// and compares them with want, the run's own accounting. The error names
+// every mismatched metric; a matching trace costs no allocation.
+func (t *Trace) Check(want Totals) error { return checkTotals(t.totals(), want) }
+
+// checkTotals compares a recorder's folded totals with the run's own
+// accounting and names every mismatched metric.
+func checkTotals(got, want Totals) error {
+	if got == want {
+		return nil
+	}
+	checks := []struct {
+		metric    string
+		got, want int64
+	}{
+		{MetricInstructions, got.Instructions, want.Instructions},
+		{MetricALUOps, got.ALUOps, want.ALUOps},
+		{MetricMemReads, got.MemReads, want.MemReads},
+		{MetricMemWrites, got.MemWrites, want.MemWrites},
+		{MetricMessages, got.Messages, want.Messages},
+		{MetricBarriers, got.Barriers, want.Barriers},
+		{MetricNetConflict, got.NetConflictCycles, want.NetConflictCycles},
+	}
+	var bad []string
+	for _, ch := range checks {
+		if ch.got != ch.want {
+			bad = append(bad, fmt.Sprintf("%s = %d, stats say %d", ch.metric, ch.got, ch.want))
+		}
+	}
+	return fmt.Errorf("metrics/stats cross-check failed: %s", strings.Join(bad, "; "))
 }

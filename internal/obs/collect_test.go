@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/interconnect"
@@ -115,5 +117,165 @@ func TestObserveNetwork(t *testing.T) {
 	// The wrapper must still expose the inner network's interface.
 	if net.Ports() != 4 || net.Kind() != inner.Kind() {
 		t.Error("wrapper does not forward Ports/Kind")
+	}
+}
+
+// collectTotals reads the seven Stats-mirroring counters Collect exports.
+func collectTotals(t *testing.T, events []Event) Totals {
+	t.Helper()
+	reg := NewRegistry()
+	if err := Collect(reg, events); err != nil {
+		t.Fatal(err)
+	}
+	v := func(name string) int64 {
+		got, _ := reg.CounterValue(name)
+		return got
+	}
+	return Totals{
+		Instructions:      v(MetricInstructions),
+		ALUOps:            v(MetricALUOps),
+		MemReads:          v(MetricMemReads),
+		MemWrites:         v(MetricMemWrites),
+		Messages:          v(MetricMessages),
+		Barriers:          v(MetricBarriers),
+		NetConflictCycles: v(MetricNetConflict),
+	}
+}
+
+// randomEvents is a deterministic stream covering every kind and flag.
+func randomEvents(seed int64, n int) []Event {
+	rng := rand.New(rand.NewSource(seed))
+	events := make([]Event, n)
+	for i := range events {
+		events[i] = Event{
+			Kind:  Kind(rng.Intn(int(kindCount))),
+			Flags: uint8(rng.Intn(4)),
+			Track: int32(rng.Intn(5)) - 1,
+			Cycle: int64(i),
+			Dur:   int64(rng.Intn(3)),
+			Arg:   int64(rng.Intn(40)),
+		}
+	}
+	return events
+}
+
+// TestTraceTotalsMatchCollect: the in-place fold counts exactly what the
+// exporter counts under the seven cross-checked metric names.
+func TestTraceTotalsMatchCollect(t *testing.T) {
+	for seed := int64(0); seed < 20; seed++ {
+		events := randomEvents(seed, 500)
+		tr := NewTrace()
+		for _, e := range events {
+			tr.Emit(e)
+		}
+		if got, want := tr.totals(), collectTotals(t, events); got != want {
+			t.Fatalf("seed %d: fold %+v, Collect %+v", seed, got, want)
+		}
+	}
+}
+
+// TestTraceCheckZeroAllocs: the cross-check of a matching trace neither
+// copies the event buffer nor allocates.
+func TestTraceCheckZeroAllocs(t *testing.T) {
+	tr := NewTrace()
+	for _, e := range randomEvents(1, 10000) {
+		tr.Emit(e)
+	}
+	want := tr.totals()
+	if allocs := testing.AllocsPerRun(50, func() { _ = tr.totals() }); allocs != 0 {
+		t.Errorf("Totals allocates %v per run, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(50, func() {
+		if err := tr.Check(want); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("Check allocates %v per run, want 0", allocs)
+	}
+}
+
+// TestTraceCheckNamesMismatch: a failed cross-check names every metric
+// that disagrees with the stats, and only those.
+func TestTraceCheckNamesMismatch(t *testing.T) {
+	tr := NewTrace()
+	for _, e := range randomEvents(2, 300) {
+		tr.Emit(e)
+	}
+	want := tr.totals()
+	want.ALUOps++
+	want.NetConflictCycles += 5
+	err := tr.Check(want)
+	if err == nil {
+		t.Fatal("drifted totals passed the cross-check")
+	}
+	msg := err.Error()
+	for _, name := range []string{MetricALUOps, MetricNetConflict, "cross-check failed", "stats say"} {
+		if !strings.Contains(msg, name) {
+			t.Errorf("error %q does not mention %s", msg, name)
+		}
+	}
+	if strings.Contains(msg, MetricInstructions) {
+		t.Errorf("error %q names a matching metric", msg)
+	}
+}
+
+// TestHeadTraceMatchesTrace: the bounded recorder folds every event, not
+// just the retained ones, into the totals a full Trace folds, keeps the
+// stream's MaxSimEvents-long prefix, and counts every event.
+func TestHeadTraceMatchesTrace(t *testing.T) {
+	for _, n := range []int{0, 300, MaxSimEvents, 3*MaxSimEvents + 7} {
+		events := randomEvents(int64(n), n)
+		full, head := NewTrace(), AcquireHeadTrace()
+		for _, e := range events {
+			full.Emit(e)
+			head.Emit(e)
+		}
+		if got, want := head.totals(), full.totals(); got != want {
+			t.Errorf("n=%d: folded %+v, full trace %+v", n, got, want)
+		}
+		if err := head.Check(full.totals()); err != nil {
+			t.Errorf("n=%d: %v", n, err)
+		}
+		if head.Len() != n {
+			t.Errorf("n=%d: Len %d", n, head.Len())
+		}
+		kept, total := head.head()
+		wantKept := min(n, MaxSimEvents)
+		if total != n || len(kept) != wantKept || len(head.events) != wantKept {
+			t.Errorf("n=%d: kept %d (buffer %d) of %d, want %d of %d", n, len(kept), len(head.events), total, wantKept, n)
+		}
+		for i := range kept {
+			if kept[i] != events[i] {
+				t.Fatalf("n=%d: retained event %d is not the stream's", n, i)
+			}
+		}
+		ReleaseHeadTrace(head)
+	}
+	ReleaseHeadTrace(nil) // must not panic
+}
+
+// TestHeadTraceCheck: a matching cross-check allocates nothing, a failed
+// one names the mismatched metric, and Reset starts a fresh run.
+func TestHeadTraceCheck(t *testing.T) {
+	tr := AcquireHeadTrace()
+	defer ReleaseHeadTrace(tr)
+	for _, e := range randomEvents(3, 10000) {
+		tr.Emit(e)
+	}
+	want := tr.totals()
+	if allocs := testing.AllocsPerRun(50, func() {
+		if err := tr.Check(want); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("Check allocates %v per run, want 0", allocs)
+	}
+	want.MemWrites++
+	if err := tr.Check(want); err == nil || !strings.Contains(err.Error(), MetricMemWrites) || strings.Contains(err.Error(), MetricMemReads) {
+		t.Errorf("drifted totals: error %v, want only %s named", err, MetricMemWrites)
+	}
+	tr.Reset()
+	if err := tr.Check(Totals{}); err != nil || tr.Len() != 0 {
+		t.Errorf("after Reset: Len %d, %v", tr.Len(), err)
 	}
 }

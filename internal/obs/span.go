@@ -38,11 +38,19 @@ type spanData struct {
 	end    time.Duration // < 0 while the span is open
 }
 
-// simData is one simulator event stream attached under a span.
+// MaxSimEvents is how many events an attached simulator stream retains.
+// A request's recorder is kept alive by the flight recorder, so a stream's
+// memory must not grow with the length of the run: the prefix shows how
+// the simulation started, and the snapshot still reports the full count.
+const MaxSimEvents = 4096
+
+// simData is one simulator event stream attached under a span. events is
+// immutable once attached, so snapshots share it.
 type simData struct {
 	span   int32
 	label  string
-	events []Event
+	events []Event // at most MaxSimEvents
+	total  int     // events the stream held before the cap
 }
 
 // ReqTrace records one request's span tree. It is safe for concurrent use:
@@ -155,17 +163,47 @@ func (s *Span) Duration() time.Duration {
 	return s.rt.now().Sub(s.rt.start) - sd.start
 }
 
+// SimStream is a recorder whose event stream a span can attach: *Trace or
+// *HeadTrace.
+type SimStream interface {
+	// head copies the first MaxSimEvents recorded events, under the
+	// recorder's lock, and returns them with the number of events recorded.
+	head() ([]Event, int)
+}
+
+func (t *Trace) head() ([]Event, int) {
+	if t == nil {
+		return nil, 0
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return append([]Event(nil), t.events[:min(len(t.events), MaxSimEvents)]...), len(t.events)
+}
+
+func (t *HeadTrace) head() ([]Event, int) {
+	if t == nil {
+		return nil, 0
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return append([]Event(nil), t.events...), len(t.events) + t.dropped
+}
+
 // AttachSim links a simulator event stream under the span: the guest-cycle
 // events export as their own process rows in the request's Chrome trace,
-// aligned to the span's start. The events are copied; callers may release
-// a pooled Trace afterwards.
-func (s *Span) AttachSim(label string, events []Event) {
-	if s == nil || len(events) == 0 {
+// aligned to the span's start. Only the first MaxSimEvents events are
+// copied out of src, under its lock; callers may release a pooled recorder
+// afterwards.
+func (s *Span) AttachSim(label string, src SimStream) {
+	if s == nil || src == nil {
 		return
 	}
-	cp := append([]Event(nil), events...)
+	head, total := src.head()
+	if total == 0 {
+		return
+	}
 	s.rt.mu.Lock()
-	s.rt.sims = append(s.rt.sims, simData{span: s.id, label: label, events: cp})
+	s.rt.sims = append(s.rt.sims, simData{span: s.id, label: label, events: head, total: total})
 	s.rt.mu.Unlock()
 }
 
@@ -229,13 +267,16 @@ type SpanSnapshot struct {
 	Open bool `json:"open,omitempty"`
 }
 
-// SimSnapshot is one attached simulator stream. The raw events ride along
-// for the Chrome export but stay out of the JSON body (EventCount stands
-// in): a conformance item can carry hundreds of thousands of them.
+// SimSnapshot is one attached simulator stream. The retained events ride
+// along for the Chrome export but stay out of the JSON body (EventCount
+// stands in): a conformance item can carry hundreds of thousands of them.
+// EventCount is the stream's full length; Truncated marks a stream that
+// held more than the MaxSimEvents retained in Events.
 type SimSnapshot struct {
-	Span       int32  `json:"span"`
-	Label      string `json:"label"`
-	EventCount int    `json:"event_count"`
+	Span       int32   `json:"span"`
+	Label      string  `json:"label"`
+	EventCount int     `json:"event_count"`
+	Truncated  bool    `json:"truncated,omitempty"`
 	Events     []Event `json:"-"`
 }
 
@@ -252,7 +293,7 @@ type TraceSnapshot struct {
 
 // Snapshot exports the trace's current state. Open spans are clamped to
 // the snapshot instant and flagged. The snapshot shares no mutable state
-// with the trace.
+// with the trace: attached event streams are immutable and shared.
 func (rt *ReqTrace) Snapshot() *TraceSnapshot {
 	nowOff := rt.now().Sub(rt.start)
 	rt.mu.Lock()
@@ -284,8 +325,9 @@ func (rt *ReqTrace) Snapshot() *TraceSnapshot {
 		snap.Sims = append(snap.Sims, SimSnapshot{
 			Span:       sim.span,
 			Label:      sim.label,
-			EventCount: len(sim.events),
-			Events:     append([]Event(nil), sim.events...),
+			EventCount: sim.total,
+			Truncated:  len(sim.events) < sim.total,
+			Events:     sim.events, // immutable once attached
 		})
 	}
 	return snap
@@ -361,9 +403,15 @@ func (snap *TraceSnapshot) WriteChrome(w io.Writer) error {
 	}
 	for i, sim := range snap.Sims {
 		pid := i + 1
+		args := map[string]any{"name": "sim: " + sim.Label}
+		if sim.Truncated {
+			args["truncated"] = true
+			args["event_count"] = sim.EventCount
+			args["events_kept"] = len(sim.Events)
+		}
 		out = append(out, chromeEvent{
 			Name: "process_name", Ph: "M", Pid: pid, Tid: 0,
-			Args: map[string]any{"name": "sim: " + sim.Label},
+			Args: args,
 		})
 		out = appendSimChrome(out, sim.Events, pid, snap.spanStart(sim.Span), nil)
 	}

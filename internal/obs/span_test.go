@@ -55,10 +55,10 @@ func buildFixedTrace() *obs.ReqTrace {
 	_, inner := obs.StartSpan(ictx1, "kernel")
 	clk.advance(3 * time.Millisecond)
 	inner.End()
-	item1.AttachSim("IAP-I vecadd n=4", []obs.Event{
-		{Kind: obs.KindInstr, Track: 0, Cycle: 0, Arg: 1, Flags: obs.FlagHasOp},
-		{Kind: obs.KindBarrier, Track: obs.TrackMachine, Cycle: 1},
-	})
+	sim := obs.NewTrace()
+	sim.Emit(obs.Event{Kind: obs.KindInstr, Track: 0, Cycle: 0, Arg: 1, Flags: obs.FlagHasOp})
+	sim.Emit(obs.Event{Kind: obs.KindBarrier, Track: obs.TrackMachine, Cycle: 1})
+	item1.AttachSim("IAP-I vecadd n=4", sim)
 	item1.End()
 
 	_, item2 := obs.StartSpan(ectx, "item")
@@ -191,13 +191,16 @@ func TestSpanEndIdempotent(t *testing.T) {
 }
 
 // TestAttachSimCopies checks the attached stream is isolated from later
-// mutation of the caller's slice (the pooled Trace is released after).
+// reuse of the caller's recorder (the pooled Trace is released after).
 func TestAttachSimCopies(t *testing.T) {
 	rt := obs.NewReqTrace("r", "n")
 	_, sp := obs.StartSpan(obs.WithReqTrace(context.Background(), rt), "item")
-	events := []obs.Event{{Kind: obs.KindInstr, Cycle: 7}}
-	sp.AttachSim("s", events)
-	events[0].Cycle = 99
+	tr := obs.AcquireTrace()
+	tr.Emit(obs.Event{Kind: obs.KindInstr, Cycle: 7})
+	sp.AttachSim("s", tr)
+	tr.Reset()
+	tr.Emit(obs.Event{Kind: obs.KindInstr, Cycle: 99})
+	obs.ReleaseTrace(tr)
 	sp.End()
 	snap := rt.Snapshot()
 	if len(snap.Sims) != 1 || snap.Sims[0].Events[0].Cycle != 7 {
@@ -220,7 +223,9 @@ func TestConcurrentSpans(t *testing.T) {
 			_, inner := obs.StartSpan(ictx, "kernel")
 			inner.End()
 			obs.RecordSpan(ictx, "queue-wait", int32(i+1), time.Now(), time.Microsecond)
-			sp.AttachSim("s", []obs.Event{{Kind: obs.KindInstr}})
+			tr := obs.NewTrace()
+			tr.Emit(obs.Event{Kind: obs.KindInstr})
+			sp.AttachSim("s", tr)
 			sp.End()
 		}(i)
 	}
@@ -259,5 +264,101 @@ func BenchmarkStartSpanEnabled(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_, sp := obs.StartSpan(ctx, "decode")
 		sp.End()
+	}
+}
+
+// TestAttachSimCap: an attached stream retains at most MaxSimEvents events
+// however long the run, while the snapshot, the flight-recorder summary
+// and the Chrome export still report the full length.
+func TestAttachSimCap(t *testing.T) {
+	const total = 1 << 20
+	long, short := obs.NewTrace(), obs.NewTrace()
+	for i := 0; i < total; i++ {
+		e := obs.Event{Kind: obs.KindInstr, Cycle: int64(i), Dur: 1}
+		long.Emit(e)
+		if i < obs.MaxSimEvents+10 {
+			short.Emit(e)
+		}
+	}
+
+	rt := obs.NewReqTrace("req-cap", "/v1/simulate")
+	_, root := obs.StartSpan(obs.WithReqTrace(context.Background(), rt), "item")
+	root.AttachSim("long", long)
+	root.AttachSim("short", short)
+	root.AttachSim("empty", obs.NewTrace())
+	root.End()
+
+	snap := rt.Snapshot()
+	if len(snap.Sims) != 2 {
+		t.Fatalf("got %d attached streams, want 2 (an empty recorder attaches nothing)", len(snap.Sims))
+	}
+	for _, c := range []struct {
+		sim   obs.SimSnapshot
+		total int
+	}{{snap.Sims[0], total}, {snap.Sims[1], obs.MaxSimEvents + 10}} {
+		if len(c.sim.Events) != obs.MaxSimEvents || c.sim.EventCount != c.total || !c.sim.Truncated {
+			t.Errorf("%s: kept %d of %d events (truncated %v), want %d of %d",
+				c.sim.Label, len(c.sim.Events), c.sim.EventCount, c.sim.Truncated, obs.MaxSimEvents, c.total)
+		}
+		if c.sim.Events[obs.MaxSimEvents-1].Cycle != obs.MaxSimEvents-1 {
+			t.Errorf("%s: retained events are not the stream's prefix", c.sim.Label)
+		}
+	}
+
+	// Snapshots share the immutable attached slice instead of copying it.
+	if again := rt.Snapshot(); &again.Sims[0].Events[0] != &snap.Sims[0].Events[0] {
+		t.Error("a second snapshot copied the attached events")
+	}
+
+	fr := obs.NewFlightRecorder(4, 4)
+	fr.Record(snap)
+	if got := fr.Dump().Recent[0].SimEvents; got != total+obs.MaxSimEvents+10 {
+		t.Errorf("flight summary sim_events = %d, want the full %d", got, total+obs.MaxSimEvents+10)
+	}
+
+	var js, chrome bytes.Buffer
+	if err := snap.WriteJSON(&js); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(js.Bytes(), []byte(`"truncated": true`)) {
+		t.Error("snapshot JSON does not mark the truncated stream")
+	}
+	if err := snap.WriteChrome(&chrome); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(chrome.Bytes(), []byte(`"truncated":true`)) {
+		t.Error("Chrome export does not mark the truncated stream")
+	}
+}
+
+// TestAttachSimHeadTrace: a bounded recorder attaches the same prefix and
+// full count a full Trace would, its released buffer is not shared with
+// the snapshot, and a nil recorder attaches nothing.
+func TestAttachSimHeadTrace(t *testing.T) {
+	const total = 1 << 20
+	head := obs.AcquireHeadTrace()
+	for i := 0; i < total; i++ {
+		head.Emit(obs.Event{Kind: obs.KindInstr, Cycle: int64(i), Dur: 1})
+	}
+	rt := obs.NewReqTrace("req-head", "/v1/simulate")
+	_, root := obs.StartSpan(obs.WithReqTrace(context.Background(), rt), "item")
+	root.AttachSim("head", head)
+	root.AttachSim("nil", (*obs.HeadTrace)(nil))
+	root.End()
+	obs.ReleaseHeadTrace(head)
+	head = obs.AcquireHeadTrace()
+	head.Emit(obs.Event{Kind: obs.KindMemRead, Cycle: -1})
+	obs.ReleaseHeadTrace(head)
+
+	snap := rt.Snapshot()
+	if len(snap.Sims) != 1 {
+		t.Fatalf("got %d attached streams, want 1", len(snap.Sims))
+	}
+	sim := snap.Sims[0]
+	if len(sim.Events) != obs.MaxSimEvents || sim.EventCount != total || !sim.Truncated {
+		t.Errorf("kept %d of %d events (truncated %v), want %d of %d", len(sim.Events), sim.EventCount, sim.Truncated, obs.MaxSimEvents, total)
+	}
+	if e := sim.Events[0]; e.Kind != obs.KindInstr || e.Cycle != 0 {
+		t.Errorf("first attached event %+v was overwritten after release", e)
 	}
 }

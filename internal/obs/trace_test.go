@@ -2,6 +2,7 @@ package obs
 
 import (
 	"encoding/json"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -197,5 +198,16 @@ func TestWriteChromeTrace_CustomTrackName(t *testing.T) {
 	}
 	if !found {
 		t.Error("custom track name not used")
+	}
+}
+
+// TestRecorderPadding: both recorders fill the 128-byte size class exactly,
+// so recorders in use by concurrent runs never share a cache line.
+func TestRecorderPadding(t *testing.T) {
+	if got := reflect.TypeFor[Trace]().Size(); got != recorderSize {
+		t.Errorf("Trace is %d bytes, want %d", got, recorderSize)
+	}
+	if got := reflect.TypeFor[HeadTrace]().Size(); got != recorderSize {
+		t.Errorf("HeadTrace is %d bytes, want %d", got, recorderSize)
 	}
 }

@@ -2,7 +2,11 @@ package server
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"repro/internal/cache"
@@ -142,5 +146,74 @@ func TestItemErrorsNotCached(t *testing.T) {
 	}
 	if h, _ := reg.CounterValue("repro_cache_hits_total", "endpoint", "/v1/simulate"); h != 0 {
 		t.Errorf("failing item hits = %v, want 0", h)
+	}
+}
+
+// TestValidationOnMissesOnly: decodeStage validates only the items the
+// local cache does not hold — a cached item was validated by the loader
+// that filled it — and its cache peek moves no hit or miss counter.
+func TestValidationOnMissesOnly(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	hot := `{"class":"IUP","kernel":"vecadd","n":32,"procs":1}`
+	if status, body := post(t, ts, "/v1/simulate", `{"requests":[`+hot+`]}`); status != http.StatusOK {
+		t.Fatalf("warm-up status %d: %s", status, body)
+	}
+
+	var validated []int
+	ep := endpointSpec[SimulateRequest, SimulateResponse]{
+		path: "/v1/simulate",
+		validate: func(r SimulateRequest) error {
+			validated = append(validated, r.N)
+			return nil
+		},
+	}
+	body := `{"requests":[` + hot + `,{"class":"IUP","kernel":"vecadd","n":16,"procs":1},` + hot + `]}`
+	req := httptest.NewRequest(http.MethodPost, "/v1/simulate", strings.NewReader(body))
+	var st stageTimes
+	items, _, _, status := decodeStage(s, httptest.NewRecorder(), req, ep, s.metrics["/v1/simulate"], &st)
+	if status != 0 || len(items) != 3 {
+		t.Fatalf("decode status %d with %d items, want 0 and 3", status, len(items))
+	}
+	if len(validated) != 1 || validated[0] != 16 {
+		t.Errorf("validated items with n = %v, want only the uncached n=16", validated)
+	}
+	reg := s.Registry()
+	if v, _ := reg.CounterValue(cache.MetricHits); v != 0 {
+		t.Errorf("%s = %d after decode, want 0", cache.MetricHits, v)
+	}
+	if v, _ := reg.CounterValue(cache.MetricMisses); v != 1 {
+		t.Errorf("%s = %d after decode, want the warm-up's 1", cache.MetricMisses, v)
+	}
+}
+
+// TestRejectedItemAmongHits: skipping validation for cached items does not
+// let an invalid item through — a progcheck-rejected item still gets its
+// 400 with findings when the other items of its batch are hits — and
+// nothing that fails validation is ever cached.
+func TestRejectedItemAmongHits(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	hot := `{"class":"IUP","kernel":"vecadd","n":32,"procs":1}`
+	bad := fmt.Sprintf(`{"class":"IMP-XVI","kernel":"matmul","n":%d}`, maxSimulateN)
+	if status, body := post(t, ts, "/v1/simulate", `{"requests":[`+hot+`]}`); status != http.StatusOK {
+		t.Fatalf("warm-up status %d: %s", status, body)
+	}
+	for _, body := range []string{
+		`{"requests":[` + hot + `,` + bad + `,` + hot + `]}`,
+		`{"requests":[` + hot + `,` + bad + `]}`,
+	} {
+		status, resp := post(t, ts, "/v1/simulate", body)
+		if status != http.StatusBadRequest {
+			t.Fatalf("status = %d, want 400; body: %s", status, resp)
+		}
+		var eb ErrorBody
+		if err := json.Unmarshal(resp, &eb); err != nil {
+			t.Fatalf("error body is not structured JSON: %v\n%s", err, resp)
+		}
+		if eb.Error.Code != CodeInvalid || eb.Error.Index == nil || *eb.Error.Index != 1 || len(eb.Error.Findings) == 0 {
+			t.Fatalf("want invalid item 1 with findings, got %s", resp)
+		}
+	}
+	if n := s.dcache.Len(); n != 1 {
+		t.Errorf("cache holds %d entries, want only the valid item", n)
 	}
 }

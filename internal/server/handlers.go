@@ -417,10 +417,11 @@ func checkSimulateProgram(r SimulateRequest) error {
 }
 
 // runSimulate executes one kernel × class cell with a tracer attached and
-// cross-checks the aggregated obs counters against the machine stats, the
-// same invariant the conformance matrix enforces per cell. When the request
-// is traced, the simulator's event stream is attached under the item's span,
-// so the request's Chrome trace shows the guest cycles inside the wall time.
+// cross-checks the trace against the machine stats, the same invariant the
+// conformance matrix enforces per cell. When the request is traced, the
+// head of the simulator's event stream (obs.MaxSimEvents) is attached under
+// the item's span, so the request's Chrome trace shows the guest cycles
+// inside the wall time.
 func runSimulate(ctx context.Context, r SimulateRequest) (SimulateResponse, error) {
 	c, err := taxonomy.LookupString(r.Class)
 	if err != nil {
@@ -430,16 +431,23 @@ func runSimulate(ctx context.Context, r SimulateRequest) (SimulateResponse, erro
 	if err != nil {
 		return SimulateResponse{}, err
 	}
-	trace := obs.AcquireTrace()
-	defer obs.ReleaseTrace(trace)
+	trace := obs.AcquireHeadTrace()
+	defer obs.ReleaseHeadTrace(trace)
 	res, err := modelzoo.RunKernel(c, r.Kernel, r.N, r.Procs,
 		workload.WithTracer(trace), workload.WithBackend(backend))
 	if err != nil {
 		return SimulateResponse{}, err
 	}
 	if sp := obs.CurrentSpan(ctx); sp != nil {
-		sp.AttachSim(fmt.Sprintf("%s %s n=%d", c, r.Kernel, r.N), trace.Events())
+		sp.AttachSim(fmt.Sprintf("%s %s n=%d", c, r.Kernel, r.N), trace)
 	}
+	return simulateResponse(c, r, backend, res, trace)
+}
+
+// simulateResponse renders one finished run and cross-checks the trace's
+// folded totals against the machine stats. The USP fabric's clock steps
+// are not evented, so USP runs are metrics-exempt.
+func simulateResponse(c taxonomy.Class, r SimulateRequest, backend machine.Backend, res workload.Result, trace *obs.HeadTrace) (SimulateResponse, error) {
 	resp := SimulateResponse{
 		Class:             c.String(),
 		Kernel:            r.Kernel,
@@ -459,48 +467,13 @@ func runSimulate(ctx context.Context, r SimulateRequest) (SimulateResponse, erro
 	for i := 0; i < len(res.Output) && i < 8; i++ {
 		resp.OutputHead = append(resp.OutputHead, int64(res.Output[i]))
 	}
-	// The fabric's clock steps are not evented, so USP is metrics-exempt.
 	if c.Name.Machine != taxonomy.UniversalFlow {
-		if err := crossCheckTrace(trace, res.Stats); err != nil {
+		if err := trace.Check(res.Stats.Totals()); err != nil {
 			return SimulateResponse{}, err
 		}
 		resp.MetricsChecked = true
 	}
 	return resp, nil
-}
-
-// crossCheckTrace aggregates the traced events into a registry and verifies
-// the standard counters reproduce the machine's own accounting — the
-// observability invariant of internal/obs, enforced on every served
-// simulation the way the conformance matrix enforces it per cell.
-func crossCheckTrace(trace *obs.Trace, stats machine.Stats) error {
-	reg := obs.NewRegistry()
-	if err := obs.Collect(reg, trace.Events()); err != nil {
-		return err
-	}
-	checks := []struct {
-		metric string
-		want   int64
-	}{
-		{obs.MetricInstructions, stats.Instructions},
-		{obs.MetricALUOps, stats.ALUOps},
-		{obs.MetricMemReads, stats.MemReads},
-		{obs.MetricMemWrites, stats.MemWrites},
-		{obs.MetricMessages, stats.Messages},
-		{obs.MetricBarriers, stats.Barriers},
-		{obs.MetricNetConflict, stats.NetConflictCycles},
-	}
-	var bad []string
-	for _, ch := range checks {
-		got, _ := reg.CounterValue(ch.metric)
-		if got != ch.want {
-			bad = append(bad, fmt.Sprintf("%s = %d, stats say %d", ch.metric, got, ch.want))
-		}
-	}
-	if len(bad) > 0 {
-		return fmt.Errorf("metrics/stats cross-check failed: %s", strings.Join(bad, "; "))
-	}
-	return nil
 }
 
 // runConformance executes the selected cells serially inside the item —

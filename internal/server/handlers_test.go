@@ -11,6 +11,11 @@ import (
 	"testing"
 
 	"repro/internal/exec"
+	"repro/internal/machine"
+	"repro/internal/modelzoo"
+	"repro/internal/obs"
+	"repro/internal/taxonomy"
+	"repro/internal/workload"
 )
 
 // newTestServer boots the full stack on an httptest listener.
@@ -416,4 +421,28 @@ func contains(xs []string, want string) bool {
 		}
 	}
 	return false
+}
+
+// TestSimulateCrossCheckNamesMetric: a served run whose stats disagree
+// with its trace fails with the mismatched metric named, and a matching
+// run is marked as cross-checked.
+func TestSimulateCrossCheckNamesMetric(t *testing.T) {
+	c, err := taxonomy.LookupString("IMP-II")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := SimulateRequest{Class: "IMP-II", Kernel: "dot", N: 16, Procs: 4}
+	trace := &obs.HeadTrace{}
+	res, err := modelzoo.RunKernel(c, r.Kernel, r.N, r.Procs, workload.WithTracer(trace))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := simulateResponse(c, r, machine.BackendDefault, res, trace)
+	if err != nil || !resp.MetricsChecked {
+		t.Fatalf("matching run: checked=%v err=%v", resp.MetricsChecked, err)
+	}
+	res.Stats.Messages++
+	if _, err := simulateResponse(c, r, machine.BackendDefault, res, trace); err == nil || !strings.Contains(err.Error(), obs.MetricMessages) {
+		t.Fatalf("drifted run: error %v does not name %s", err, obs.MetricMessages)
+	}
 }

@@ -619,9 +619,10 @@ func serveBatch[Req, Resp any](s *Server, w http.ResponseWriter, r *http.Request
 
 // decodeStage reads and strictly decodes the envelope, then each item:
 // unknown fields are a client error, not silently dropped request knobs.
-// It returns each item's canonical encoding (the defaults-applied struct
-// re-marshaled) and its cache key. A non-zero returned status means the
-// error response was already written.
+// Items the local cache does not hold are validated. It returns each
+// item's canonical encoding (the defaults-applied struct re-marshaled) and
+// its cache key. A non-zero returned status means the error response was
+// already written.
 func decodeStage[Req, Resp any](s *Server, w http.ResponseWriter, r *http.Request, ep endpointSpec[Req, Resp], em *endpointMetrics, st *stageTimes) (items []Req, keys []string, canons [][]byte, errStatus int) {
 	_, sp := obs.StartSpan(r.Context(), "decode")
 	defer sp.End()
@@ -665,25 +666,31 @@ func decodeStage[Req, Resp any](s *Server, w http.ResponseWriter, r *http.Reques
 		if ep.defaults != nil {
 			ep.defaults(&items[i])
 		}
-		if err := ep.validate(items[i]); err != nil {
-			apiErr := APIError{Code: CodeInvalid, Message: err.Error(), Index: &idx}
-			var ce *checkError
-			if errors.As(err, &ce) {
-				apiErr.Findings = ce.findings
-			}
-			writeError(w, http.StatusBadRequest, apiErr)
-			return nil, nil, nil, http.StatusBadRequest
-		}
 		// Canonical encoding: the defaults-applied struct re-marshaled, so
 		// field order, whitespace and spelled-out defaults all hash
 		// identically — on this replica and on every peer.
-		canon, err := json.Marshal(items[i])
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, APIError{Code: CodeInternal, Message: err.Error()})
+		canon, mErr := json.Marshal(items[i])
+		if mErr == nil {
+			canons[i] = canon
+			keys[i] = cache.Key(ep.path, canon)
+		}
+		// Only a loader that validated this same canonical item can have
+		// filled the local cache, so a cached item skips validation.
+		if mErr != nil || !s.dcache.Contains(keys[i]) {
+			if err := ep.validate(items[i]); err != nil {
+				apiErr := APIError{Code: CodeInvalid, Message: err.Error(), Index: &idx}
+				var ce *checkError
+				if errors.As(err, &ce) {
+					apiErr.Findings = ce.findings
+				}
+				writeError(w, http.StatusBadRequest, apiErr)
+				return nil, nil, nil, http.StatusBadRequest
+			}
+		}
+		if mErr != nil {
+			writeError(w, http.StatusInternalServerError, APIError{Code: CodeInternal, Message: mErr.Error()})
 			return nil, nil, nil, http.StatusInternalServerError
 		}
-		canons[i] = canon
-		keys[i] = cache.Key(ep.path, canon)
 	}
 	return items, keys, canons, 0
 }
