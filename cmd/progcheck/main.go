@@ -147,9 +147,6 @@ func sweepMatrix(n, procs, workers int) ([]checked, error) {
 		}
 		progs, err := modelzoo.CheckKernel(c, cell.Kernel, n, procs)
 		if err != nil {
-			if modelzoo.Unsupported(err) {
-				return nil, nil // ISP cells run outside the RunKernel dispatch
-			}
 			return nil, fmt.Errorf("%s/%s: %w", cell.Class, cell.Kernel, err)
 		}
 		out := make([]checked, len(progs))

@@ -47,15 +47,9 @@ import (
 	"repro/internal/workload"
 )
 
-// knownKernels lists every kernel the -kernel flag accepts, across all
-// classes: the modelzoo dispatch vocabulary. The conformance matrix
-// (internal/conformance) must cover each of them; cmd/simulate's
-// kernels_test.go pins that.
-var knownKernels = modelzoo.Kernels()
-
 func main() {
-	class := flag.String("class", "IUP", "machine class (IUP, IAP-I..IV, IMP-I..XVI, DMP-I..IV, USP)")
-	kernel := flag.String("kernel", "vecadd", "kernel: "+strings.Join(knownKernels, ", ")+" (support varies by class)")
+	class := flag.String("class", "IUP", "machine class (IUP, IAP-I..IV, IMP-I..XVI, ISP-I..XVI, DMP-I..IV, USP)")
+	kernel := flag.String("kernel", "vecadd", "kernel: "+strings.Join(modelzoo.Kernels(), ", ")+" (support varies by class)")
 	n := flag.Int("n", 256, "problem size (elements; matmul rows)")
 	procs := flag.Int("procs", 8, "processors/lanes/PEs for parallel classes")
 	gantt := flag.Bool("gantt", false, "for DMP classes: show the firing schedule of a reduction-tree demo")
@@ -179,9 +173,9 @@ func runGantt(className string, procs int, tracePath string) error {
 // simulation, so the batch engine's ordering guarantee keeps the table
 // stable at any worker count.
 func runCompare(kernel string, n, procs, workers int, backend machine.Backend) error {
-	cells := conformance.CellsForKernel(kernel)
-	if len(cells) == 0 {
-		return kernelErr(kernel, knownKernels...)
+	cells, err := conformance.FilterCells([]string{kernel}, nil)
+	if err != nil {
+		return err
 	}
 	if workers < 1 {
 		return fmt.Errorf("-workers must be >= 1, got %d", workers)
@@ -218,12 +212,6 @@ func runCompare(kernel string, n, procs, workers int, backend machine.Backend) e
 	return nil
 }
 
-// kernelErr lists the kernels a runner supports when asked for one it
-// doesn't.
-func kernelErr(kernel string, have ...string) error {
-	return fmt.Errorf("unknown kernel %q (have %s)", kernel, strings.Join(have, ", "))
-}
-
 func run(className, kernel string, n, procs int, tracePath string, traceASCII, metrics, metricsJSON bool, backend machine.Backend) error {
 	c, err := taxonomy.LookupString(className)
 	if err != nil {
@@ -238,8 +226,9 @@ func run(className, kernel string, n, procs int, tracePath string, traceASCII, m
 		opts = append(opts, workload.WithTracer(trace))
 	}
 
-	// The kernel × class dispatch lives in internal/modelzoo so the serving
-	// layer (internal/server) runs the exact simulations this CLI does.
+	// The kernel table lives in internal/modelzoo so the serving layer
+	// (internal/server) and the conformance matrix run the exact
+	// simulations this CLI does.
 	res, err := modelzoo.RunKernel(c, kernel, n, procs, opts...)
 	if err != nil {
 		return err

@@ -107,7 +107,7 @@ func TestRun_Errors(t *testing.T) {
 		{"dot on fabric", "USP", "dot", 64, 1},
 		{"stencil on IAP-I (no DP-DP)", "IAP-I", "stencil", 64, 8},
 		{"scan on IMP-I (no DP-DP)", "IMP-I", "scan", 64, 8},
-		{"ISP not runnable here", "ISP-IV", "vecadd", 64, 8},
+		{"dot on ISP (no runner)", "ISP-IV", "dot", 64, 8},
 		{"non-dividing shard", "IAP-I", "vecadd", 65, 8},
 	}
 	for _, tc := range cases {

@@ -10,12 +10,13 @@ import (
 
 // DefaultEnumPackages lists the packages whose declared constant sets
 // form the taxonomy's vocabularies: the class/name/link/site/count enums
-// of internal/taxonomy, the kernel vocabulary of internal/modelzoo, the
+// of internal/taxonomy, the machine families of internal/modelzoo's
+// kernel table, the
 // dataflow node ops, the ISA opcodes, the obs event kinds and the
 // static-analysis severity levels of internal/report. Any named
 // integer or string type declared in one of these packages with at least
 // two constants of that type is treated as a closed enum, so new enums
-// (a class 13-46 sub-type, an eighth kernel) are enforced the moment
+// (a class 13-46 sub-type, a seventh machine family) are enforced the moment
 // they are declared.
 var DefaultEnumPackages = []string{
 	"repro/internal/taxonomy",

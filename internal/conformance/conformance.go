@@ -24,10 +24,12 @@ package conformance
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/isa"
 	"repro/internal/machine"
+	"repro/internal/modelzoo"
 	"repro/internal/obs"
 	"repro/internal/taxonomy"
 	"repro/internal/workload"
@@ -89,285 +91,67 @@ type CellResult struct {
 	Err          string `json:"error,omitempty"`
 }
 
-// KernelNames lists the kernel rows of the matrix, in display order. It is
-// the canonical kernel vocabulary: cmd/simulate's -kernel values are tested
-// to be exactly this set, so no kernel can be added to the simulator
-// without also being conformance-checked.
-func KernelNames() []string {
-	return []string{"vecadd", "dot", "reduce", "fir", "matmul", "scan", "stencil"}
-}
+// KernelNames lists the kernel rows of the matrix, in display order: the
+// vocabulary of modelzoo's kernel table, which cmd/simulate and
+// /v1/simulate accept too, so no kernel can be served without also being
+// conformance-checked.
+func KernelNames() []string { return modelzoo.Kernels() }
 
 // ClassNames lists the machine-class columns of the matrix, in display
 // order: the six machine classes of the taxonomy with every simulated
 // sub-type.
 func ClassNames() []string {
-	names := []string{"IUP"}
-	for sub := 1; sub <= 4; sub++ {
-		names = append(names, "IAP-"+taxonomy.Roman(sub))
+	names := make([]string, len(columns))
+	for i, c := range columns {
+		names[i] = c.String()
 	}
-	for sub := 1; sub <= 16; sub++ {
-		names = append(names, "IMP-"+taxonomy.Roman(sub))
-	}
-	for sub := 1; sub <= 16; sub++ {
-		names = append(names, "ISP-"+taxonomy.Roman(sub))
-	}
-	for sub := 1; sub <= 4; sub++ {
-		names = append(names, "DMP-"+taxonomy.Roman(sub))
-	}
-	return append(names, "USP")
+	return names
 }
 
-// inputs builds the deterministic operand vectors every cell shares (the
-// same generator cmd/simulate uses, so the matrix exercises the exact runs
-// users see).
-func inputs(n int) (a, b []isa.Word) {
-	a = make([]isa.Word, n)
-	b = make([]isa.Word, n)
-	for i := range a {
-		a[i] = isa.Word(i%97 + 1)
-		b[i] = isa.Word(i%89 + 2)
+// columns are the matrix's machine classes, in display order: Table I's
+// implementable classes, instruction-flow first, except the data-flow
+// uni-processor (DUP), which has no sub-type for the DMP runners to build.
+var columns = func() []taxonomy.Class {
+	var classes []taxonomy.Class
+	for _, c := range taxonomy.Table() {
+		if c.Implementable && (c.Name.Machine != taxonomy.DataFlow || c.Name.Proc != taxonomy.UniProcessor) {
+			classes = append(classes, c)
+		}
 	}
-	return a, b
-}
+	rank := map[taxonomy.MachineType]int{taxonomy.InstructionFlow: 0, taxonomy.DataFlow: 1, taxonomy.UniversalFlow: 2}
+	slices.SortStableFunc(classes, func(a, b taxonomy.Class) int { return rank[a.Name.Machine] - rank[b.Name.Machine] })
+	return classes
+}()
 
-// ones is the all-ones vector that turns the dot runners into the reduce
-// kernel: sum(a) == dot(a, 1).
-func ones(n int) []isa.Word {
-	v := make([]isa.Word, n)
-	for i := range v {
-		v[i] = 1
-	}
-	return v
-}
-
-// firInputs derives the FIR operands at output length n with 8 taps.
-func firInputs(n int) (x, h []isa.Word) {
-	const taps = 8
-	x = make([]isa.Word, n+taps-1)
-	for i := range x {
-		x[i] = isa.Word(i%31 + 1)
-	}
-	h = make([]isa.Word, taps)
-	for i := range h {
-		h[i] = isa.Word(i + 1)
-	}
-	return x, h
-}
-
-// matmulInputs derives the matmul operands: rows x 8 times 8 x 8.
-func matmulInputs(rows int) (am, bm []isa.Word, k, cols int) {
-	k, cols = 8, 8
-	am = make([]isa.Word, rows*k)
-	bm = make([]isa.Word, k*cols)
-	for i := range am {
-		am[i] = isa.Word(i%23 + 1)
-	}
-	for i := range bm {
-		bm[i] = isa.Word(i%19 + 1)
-	}
-	return am, bm, k, cols
-}
-
-// Matrix enumerates every architecturally runnable kernel × class cell.
-// The support rules are the taxonomy's own: butterfly reductions and halo
-// exchanges need a DP-DP switch, the local-addressing runners need a direct
-// DP-DM switch, and classes without a DP-DP switch fall back to the
-// host-gather strategies exactly as cmd/simulate dispatches them.
-func Matrix() []Cell {
+// matrix is every kernel row crossed with the columns its row admits.
+var matrix = func() []Cell {
 	var cells []Cell
-	add := func(c Cell) { cells = append(cells, c) }
-
-	// vecadd: every class and sub-type runs it.
-	add(Cell{Kernel: "vecadd", Class: "IUP", run: func(p Params, opts ...workload.Option) (workload.Result, []isa.Word, error) {
-		a, b := inputs(p.N)
-		want, err := workload.RefVecAdd(a, b)
-		if err != nil {
-			return workload.Result{}, nil, err
-		}
-		res, err := workload.VecAddUni(a, b, opts...)
-		return res, want, err
-	}})
-	for sub := 1; sub <= 4; sub++ {
-		sub := sub
-		add(Cell{Kernel: "vecadd", Class: "IAP-" + taxonomy.Roman(sub), run: func(p Params, opts ...workload.Option) (workload.Result, []isa.Word, error) {
-			a, b := inputs(p.N)
-			want, err := workload.RefVecAdd(a, b)
-			if err != nil {
-				return workload.Result{}, nil, err
+	for _, k := range modelzoo.KernelTable() {
+		for i := range columns {
+			c := &columns[i]
+			if !k.InMatrix(*c) {
+				continue
 			}
-			res, err := workload.VecAddSIMD(sub, p.Procs, a, b, opts...)
-			return res, want, err
-		}})
-	}
-	for sub := 1; sub <= 16; sub++ {
-		sub := sub
-		add(Cell{Kernel: "vecadd", Class: "IMP-" + taxonomy.Roman(sub), run: func(p Params, opts ...workload.Option) (workload.Result, []isa.Word, error) {
-			a, b := inputs(p.N)
-			want, err := workload.RefVecAdd(a, b)
-			if err != nil {
-				return workload.Result{}, nil, err
-			}
-			res, err := workload.VecAddMIMD(sub, p.Procs, a, b, opts...)
-			return res, want, err
-		}})
-	}
-	for sub := 1; sub <= 16; sub++ {
-		sub := sub
-		add(Cell{Kernel: "vecadd", Class: "ISP-" + taxonomy.Roman(sub), run: func(p Params, opts ...workload.Option) (workload.Result, []isa.Word, error) {
-			a, b := inputs(p.N)
-			want, err := workload.RefVecAdd(a, b)
-			if err != nil {
-				return workload.Result{}, nil, err
-			}
-			res, err := workload.VecAddSpatial(sub, p.Procs, a, b, opts...)
-			return res, want, err
-		}})
-	}
-	for sub := 1; sub <= 4; sub++ {
-		sub := sub
-		add(Cell{Kernel: "vecadd", Class: "DMP-" + taxonomy.Roman(sub), run: func(p Params, opts ...workload.Option) (workload.Result, []isa.Word, error) {
-			a, b := inputs(p.N)
-			want, err := workload.RefVecAdd(a, b)
-			if err != nil {
-				return workload.Result{}, nil, err
-			}
-			res, err := workload.VecAddDataflow(sub, p.Procs, a, b, opts...)
-			return res, want, err
-		}})
-	}
-	add(Cell{Kernel: "vecadd", Class: "USP", metricsExempt: true, run: func(p Params, opts ...workload.Option) (workload.Result, []isa.Word, error) {
-		a, b := inputs(p.N)
-		want, err := workload.RefVecAdd(a, b)
-		if err != nil {
-			return workload.Result{}, nil, err
-		}
-		res, err := workload.VecAddFabric(16, a, b, opts...)
-		return res, want, err
-	}})
-
-	// dot and reduce: the instruction-flow classes. Classes without a DP-DP
-	// switch use the host-gather partial strategy; the rest all-reduce with
-	// the butterfly. reduce is dot against the all-ones vector, checked
-	// against the independent RefReduce.
-	dotCell := func(kernel, class string, runDot func(p Params, a, b []isa.Word, opts ...workload.Option) (workload.Result, error)) Cell {
-		return Cell{Kernel: kernel, Class: class, run: func(p Params, opts ...workload.Option) (workload.Result, []isa.Word, error) {
-			a, b := inputs(p.N)
-			var want isa.Word
-			if kernel == "reduce" {
-				b = ones(p.N)
-				want = workload.RefReduce(a)
-			} else {
-				var err error
-				want, err = workload.RefDot(a, b)
-				if err != nil {
-					return workload.Result{}, nil, err
-				}
-			}
-			res, err := runDot(p, a, b, opts...)
-			return res, []isa.Word{want}, err
-		}}
-	}
-	for _, kernel := range []string{"dot", "reduce"} {
-		add(dotCell(kernel, "IUP", func(p Params, a, b []isa.Word, opts ...workload.Option) (workload.Result, error) {
-			return workload.DotUni(a, b, opts...)
-		}))
-		for sub := 1; sub <= 4; sub++ {
-			sub := sub
-			add(dotCell(kernel, "IAP-"+taxonomy.Roman(sub), func(p Params, a, b []isa.Word, opts ...workload.Option) (workload.Result, error) {
-				if sub == 1 || sub == 3 { // no DP-DP switch: butterfly impossible
-					return workload.DotSIMDPartial(sub, p.Procs, a, b, opts...)
-				}
-				return workload.DotSIMD(sub, p.Procs, a, b, opts...)
-			}))
-		}
-		for sub := 1; sub <= 16; sub++ {
-			sub := sub
-			add(dotCell(kernel, "IMP-"+taxonomy.Roman(sub), func(p Params, a, b []isa.Word, opts ...workload.Option) (workload.Result, error) {
-				if (sub-1)&1 == 0 { // no DP-DP switch: butterfly impossible
-					return workload.DotMIMDPartial(sub, p.Procs, a, b, opts...)
-				}
-				return workload.DotMIMD(sub, p.Procs, a, b, opts...)
-			}))
+			cells = append(cells, Cell{
+				Kernel: k.Name,
+				Class:  c.String(),
+				// The fabric's cycles are clock steps, not traced instructions.
+				metricsExempt: c.Name.Machine == taxonomy.UniversalFlow,
+				run: func(p Params, opts ...workload.Option) (workload.Result, []isa.Word, error) {
+					return k.Execute(*c, p.N, p.Procs, opts...)
+				},
+			})
 		}
 	}
-
-	// fir: the uni-processor and the local-addressing IAP sub-types (the
-	// overlapped sharding needs no DP-DP switch, so even IAP-I runs it).
-	add(Cell{Kernel: "fir", Class: "IUP", run: func(p Params, opts ...workload.Option) (workload.Result, []isa.Word, error) {
-		x, h := firInputs(p.N)
-		want, err := workload.RefFIR(x, h)
-		if err != nil {
-			return workload.Result{}, nil, err
-		}
-		res, err := workload.FIRUni(x, h, opts...)
-		return res, want, err
-	}})
-	for sub := 1; sub <= 2; sub++ {
-		sub := sub
-		add(Cell{Kernel: "fir", Class: "IAP-" + taxonomy.Roman(sub), run: func(p Params, opts ...workload.Option) (workload.Result, []isa.Word, error) {
-			x, h := firInputs(p.N)
-			want, err := workload.RefFIR(x, h)
-			if err != nil {
-				return workload.Result{}, nil, err
-			}
-			res, err := workload.FIRSIMD(sub, p.Procs, x, h, opts...)
-			return res, want, err
-		}})
-	}
-
-	// matmul: every IMP sub-type; direct DP-DM banks replicate B, crossbar
-	// sub-types share one copy of B through the memory switch.
-	for sub := 1; sub <= 16; sub++ {
-		sub := sub
-		add(Cell{Kernel: "matmul", Class: "IMP-" + taxonomy.Roman(sub), run: func(p Params, opts ...workload.Option) (workload.Result, []isa.Word, error) {
-			am, bm, k, cols := matmulInputs(p.N)
-			want, err := workload.RefMatMul(am, bm, p.N, k, cols)
-			if err != nil {
-				return workload.Result{}, nil, err
-			}
-			var res workload.Result
-			if (sub-1)&2 != 0 {
-				res, err = workload.MatMulMIMDShared(sub, p.Procs, am, bm, p.N, k, cols, opts...)
-			} else {
-				res, err = workload.MatMulMIMDReplicated(sub, p.Procs, am, bm, p.N, k, cols, opts...)
-			}
-			return res, want, err
-		}})
-	}
-
-	// scan: the coordinator/worker split needs per-core control flow and
-	// the runner's local addressing needs direct DP-DM with a DP-DP
-	// crossbar — IMP sub-types II, VI, X, XIV.
-	for _, sub := range []int{2, 6, 10, 14} {
-		sub := sub
-		add(Cell{Kernel: "scan", Class: "IMP-" + taxonomy.Roman(sub), run: func(p Params, opts ...workload.Option) (workload.Result, []isa.Word, error) {
-			a, _ := inputs(p.N)
-			want := workload.RefScan(a)
-			res, err := workload.ScanMIMD(sub, p.Procs, a, opts...)
-			return res, want, err
-		}})
-	}
-
-	// stencil: halo exchange over the DP-DP network with local addressing —
-	// IAP-II, and IMP sub-types II, VI, X, XIV.
-	add(Cell{Kernel: "stencil", Class: "IAP-II", run: func(p Params, opts ...workload.Option) (workload.Result, []isa.Word, error) {
-		a, _ := inputs(p.N)
-		want := workload.RefStencil3Periodic(a)
-		res, err := workload.Stencil3SIMD(2, p.Procs, a, opts...)
-		return res, want, err
-	}})
-	for _, sub := range []int{2, 6, 10, 14} {
-		sub := sub
-		add(Cell{Kernel: "stencil", Class: "IMP-" + taxonomy.Roman(sub), run: func(p Params, opts ...workload.Option) (workload.Result, []isa.Word, error) {
-			a, _ := inputs(p.N)
-			want := workload.RefStencil3Periodic(a)
-			res, err := workload.Stencil3MIMD(sub, p.Procs, a, opts...)
-			return res, want, err
-		}})
-	}
-
 	return cells
-}
+}()
+
+// Matrix enumerates every architecturally runnable kernel × class cell:
+// each row of modelzoo's kernel table crossed with the columns its
+// Table I predicate admits — butterfly reductions and halo exchanges need
+// a DP-DP switch, the local-addressing runners a direct DP-DM switch.
+// Cells come in row order, and within a row in ClassNames order.
+func Matrix() []Cell { return slices.Clone(matrix) }
 
 // Execute runs the cell's kernel and returns the raw machine result plus
 // the pure-Go reference output, without Run's tracer and metric
@@ -446,13 +230,9 @@ func diffOutput(got, want []isa.Word) error {
 
 // CellsForKernel returns the matrix cells of one kernel row.
 func CellsForKernel(kernel string) []Cell {
-	var out []Cell
-	for _, c := range Matrix() {
-		if c.Kernel == kernel {
-			out = append(out, c)
-		}
-	}
-	return out
+	// The only error is an unknown kernel, which has no cells.
+	cells, _ := FilterCells([]string{kernel}, nil)
+	return cells
 }
 
 // Summary condenses results into per-kernel pass/total counts, sorted by

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/isa"
+	"repro/internal/modelzoo"
 	"repro/internal/obs"
 	"repro/internal/workload"
 )
@@ -75,6 +76,31 @@ func TestMatrixCoversEveryKernel(t *testing.T) {
 	}
 }
 
+// TestEveryKernelHasConformanceCells: the kernels cmd/simulate and
+// /v1/simulate accept and the kernels the conformance matrix covers must
+// be the same set, and each must have at least one runnable matrix cell —
+// a kernel users can invoke but the conformance suite never checks would
+// be untested surface.
+func TestEveryKernelHasConformanceCells(t *testing.T) {
+	matrix := map[string]bool{}
+	for _, k := range KernelNames() {
+		matrix[k] = true
+	}
+	for _, k := range modelzoo.Kernels() {
+		if !matrix[k] {
+			t.Errorf("served kernel %q has no row in the conformance matrix", k)
+			continue
+		}
+		if len(CellsForKernel(k)) == 0 {
+			t.Errorf("kernel %q has no conformance cells", k)
+		}
+		delete(matrix, k)
+	}
+	for k := range matrix {
+		t.Errorf("conformance kernel %q is not served by modelzoo.RunKernel", k)
+	}
+}
+
 // TestVecAddCoversEveryClass: the universal kernel must appear on every
 // machine-class column — all six classes, every simulated sub-type.
 func TestVecAddCoversEveryClass(t *testing.T) {
@@ -120,18 +146,11 @@ func TestParamsValidate(t *testing.T) {
 // reference must fail — the detector itself is tested, not just the happy
 // path.
 func TestRunDetectsWrongOutput(t *testing.T) {
-	lying := Cell{Kernel: "vecadd", Class: "IUP", run: func(p Params, opts ...workload.Option) (workload.Result, []isa.Word, error) {
-		a, b := inputs(p.N)
-		want, err := workload.RefVecAdd(a, b)
-		if err != nil {
-			return workload.Result{}, nil, err
-		}
-		res, err := workload.VecAddUni(a, b, opts...)
-		if err == nil && len(res.Output) > 0 {
+	lying := lie(t, func(res *workload.Result) {
+		if len(res.Output) > 0 {
 			res.Output[0]++ // inject a single-word divergence
 		}
-		return res, want, err
-	}}
+	})
 	r := Run(lying, DefaultParams())
 	if r.Pass {
 		t.Fatal("cell with corrupted output passed")
@@ -139,6 +158,25 @@ func TestRunDetectsWrongOutput(t *testing.T) {
 	if !strings.Contains(r.Err, "reference") {
 		t.Errorf("error %q does not mention the reference", r.Err)
 	}
+}
+
+// lie wraps the IUP vecadd cell so its result is mutated after a
+// successful run.
+func lie(t *testing.T, mutate func(*workload.Result)) Cell {
+	t.Helper()
+	cell := Matrix()[0]
+	if cell.Kernel != "vecadd" || cell.Class != "IUP" {
+		t.Fatalf("first matrix cell is %s/%s, want vecadd/IUP", cell.Kernel, cell.Class)
+	}
+	honest := cell.run
+	cell.run = func(p Params, opts ...workload.Option) (workload.Result, []isa.Word, error) {
+		res, want, err := honest(p, opts...)
+		if err == nil {
+			mutate(&res)
+		}
+		return res, want, err
+	}
+	return cell
 }
 
 // TestRunDetectsBadParams: invalid sizing is reported per cell, not
@@ -156,28 +194,14 @@ func TestRunDetectsBadParams(t *testing.T) {
 // zero cycles must fail the timing sanity check — the detectors the
 // whole matrix leans on.
 func TestRunDetectsStatsDrift(t *testing.T) {
-	lie := func(mutate func(*workload.Result)) Cell {
-		return Cell{Kernel: "vecadd", Class: "IUP", run: func(p Params, opts ...workload.Option) (workload.Result, []isa.Word, error) {
-			a, b := inputs(p.N)
-			want, err := workload.RefVecAdd(a, b)
-			if err != nil {
-				return workload.Result{}, nil, err
-			}
-			res, err := workload.VecAddUni(a, b, opts...)
-			if err == nil {
-				mutate(&res)
-			}
-			return res, want, err
-		}}
-	}
-	r := Run(lie(func(res *workload.Result) { res.Stats.ALUOps++ }), DefaultParams())
+	r := Run(lie(t, func(res *workload.Result) { res.Stats.ALUOps++ }), DefaultParams())
 	if r.Pass {
 		t.Fatal("cell with drifted ALU count passed")
 	}
 	if !strings.Contains(r.Err, "cross-check") || !strings.Contains(r.Err, obs.MetricALUOps) {
 		t.Errorf("error %q does not name the cross-checked %s", r.Err, obs.MetricALUOps)
 	}
-	r = Run(lie(func(res *workload.Result) { res.Stats.Cycles = 0 }), DefaultParams())
+	r = Run(lie(t, func(res *workload.Result) { res.Stats.Cycles = 0 }), DefaultParams())
 	if r.Pass {
 		t.Fatal("cell claiming zero cycles passed")
 	}

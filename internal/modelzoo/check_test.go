@@ -24,11 +24,7 @@ func TestCheckKernelMatrixClean(t *testing.T) {
 		}
 		progs, err := modelzoo.CheckKernel(c, cell.Kernel, 64, 4)
 		if err != nil {
-			// ISP cells run through internal/spatial demos, outside the
-			// RunKernel dispatch; everything else must check out.
-			if !modelzoo.Unsupported(err) {
-				t.Errorf("%s/%s: %v", cell.Class, cell.Kernel, err)
-			}
+			t.Errorf("%s/%s: %v", cell.Class, cell.Kernel, err)
 			continue
 		}
 		cells++

@@ -92,18 +92,13 @@ func RunVecAdd(arch spec.Architecture, n int) (Result, error) {
 	}
 	n -= n % width
 
-	a := make([]isa.Word, n)
-	b := make([]isa.Word, n)
-	for i := range a {
-		a[i] = isa.Word(i%31 + 1)
-		b[i] = isa.Word(i%29 + 3)
-	}
+	a, b := seq(n, 31, 1), seq(n, 29, 3)
 
 	var res workload.Result
 	switch {
 	case class.Name.Machine == taxonomy.UniversalFlow:
 		inst.Processors = 1
-		res, err = workload.VecAddFabric(16, clampWords(a, 1<<15), clampWords(b, 1<<15))
+		res, err = workload.VecAddFabric(16, a, b)
 	case class.Name.Machine == taxonomy.DataFlow:
 		if class.Name.Proc == taxonomy.UniProcessor {
 			inst.Processors = 1
@@ -140,7 +135,7 @@ func runSpatialVecAdd(cells, n int, a, b []isa.Word) (machine.Stats, error) {
 		return machine.Stats{}, fmt.Errorf("%d elements do not shard over %d cells", n, cells)
 	}
 	m := n / cells
-	prog, err := vecAddLocalProgram(m)
+	prog, err := workload.VecAddProgram(m)
 	if err != nil {
 		return machine.Stats{}, err
 	}
@@ -177,36 +172,6 @@ func runSpatialVecAdd(cells, n int, a, b []isa.Word) (machine.Stats, error) {
 		}
 	}
 	return stats, nil
-}
-
-// vecAddLocalProgram is the lane-local vector-add loop (a at [0,m), b at
-// [m,2m), c at [2m,3m)).
-func vecAddLocalProgram(m int) (isa.Program, error) {
-	if m < 1 {
-		return nil, fmt.Errorf("modelzoo: chunk must be >= 1, got %d", m)
-	}
-	return isa.Assemble(fmt.Sprintf(`
-        ldi  r1, 0
-        ldi  r2, %d
-loop:   beq  r1, r2, done
-        ld   r3, [r1+0]
-        addi r4, r1, %d
-        ld   r5, [r4+0]
-        add  r6, r3, r5
-        addi r7, r1, %d
-        st   r6, [r7+0]
-        addi r1, r1, 1
-        jmp  loop
-done:   halt
-`, m, m, 2*m))
-}
-
-func clampWords(v []isa.Word, limit isa.Word) []isa.Word {
-	out := make([]isa.Word, len(v))
-	for i, x := range v {
-		out[i] = x % limit
-	}
-	return out
 }
 
 // RunSurvey runs the canonical kernel on every instantiable survey entry

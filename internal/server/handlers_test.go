@@ -206,6 +206,33 @@ func TestSimulateEndpoint(t *testing.T) {
 	}
 }
 
+// TestSimulateServesKernelTable: the served kernels are the matrix's —
+// reduce is sum(a), and ISP vecadd runs, passes the admission check and is
+// cross-checked like every traced class.
+func TestSimulateServesKernelTable(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	status, body := post(t, ts, "/v1/simulate", `{"requests":[
+	  {"class":"IUP","kernel":"reduce","n":4,"procs":1},
+	  {"class":"ISP-IV","kernel":"vecadd","n":16,"procs":4}
+	]}`)
+	if status != http.StatusOK {
+		t.Fatalf("status %d: %s", status, body)
+	}
+	results := decodeResults(t, body)
+	var reduce, isp SimulateResponse
+	for i, dst := range []*SimulateResponse{&reduce, &isp} {
+		if err := json.Unmarshal(results[i], dst); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(reduce.OutputHead) != 1 || reduce.OutputHead[0] != 1+2+3+4 {
+		t.Errorf("IUP reduce output head = %v, want [10]", reduce.OutputHead)
+	}
+	if isp.Error != nil || isp.Cycles <= 0 || !isp.MetricsChecked {
+		t.Errorf("ISP-IV vecadd = %+v", isp)
+	}
+}
+
 func TestConformanceEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	status, body := post(t, ts, "/v1/conformance",

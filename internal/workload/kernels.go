@@ -18,7 +18,7 @@ func VecAddUni(a, b []isa.Word, opts ...Option) (Result, error) {
 		return Result{}, err
 	}
 	n := len(a)
-	prog, err := vecAddProgram(n)
+	prog, err := VecAddProgram(n)
 	if err != nil {
 		return Result{}, err
 	}
@@ -56,7 +56,7 @@ func VecAddSIMD(sub, lanes int, a, b []isa.Word, opts ...Option) (Result, error)
 	}
 	m := n / lanes
 	bankWords := 3*m + 16
-	prog, err := vecAddProgram(m)
+	prog, err := VecAddProgram(m)
 	if sub == 3 || sub == 4 { // DP-DM crossbar: global addressing
 		prog, err = vecAddProgramGlobal(m, bankWords)
 	}
@@ -116,7 +116,7 @@ func VecAddMIMD(sub, cores int, a, b []isa.Word, opts ...Option) (Result, error)
 	}
 	m := n / cores
 	bankWords := 3*m + 16
-	prog, err := vecAddProgram(m)
+	prog, err := VecAddProgram(m)
 	if (sub-1)&2 != 0 { // DP-DM crossbar: global addressing
 		prog, err = vecAddProgramGlobal(m, bankWords)
 	}

@@ -26,18 +26,25 @@ func VecAddSpatial(sub, cores int, a, b []isa.Word, opts ...Option) (Result, err
 	}
 	m := n / cores
 	bankWords := 3*m + 16
-	prog, err := vecAddProgram(m)
+	memWords := bankWords
+	prog, err := VecAddProgram(m)
 	if (sub-1)&2 != 0 { // DP-DM crossbar: global addressing
+		memWords = cores * bankWords
 		prog, err = vecAddProgramGlobal(m, bankWords)
 	}
 	if err != nil {
 		return Result{}, err
 	}
+	ro := applyOpts(opts)
+	if ro.record(ProgramSpec{Name: "vecadd", Program: prog, MemWords: memWords, Procs: cores,
+		HasNetwork: (sub-1)&1 != 0, HasBarrier: true}) {
+		return Result{}, nil
+	}
 	mach, err := spatial.New(spatial.Config{
 		Cores:     cores,
 		BankWords: bankWords,
 		Sub:       sub,
-		Tracer:    applyOpts(opts).tracer,
+		Tracer:    ro.tracer,
 	})
 	if err != nil {
 		return Result{}, err

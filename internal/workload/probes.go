@@ -160,7 +160,7 @@ func probeIAPActsAsIUP(opts ...Option) (Probe, error) {
 	// Run the whole problem on lane 0 of an IAP; other lanes execute the
 	// same stream on zeroed banks (their results are ignored: turned off).
 	n := len(a)
-	prog, err := vecAddProgram(n)
+	prog, err := VecAddProgram(n)
 	if err != nil {
 		return Probe{}, err
 	}

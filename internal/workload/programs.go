@@ -13,9 +13,10 @@ import (
 // point (the instruction-flow classes share one execution model and differ
 // only in their switch structure).
 
-// vecAddProgram adds two m-element vectors living at [0,m) and [m,2m) into
-// [2m,3m) of the local address space.
-func vecAddProgram(m int) (isa.Program, error) {
+// VecAddProgram adds two m-element vectors living at [0,m) and [m,2m) into
+// [2m,3m) of the local address space: the vecadd loop every class with
+// local addressing runs.
+func VecAddProgram(m int) (isa.Program, error) {
 	if m < 1 {
 		return nil, fmt.Errorf("workload: vector length must be >= 1, got %d", m)
 	}
@@ -161,7 +162,7 @@ out:    addi r9, r9, %d
 	return isa.Assemble(src)
 }
 
-// vecAddProgramGlobal is vecAddProgram for machines whose DP-DM switch is a
+// vecAddProgramGlobal is VecAddProgram for machines whose DP-DM switch is a
 // crossbar: addresses are global, so each processor offsets its accesses by
 // its own bank base (index * bankWords).
 func vecAddProgramGlobal(m, bankWords int) (isa.Program, error) {

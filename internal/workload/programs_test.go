@@ -7,8 +7,8 @@ import (
 )
 
 func TestProgramGenerators_RejectBadShapes(t *testing.T) {
-	if _, err := vecAddProgram(0); err == nil {
-		t.Error("vecAddProgram(0) accepted")
+	if _, err := VecAddProgram(0); err == nil {
+		t.Error("VecAddProgram(0) accepted")
 	}
 	if _, err := vecAddProgramGlobal(0, 64); err == nil {
 		t.Error("vecAddProgramGlobal(0) accepted")
