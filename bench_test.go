@@ -521,15 +521,14 @@ func BenchmarkEq2_ReconfigBreakEven(b *testing.B) {
 	b.ReportMetric(float64(runs), "break-even-runs")
 }
 
-// BenchmarkStep_RawVsDecodedVsCompiled is the backend ablation: the same
-// guest loop executed instruction by instruction through the raw Step
-// interpreter (re-decoding operands every cycle), through StepDecoded over
-// the program lowered once by isa.Predecode, and through machine.Compile's
-// threaded-closure chain with basic-block fusion and batched cycle
-// accounting. The raw-to-decoded delta is what pre-decode saves per retired
-// instruction; the decoded-to-compiled delta is what dispatch elimination
-// and superinstruction fusion save on top.
-func BenchmarkStep_RawVsDecodedVsCompiled(b *testing.B) {
+// BenchmarkStep_RawVsCompiled is the backend ablation: the same guest loop
+// executed instruction by instruction through the raw Step interpreter
+// (re-decoding operands every cycle), and through machine.Compile's
+// threaded-closure chain over the program lowered once by isa.Predecode,
+// with basic-block fusion and batched cycle accounting. The delta is what
+// pre-decode, dispatch elimination and superinstruction fusion save per
+// retired instruction.
+func BenchmarkStep_RawVsCompiled(b *testing.B) {
 	prog, err := isa.Assemble(`
         ldi  r1, 0
         ldi  r2, 64
@@ -554,23 +553,6 @@ done:   halt
 			pc := 0
 			for pc < len(prog) {
 				out, err := machine.Step(&regs, pc, prog[pc], env)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if out.Halted {
-					break
-				}
-				pc = out.NextPC
-			}
-		}
-	})
-	b.Run("decoded", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			var regs machine.Regs
-			pc := 0
-			for pc < len(dec) {
-				out, err := machine.StepDecoded(&regs, pc, &dec[pc], &env)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -48,7 +48,7 @@ func run(args []string, w io.Writer) error {
 	seeds := fs.Int("seeds", 25, "number of random-program lockstep seeds (0 disables the sweep)")
 	seed := fs.Int64("seed", 1, "first lockstep seed")
 	workers := fs.Int("workers", runtime.NumCPU(), "worker goroutines for matrix cells and lockstep seeds (1 = serial)")
-	backendFlag := fs.String("backend", "", "execution backend for the matrix runs: interp, decoded or compiled (empty = default, currently compiled)")
+	backendFlag := fs.String("backend", "", "execution backend for the matrix runs: interp or compiled (empty = default, currently compiled)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

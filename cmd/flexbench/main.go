@@ -49,7 +49,7 @@ func run(args []string, w io.Writer) error {
 	jsonOut := fs.Bool("json", false, "emit the full result as JSON")
 	csvOut := fs.Bool("csv", false, "emit the frontier table as CSV")
 	workers := fs.Int("workers", runtime.NumCPU(), "worker goroutines for the matrix cells (1 = serial)")
-	backendFlag := fs.String("backend", "", "execution backend: interp, decoded or compiled (empty = default, currently compiled)")
+	backendFlag := fs.String("backend", "", "execution backend: interp or compiled (empty = default, currently compiled)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

@@ -121,7 +121,6 @@ func TestRunBackendsAndWorkersByteIdentical(t *testing.T) {
 		{"-n", "16", "-json", "-workers", "4"},
 		{"-n", "16", "-json", "-workers", "16"},
 		{"-n", "16", "-json", "-backend", "interp"},
-		{"-n", "16", "-json", "-backend", "decoded"},
 		{"-n", "16", "-json", "-backend", "compiled"},
 	} {
 		var b strings.Builder

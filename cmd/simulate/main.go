@@ -58,7 +58,7 @@ func main() {
 	metrics := flag.Bool("metrics", false, "print Prometheus-style metrics aggregated from the trace and cross-check them against the run stats")
 	metricsJSON := flag.Bool("metrics-json", false, "like -metrics but emit the aggregated metrics as a JSON document")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
-	backendFlag := flag.String("backend", "", "execution backend: interp, decoded or compiled (empty = default, currently compiled)")
+	backendFlag := flag.String("backend", "", "execution backend: interp or compiled (empty = default, currently compiled)")
 	compare := flag.Bool("compare", false, "run the kernel on every class that implements it and print the cycle counts side by side")
 	workers := flag.Int("workers", runtime.NumCPU(), "worker goroutines for -compare (1 = serial)")
 	flag.Parse()

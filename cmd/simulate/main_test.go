@@ -1,9 +1,11 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -113,6 +115,44 @@ func TestRun_Errors(t *testing.T) {
 	for _, tc := range cases {
 		if _, err := capture(t, func() error { return runPlain(tc.class, tc.kernel, tc.n, tc.procs) }); err == nil {
 			t.Errorf("%s: accepted", tc.name)
+		}
+	}
+}
+
+// TestHelperProcess re-executes the test binary as the real CLI so
+// TestBackendFlagExitCodes observes true exit codes.
+func TestHelperProcess(t *testing.T) {
+	if os.Getenv("SIMULATE_HELPER") != "1" {
+		t.Skip("helper process only")
+	}
+	for i, a := range os.Args {
+		if a == "--" {
+			os.Args = append([]string{"simulate"}, os.Args[i+1:]...)
+			break
+		}
+	}
+	main()
+	os.Exit(0)
+}
+
+// TestBackendFlagExitCodes: -backend accepts exactly interp and compiled;
+// the retired "decoded" spelling is an unknown backend, not an alias.
+func TestBackendFlagExitCodes(t *testing.T) {
+	for _, tc := range []struct {
+		backend string
+		code    int
+	}{{"interp", 0}, {"compiled", 0}, {"decoded", 1}} {
+		cmd := exec.Command(os.Args[0], "-test.run=TestHelperProcess", "--",
+			"-class", "IUP", "-kernel", "vecadd", "-n", "8", "-backend", tc.backend)
+		cmd.Env = append(os.Environ(), "SIMULATE_HELPER=1")
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		_ = cmd.Run()
+		if code := cmd.ProcessState.ExitCode(); code != tc.code {
+			t.Errorf("-backend %s exited %d, want %d; stderr: %s", tc.backend, code, tc.code, stderr.String())
+		}
+		if tc.code != 0 && !strings.Contains(stderr.String(), "(want interp or compiled)") {
+			t.Errorf("-backend %s: stderr %q does not list the valid spellings", tc.backend, stderr.String())
 		}
 	}
 }

@@ -64,8 +64,8 @@ func diffOutcome(who string, got, want backendOutcome) error {
 }
 
 // BackendCheck generates the program for one seed and runs it on the three
-// machine shapes with every backend, untraced and traced. Within each
-// (shape, tracing) cell all backends must match the interp reference
+// machine shapes with both backends, untraced and traced. Within each
+// (shape, tracing) cell the compiled backend must match the interp reference
 // exactly: memories, the full Stats struct and the traced event stream.
 func BackendCheck(seed int64) BackendResult {
 	return backendCheck(seed, DefaultGenConfig())

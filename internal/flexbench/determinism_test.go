@@ -18,7 +18,7 @@ import (
 func TestDeterminismAcrossWorkersAndBackends(t *testing.T) {
 	p := Params{N: 16, Procs: 4}
 	var want []byte
-	for _, backend := range []machine.Backend{machine.BackendInterp, machine.BackendDecoded, machine.BackendCompiled} {
+	for _, backend := range machine.Backends() {
 		for _, workers := range []int{1, 4, 16} {
 			p.Backend = backend
 			res, err := Run(context.Background(), p, workers)

@@ -4,7 +4,8 @@ package isa
 // []DecodedOp once, so the cycle loops of the machine-class simulators
 // dispatch on an already-widened, already-classified struct instead of
 // re-deriving operand widths, branch targets and op classes from the
-// Instruction on every executed cycle. machine.StepDecoded consumes it.
+// Instruction on every executed cycle. machine.Compile lowers it further
+// into threaded code, and the simulators' schedulers read its class flags.
 
 // Decoded-op class flags, precomputed once per instruction at lowering
 // time. They mirror Op.IsALU/IsBranch/IsMemory/IsComm so the per-cycle

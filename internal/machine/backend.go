@@ -2,7 +2,7 @@ package machine
 
 import "fmt"
 
-// Backend selects how a simulator executes its guest program. All three
+// Backend selects how a simulator executes its guest program. Both
 // backends implement identical architectural semantics — same results,
 // same Stats, same traced event streams — and the equivalence is pinned by
 // internal/conformance's differential sweeps. They differ only in host
@@ -11,13 +11,15 @@ import "fmt"
 //	BackendInterp   — machine.Step on raw isa.Instruction values: operand
 //	                  widths, branch targets and op classes re-derived
 //	                  every executed cycle. The reference implementation.
-//	BackendDecoded  — machine.StepDecoded on a cached isa.DecodedProgram:
-//	                  one pre-decode pass, still a per-op switch per cycle.
 //	BackendCompiled — machine.Compile threaded code: one closure per
 //	                  instruction specialized to its operands (no per-op
 //	                  switch), and on the uni-processor a basic-block run
 //	                  mode with superinstruction fusion and batched cycle
 //	                  accounting.
+//
+// The spatial simulator takes no backend: its composed groups always run
+// the compiled per-op chain, which TestCompiledOpMatchesStep and
+// FuzzCompile pin against Step.
 type Backend uint8
 
 const (
@@ -26,8 +28,6 @@ const (
 	BackendDefault Backend = iota
 	// BackendInterp is the raw-Step reference interpreter.
 	BackendInterp
-	// BackendDecoded is the pre-decoded switch interpreter.
-	BackendDecoded
 	// BackendCompiled is the closure-threaded compiled backend.
 	BackendCompiled
 )
@@ -47,8 +47,6 @@ func (b Backend) String() string {
 		return "default"
 	case BackendInterp:
 		return "interp"
-	case BackendDecoded:
-		return "decoded"
 	case BackendCompiled:
 		return "compiled"
 	}
@@ -64,16 +62,14 @@ func ParseBackend(s string) (Backend, error) {
 		return BackendDefault, nil
 	case "interp":
 		return BackendInterp, nil
-	case "decoded":
-		return BackendDecoded, nil
 	case "compiled":
 		return BackendCompiled, nil
 	}
-	return BackendDefault, fmt.Errorf("machine: unknown backend %q (want interp, decoded or compiled)", s)
+	return BackendDefault, fmt.Errorf("machine: unknown backend %q (want interp or compiled)", s)
 }
 
 // Backends lists the concrete backends, in ablation order, for flag help
 // and differential sweeps.
 func Backends() []Backend {
-	return []Backend{BackendInterp, BackendDecoded, BackendCompiled}
+	return []Backend{BackendInterp, BackendCompiled}
 }

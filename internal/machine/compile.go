@@ -17,15 +17,15 @@ import (
 // (load+ALU+store triples, induction-increment+branch pairs), and accounted
 // in one batched Stats update per block instead of one per instruction.
 //
-// Equivalence with Step/StepDecoded is architectural, not best-effort: the
+// Equivalence with Step is architectural, not best-effort: the
 // differential sweeps in internal/conformance and the FuzzCompile oracle
 // byte-compare memories, registers, Stats and traced event streams across
-// all three backends.
+// both backends.
 
-// OpFn is one unit of threaded code: StepDecoded specialized to a single
-// decoded instruction. The program counter is captured at compile time, so
-// callers index the chain by pc and follow Outcome.NextPC exactly as they
-// would with StepDecoded.
+// OpFn is one unit of threaded code: Step specialized to a single decoded
+// instruction. The program counter is captured at compile time, so callers
+// index the chain by pc and follow Outcome.NextPC exactly as they would
+// with Step.
 type OpFn func(regs *Regs, env *Env) (Outcome, error)
 
 // CompileOptions carries the timing parameters the block accounting bakes
@@ -288,7 +288,7 @@ func (p *CompiledProgram) fuseAt(pc, limit int) (microFn, int32) {
 }
 
 // genMicro builds the direct-memory single-op unit for the uni-processor
-// fast path: same semantics and error text as StepDecoded under a
+// fast path: same semantics and error text as Step under a
 // uni-processor Env (Lane 0, direct Load/Store, no network, no barrier).
 func (p *CompiledProgram) genMicro(pc int, d *isa.DecodedOp) microFn {
 	if alu := aluKernel(d); alu != nil {
@@ -521,10 +521,9 @@ func (p *CompiledProgram) accountPartial(c *CPU, start, failPC int) {
 	}
 }
 
-// compileOp specializes StepDecoded to one decoded instruction: the
-// threaded-code unit shared by every simulator's compiled dispatch. Each
-// closure mirrors the corresponding StepDecoded case, error strings and
-// traced events included.
+// compileOp specializes Step to one decoded instruction: the threaded-code
+// unit shared by every simulator's compiled dispatch. Each closure mirrors
+// the corresponding Step case, error strings and traced events included.
 func compileOp(pc int, d *isa.DecodedOp) OpFn {
 	next := pc + 1
 	rd, ra, rb, imm := d.Rd, d.Ra, d.Rb, d.Imm

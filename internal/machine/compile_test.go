@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/isa"
@@ -142,11 +143,28 @@ func diffRuns(t *testing.T, label string, regsA, regsB Regs, statsA, statsB Stat
 	}
 }
 
+// stepEnv builds a small test environment over one private bank, with an
+// always-full mailbox and a non-blocking barrier so every opcode is
+// executable.
+func stepEnv(mem Memory, sent *[]isa.Word) Env {
+	return Env{
+		Lane:  3,
+		Load:  mem.Load,
+		Store: mem.Store,
+		SendTo: func(peer int, val isa.Word) error {
+			*sent = append(*sent, val)
+			return nil
+		},
+		RecvFrom: func(peer int) (isa.Word, error) { return isa.Word(peer + 100), nil },
+		Barrier:  func() error { return nil },
+	}
+}
+
 // TestCompiledOpMatchesStep drives randomized instructions through Step and
-// the compiled per-op closure side by side, mirroring
-// TestStepDecodedMatchesStep: the threaded chain is StepDecoded specialized
-// per instruction, so outcomes, registers, memories and error text must be
-// identical.
+// the compiled per-op closure side by side: the threaded chain is Step
+// specialized per instruction, so outcomes, registers, memories and error
+// text must be identical. This is the semantic-equivalence pin for every
+// simulator's compiled dispatch, spatial groups included.
 func TestCompiledOpMatchesStep(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	ops := []isa.Op{
@@ -211,6 +229,59 @@ func TestCompiledOpMatchesStep(t *testing.T) {
 		if len(sentA) != len(sentB) {
 			t.Fatalf("trial %d %v: sends diverged", trial, ins)
 		}
+	}
+}
+
+// TestCompiledOpBlocked checks the stall path: a blocked RECV or SYNC keeps
+// the PC and reports Blocked, exactly like Step.
+func TestCompiledOpBlocked(t *testing.T) {
+	env := Env{
+		RecvFrom: func(peer int) (isa.Word, error) { return 0, ErrWouldBlock },
+		Barrier:  func() error { return ErrWouldBlock },
+	}
+	for _, ins := range []isa.Instruction{{Op: isa.OpRecv, Rd: 1, Rb: 2}, {Op: isa.OpSync}} {
+		var regs Regs
+		d := isa.DecodeOp(7, ins)
+		out, err := compileOp(7, &d)(&regs, &env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !out.Blocked || out.NextPC != 7 {
+			t.Fatalf("blocked %v: %+v", ins.Op, out)
+		}
+		if want, _ := Step(&regs, 7, ins, env); out != want {
+			t.Fatalf("blocked %v: compiled %+v, Step %+v", ins.Op, out, want)
+		}
+	}
+}
+
+// TestCompiledOpMissingSites checks the connection-site errors surface with
+// no callbacks configured, with Step's text.
+func TestCompiledOpMissingSites(t *testing.T) {
+	for _, op := range []isa.Op{isa.OpLd, isa.OpSt, isa.OpSend, isa.OpRecv, isa.OpSync} {
+		var regs Regs
+		env := Env{}
+		ins := isa.Instruction{Op: op}
+		d := isa.DecodeOp(0, ins)
+		_, err := compileOp(0, &d)(&regs, &env)
+		if err == nil {
+			t.Errorf("%v with no environment: expected error", op)
+			continue
+		}
+		if _, want := Step(&regs, 0, ins, env); want == nil || err.Error() != want.Error() {
+			t.Errorf("%v with no environment: compiled %q, Step %v", op, err, want)
+		}
+	}
+}
+
+// TestCompiledOpUnimplemented checks the fallback closure for an opcode
+// outside the ISA.
+func TestCompiledOpUnimplemented(t *testing.T) {
+	var regs Regs
+	env := Env{}
+	d := isa.DecodedOp{Op: isa.Op(200)}
+	if _, err := compileOp(0, &d)(&regs, &env); err == nil {
+		t.Fatal("invalid opcode: expected error")
 	}
 }
 
@@ -591,13 +662,19 @@ func TestBackendParse(t *testing.T) {
 			t.Fatalf("ParseBackend(%q) = %v, %v; want %v", spelled, got, err, b)
 		}
 	}
-	if _, err := ParseBackend("jit"); err == nil {
-		t.Fatal("ParseBackend accepted an unknown backend")
+	for _, s := range []string{"jit", "decoded"} {
+		_, err := ParseBackend(s)
+		if err == nil {
+			t.Fatalf("ParseBackend accepted %q", s)
+		}
+		if !strings.Contains(err.Error(), "(want interp or compiled)") {
+			t.Fatalf("ParseBackend(%q) error %q does not list the valid spellings", s, err)
+		}
 	}
 	if BackendDefault.Resolve() != BackendCompiled {
 		t.Fatalf("default backend resolves to %v, want compiled", BackendDefault.Resolve())
 	}
-	if got := Backends(); len(got) != 3 || got[0] != BackendInterp || got[1] != BackendDecoded || got[2] != BackendCompiled {
+	if got := Backends(); len(got) != 2 || got[0] != BackendInterp || got[1] != BackendCompiled {
 		t.Fatalf("Backends() = %v", got)
 	}
 	if s := Backend(250).String(); s != "Backend(250)" {

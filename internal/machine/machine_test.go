@@ -321,3 +321,66 @@ func TestStep_Property(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestPools checks the zeroing and reuse contract of the bank and register
+// pools.
+func TestPools(t *testing.T) {
+	m, err := GetMemory(100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(m) != 100 {
+		t.Fatalf("len %d", len(m))
+	}
+	for i := range m {
+		m[i] = 7
+	}
+	PutMemory(m)
+	m2, err := GetMemory(90)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(m2) != 90 {
+		t.Fatalf("len %d", len(m2))
+	}
+	for i, v := range m2 {
+		if v != 0 {
+			t.Fatalf("pooled bank not zeroed at %d: %d", i, v)
+		}
+	}
+
+	if _, err := GetMemory(-1); err == nil {
+		t.Fatal("negative size: expected error")
+	}
+	if m0, err := GetMemory(0); err != nil || len(m0) != 0 {
+		t.Fatalf("zero-size bank: %v len %d", err, len(m0))
+	}
+
+	r := GetRegs(8)
+	if len(r) != 8 {
+		t.Fatalf("regs len %d", len(r))
+	}
+	r[3][2] = 99
+	PutRegs(r)
+	r2 := GetRegs(5)
+	if len(r2) != 5 {
+		t.Fatalf("regs len %d", len(r2))
+	}
+	for i := range r2 {
+		if r2[i] != (Regs{}) {
+			t.Fatalf("pooled regs not zeroed at %d", i)
+		}
+	}
+
+	// Odd capacities are dropped, not mis-filed.
+	PutMemory(make(Memory, 3, 3))
+	PutRegs(make([]Regs, 3, 3))
+}
+
+// TestErrWouldBlockIsComparable pins that ErrWouldBlock round-trips through
+// errors.Is, the test every stalling caller relies on.
+func TestErrWouldBlockIsComparable(t *testing.T) {
+	if !errors.Is(ErrWouldBlock, ErrWouldBlock) {
+		t.Fatal("ErrWouldBlock identity")
+	}
+}

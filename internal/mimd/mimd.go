@@ -57,32 +57,28 @@ type Config struct {
 	// track. Nil disables tracing.
 	Tracer obs.Tracer
 	// Backend selects the execution engine; the zero value resolves to the
-	// compiled backend. All backends are architecturally identical (results,
+	// compiled backend. Both backends are architecturally identical (results,
 	// Stats, traced events) — see machine.Backend.
 	Backend machine.Backend
 }
 
-// ForSubtype returns the configuration of IMP sub-type 1..16 with the
-// paper's bit order: IP-DP, IP-IM, DP-DM, DP-DP from most to least
-// significant.
+// ForSubtype returns the configuration of IMP sub-type 1..16: the switch
+// kinds of Table I's IMP row with that sub-type.
 func ForSubtype(sub, cores, bankWords int) (Config, error) {
 	if sub < 1 || sub > 16 {
 		return Config{}, fmt.Errorf("mimd: multi-processors have sub-types I..XVI, got %d", sub)
 	}
-	bits := sub - 1
-	pick := func(bit int, off, on taxonomy.Link) taxonomy.Link {
-		if bits&bit != 0 {
-			return on
-		}
-		return off
+	class, err := taxonomy.Lookup(taxonomy.Name{Machine: taxonomy.InstructionFlow, Proc: taxonomy.MultiProcessor, Sub: sub})
+	if err != nil {
+		return Config{}, err
 	}
 	return Config{
 		Cores:     cores,
 		BankWords: bankWords,
-		IPDP:      pick(8, taxonomy.LinkDirect, taxonomy.LinkCrossbar),
-		IPIM:      pick(4, taxonomy.LinkDirect, taxonomy.LinkCrossbar),
-		DPDM:      pick(2, taxonomy.LinkDirect, taxonomy.LinkCrossbar),
-		DPDP:      pick(1, taxonomy.LinkNone, taxonomy.LinkCrossbar),
+		IPDP:      class.Links[taxonomy.SiteIPDP],
+		IPIM:      class.Links[taxonomy.SiteIPIM],
+		DPDM:      class.Links[taxonomy.SiteDPDM],
+		DPDP:      class.Links[taxonomy.SiteDPDP],
 	}, nil
 }
 
@@ -159,12 +155,11 @@ type Machine struct {
 	envs   []machine.Env
 	cycle  int64
 	finish int64
-	// backend is the resolved engine; with the compiled backend, ops holds
-	// one threaded per-op chain per program image. The cross-core network
+	// ops holds one threaded per-op chain per program image when the
+	// resolved backend is compiled, nil for interp. The cross-core network
 	// and barrier timing keeps the cycle-by-cycle scheduler either way —
 	// only the per-instruction dispatch changes.
-	backend machine.Backend
-	ops     [][]machine.OpFn
+	ops [][]machine.OpFn
 }
 
 // CoreStats summarises one core's activity in a run.
@@ -209,8 +204,7 @@ func New(cfg Config, programs []isa.Program) (*Machine, error) {
 	for i, p := range programs {
 		m.decoded[i] = isa.Predecode(p)
 	}
-	m.backend = cfg.Backend.Resolve()
-	if m.backend == machine.BackendCompiled {
+	if cfg.Backend.Resolve() == machine.BackendCompiled {
 		m.ops = make([][]machine.OpFn, len(programs))
 		for i := range m.decoded {
 			m.ops[i] = machine.Compile(m.decoded[i], machine.CompileOptions{}).Ops()
@@ -385,13 +379,10 @@ func (m *Machine) Run() (machine.Stats, error) {
 			env.Now = cycle
 			var out machine.Outcome
 			var err error
-			switch {
-			case m.ops != nil:
+			if m.ops != nil {
 				out, err = m.ops[c.prog][c.pc](&c.regs, env)
-			case m.backend == machine.BackendInterp:
+			} else {
 				out, err = machine.Step(&c.regs, c.pc, m.programs[c.prog][c.pc], *env)
-			default:
-				out, err = machine.StepDecoded(&c.regs, c.pc, d, env)
 			}
 			finish := m.finish
 			if err != nil {

@@ -8,10 +8,14 @@
 // executed, and the classes' operational differences show up on the same
 // kernel.
 //
-// ISP rows (DRRA, Matrix) are instantiated through internal/spatial with
-// singleton groups by default; USP rows get the LUT fabric running the
-// adder overlay. The zoo runs one canonical kernel — element-wise vector
-// add — because every class can express it; classes differ in how.
+// Every row runs the kernel table's vecadd (kernels.go), so a survey row
+// costs exactly what cmd/simulate and /v1/simulate report for its class at
+// the same width. ISP rows (DRRA, Matrix) compose one control group
+// spanning every cell — the spatial machine morphed into an array
+// processor, streaming the loop over the IP-IP switch; USP rows get the
+// LUT fabric running the adder overlay. The zoo runs one canonical kernel
+// — element-wise vector add — because every class can express it; classes
+// differ in how.
 package modelzoo
 
 import (
@@ -19,12 +23,9 @@ import (
 	"fmt"
 
 	"repro/internal/exec"
-	"repro/internal/isa"
 	"repro/internal/machine"
-	"repro/internal/spatial"
 	"repro/internal/spec"
 	"repro/internal/taxonomy"
-	"repro/internal/workload"
 )
 
 // Instance describes one instantiated survey machine.
@@ -68,10 +69,12 @@ func resolveWidth(r spec.Resolved) int {
 	return w
 }
 
-// RunVecAdd instantiates the architecture and runs the canonical vector-add
-// kernel over n elements (n must shard evenly over the instantiated width;
-// widths are powers of two or small counts in the survey, so multiples of
-// 64·MaxWidth always work — 1024 is a safe default).
+// RunVecAdd instantiates the architecture and runs the kernel table's
+// vecadd over n elements at the instantiated width: the program
+// RunKernel(class, "vecadd", n, width) runs for cmd/simulate and
+// /v1/simulate. Survey widths (2, 4, 5, 6, 8, 16, 48, 64) do not share a
+// convenient lcm, so n is rounded down to a multiple of the width (and up
+// to one element per processor) instead of rejected.
 func RunVecAdd(arch spec.Architecture, n int) (Result, error) {
 	r, err := spec.Resolve(arch)
 	if err != nil {
@@ -82,96 +85,19 @@ func RunVecAdd(arch spec.Architecture, n int) (Result, error) {
 		return Result{}, fmt.Errorf("modelzoo: %s: %w", arch.Name, err)
 	}
 	width := resolveWidth(r)
-	inst := Instance{Name: arch.Name, Class: class, Processors: width}
-
-	// Shard sizes must divide evenly; survey widths (2, 4, 5, 6, 8, 16,
-	// 48, 64) do not share a convenient lcm, so round n down to the
-	// nearest multiple of the width instead of rejecting.
-	if n < width {
-		n = width
-	}
-	n -= n % width
-
-	a, b := seq(n, 31, 1), seq(n, 29, 3)
-
-	var res workload.Result
 	switch {
-	case class.Name.Machine == taxonomy.UniversalFlow:
-		inst.Processors = 1
-		res, err = workload.VecAddFabric(16, a, b)
-	case class.Name.Machine == taxonomy.DataFlow:
-		if class.Name.Proc == taxonomy.UniProcessor {
-			inst.Processors = 1
-			res, err = workload.VecAddDataflow(1, 1, a, b)
-		} else {
-			res, err = workload.VecAddDataflow(class.Name.Sub, width, a, b)
-		}
-	case class.Name.Proc == taxonomy.UniProcessor:
-		inst.Processors = 1
-		res, err = workload.VecAddUni(a, b)
-	case class.Name.Proc == taxonomy.ArrayProcessor:
-		res, err = workload.VecAddSIMD(class.Name.Sub, width, a, b)
-	case class.Name.Proc == taxonomy.MultiProcessor:
-		res, err = workload.VecAddMIMD(class.Name.Sub, width, a, b)
+	case class.Name.Proc == taxonomy.UniProcessor || class.Name.Machine == taxonomy.UniversalFlow:
+		width = 1
 	case class.Name.Proc == taxonomy.SpatialProcessor:
-		res.Stats, err = runSpatialVecAdd(width, n, a, b)
-	default:
-		return Result{}, fmt.Errorf("modelzoo: %s: no runner for class %s", arch.Name, class)
+		width = max(width, 2) // a spatial processor has n >= 2 cells
 	}
+	n = max(n, width)
+	n -= n % width
+	res, err := RunKernel(class, "vecadd", n, width)
 	if err != nil {
 		return Result{}, fmt.Errorf("modelzoo: %s (%s): %w", arch.Name, class, err)
 	}
-	return Result{Instance: inst, Stats: res.Stats}, nil
-}
-
-// runSpatialVecAdd executes the vector add on an ISP fabric configured as
-// singleton control groups (its multi-processor morph), using lane-local
-// addressing.
-func runSpatialVecAdd(cells, n int, a, b []isa.Word) (machine.Stats, error) {
-	if cells < 2 {
-		cells = 2
-	}
-	if n%cells != 0 {
-		return machine.Stats{}, fmt.Errorf("%d elements do not shard over %d cells", n, cells)
-	}
-	m := n / cells
-	prog, err := workload.VecAddProgram(m)
-	if err != nil {
-		return machine.Stats{}, err
-	}
-	// Sub-type II keeps DP-DM direct so each cell sees its own bank.
-	sm, err := spatial.New(spatial.Config{Cores: cells, BankWords: 3*m + 16, Sub: 2})
-	if err != nil {
-		return machine.Stats{}, err
-	}
-	defer sm.Release()
-	for c := 0; c < cells; c++ {
-		if err := sm.Compose(c, nil, prog); err != nil {
-			return machine.Stats{}, err
-		}
-		chunk := append(append([]isa.Word{}, a[c*m:(c+1)*m]...), b[c*m:(c+1)*m]...)
-		if err := sm.LoadBank(c, 0, chunk); err != nil {
-			return machine.Stats{}, err
-		}
-	}
-	stats, err := sm.Run()
-	if err != nil {
-		return machine.Stats{}, err
-	}
-	// Validate the result like the workload runners do.
-	for c := 0; c < cells; c++ {
-		out, err := sm.ReadBank(c, 2*m, m)
-		if err != nil {
-			return machine.Stats{}, err
-		}
-		for i, v := range out {
-			want := a[c*m+i] + b[c*m+i]
-			if v != want {
-				return machine.Stats{}, fmt.Errorf("cell %d element %d = %d, want %d", c, i, v, want)
-			}
-		}
-	}
-	return stats, nil
+	return Result{Instance: Instance{Name: arch.Name, Class: class, Processors: width}, Stats: res.Stats}, nil
 }
 
 // RunSurvey runs the canonical kernel on every instantiable survey entry

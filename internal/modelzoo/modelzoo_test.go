@@ -121,3 +121,30 @@ func TestRunSurvey(t *testing.T) {
 		t.Error("broken entry accepted")
 	}
 }
+
+// TestRunVecAddIsKernelTableVecAdd pins the survey to the kernel table:
+// every survey row costs exactly what RunKernel reports for its class at
+// the instantiated width, so a survey cycle count and a cmd/simulate or
+// /v1/simulate vecadd run of the same class and width are one measurement.
+func TestRunVecAddIsKernelTableVecAdd(t *testing.T) {
+	for _, n := range []int{256, 960} {
+		for _, e := range registry.All() {
+			res, err := RunVecAdd(e.Arch, n)
+			if err != nil {
+				t.Errorf("%s n=%d: %v", e.Arch.Name, n, err)
+				continue
+			}
+			p := res.Instance.Processors
+			m := max(n, p)
+			m -= m % p
+			want, err := RunKernel(res.Instance.Class, "vecadd", m, p)
+			if err != nil {
+				t.Errorf("%s n=%d: RunKernel: %v", e.Arch.Name, n, err)
+				continue
+			}
+			if res.Stats != want.Stats {
+				t.Errorf("%s n=%d: survey stats %+v, kernel table stats %+v", e.Arch.Name, n, res.Stats, want.Stats)
+			}
+		}
+	}
+}

@@ -166,8 +166,8 @@ type SimulateRequest struct {
 	N int `json:"n,omitempty"`
 	// Procs is the lane/core/PE count for parallel classes. Default 4.
 	Procs int `json:"procs,omitempty"`
-	// Backend selects the execution backend: "interp", "decoded" or
-	// "compiled". Empty means the server default (compiled). Results and
+	// Backend selects the execution backend: "interp" or "compiled".
+	// Empty means the server default (compiled). Results and
 	// statistics are backend-independent; this is an ablation knob.
 	Backend string `json:"backend,omitempty"`
 }
@@ -221,8 +221,8 @@ type ConformanceRequest struct {
 	Seeds int `json:"seeds,omitempty"`
 	// Seed is the first lockstep seed (default 1).
 	Seed int64 `json:"seed,omitempty"`
-	// Backend selects the execution backend for the matrix runs: "interp",
-	// "decoded" or "compiled". Empty means the server default (compiled).
+	// Backend selects the execution backend for the matrix runs: "interp"
+	// or "compiled". Empty means the server default (compiled).
 	Backend string `json:"backend,omitempty"`
 }
 
@@ -247,8 +247,8 @@ type FlexbenchRequest struct {
 	N int `json:"n,omitempty"`
 	// Procs is the lane/core count (default 4; power of two >= 4).
 	Procs int `json:"procs,omitempty"`
-	// Backend selects the execution backend: "interp", "decoded" or
-	// "compiled". Empty means the server default (compiled). The result is
+	// Backend selects the execution backend: "interp" or "compiled".
+	// Empty means the server default (compiled). The result is
 	// backend-independent by construction — this is an ablation knob, and
 	// the response does not echo it.
 	Backend string `json:"backend,omitempty"`

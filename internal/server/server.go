@@ -225,7 +225,7 @@ var statusCodes = []int{
 }
 
 // latencyBounds are the request/stage-latency histogram bucket bounds in
-// seconds. The ladder is dense through the tail — BENCH_PR4 surfaced a
+// seconds. The ladder is dense through the tail — a loadgen baseline surfaced a
 // 2056ms conformance outlier hiding behind a 4.3ms p99, and the original
 // coarse ladder (…, 1, 2.5, 5, 10) could not separate a 2s outlier from a
 // 1.1s one, nor resolve anything between 500ms and 1s. Sub-second steps

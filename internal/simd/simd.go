@@ -43,7 +43,7 @@ type Config struct {
 	// network stalls on the source lane's track. Nil disables tracing.
 	Tracer obs.Tracer
 	// Backend selects the execution engine; the zero value resolves to the
-	// compiled backend. All backends are architecturally identical (results,
+	// compiled backend. Both backends are architecturally identical (results,
 	// Stats, traced events) — see machine.Backend.
 	Backend machine.Backend
 }
@@ -116,12 +116,11 @@ type Machine struct {
 	envs   []machine.Env
 	issue  int64
 	finish int64
-	// backend is the resolved engine. With the compiled backend, ops is the
-	// threaded per-op chain (per-lane and scalar dispatch) and vec the
-	// vectorized lane path (nil entries fall back to ops).
-	backend machine.Backend
-	ops     []machine.OpFn
-	vec     []vecFn
+	// With the compiled backend, ops is the threaded per-op chain (per-lane
+	// and scalar dispatch) and vec the vectorized lane path (nil entries
+	// fall back to ops); both are nil for interp.
+	ops []machine.OpFn
+	vec []vecFn
 }
 
 // New builds an array processor loaded with one broadcast program. The
@@ -181,8 +180,7 @@ func New(cfg Config, prog isa.Program) (*Machine, error) {
 	for lane := range m.envs {
 		m.envs[lane] = m.laneEnv(lane)
 	}
-	m.backend = cfg.Backend.Resolve()
-	if m.backend == machine.BackendCompiled {
+	if cfg.Backend.Resolve() == machine.BackendCompiled {
 		m.ops = machine.Compile(m.dec, machine.CompileOptions{}).Ops()
 		m.vec = m.compileVec()
 	}
@@ -269,13 +267,10 @@ func (m *Machine) Run() (machine.Stats, error) {
 			env := machine.Env{Lane: 0}
 			var out machine.Outcome
 			var err error
-			switch {
-			case m.ops != nil:
+			if m.ops != nil {
 				out, err = m.ops[pc](&m.regs[0], &env)
-			case m.backend == machine.BackendInterp:
+			} else {
 				out, err = machine.Step(&m.regs[0], pc, m.prog[pc], env)
-			default:
-				out, err = machine.StepDecoded(&m.regs[0], pc, d, &env)
 			}
 			if err != nil {
 				m.collectNetStats(&stats)
@@ -335,13 +330,10 @@ func (m *Machine) Run() (machine.Stats, error) {
 			env.Now = issue
 			var out machine.Outcome
 			var err error
-			switch {
-			case m.ops != nil:
+			if m.ops != nil {
 				out, err = m.ops[pc](&m.regs[lane], env)
-			case m.backend == machine.BackendInterp:
+			} else {
 				out, err = machine.Step(&m.regs[lane], pc, m.prog[pc], *env)
-			default:
-				out, err = machine.StepDecoded(&m.regs[lane], pc, d, env)
 			}
 			if err != nil {
 				m.collectNetStats(&stats)

@@ -10,12 +10,12 @@ import (
 
 // This file is the compiled backend's vectorized lane path: one closure per
 // decoded op that steps that op across every lane by iterating directly
-// over the register-file and bank slices, instead of calling StepDecoded
-// once per lane through an Env of five closures. Ops the vector path does
-// not cover (crossbar memory, DP-DP exchanges, DIV/REM faults) are left nil
-// and fall back to the per-lane threaded chain; traced runs always take the
-// per-lane path, whose per-instruction events are part of the equivalence
-// contract.
+// over the register-file and bank slices, instead of calling the threaded
+// chain once per lane through an Env of five closures. Ops the vector path
+// does not cover (crossbar memory, DP-DP exchanges, DIV/REM faults) are
+// left nil and fall back to the per-lane threaded chain; traced runs always
+// take the per-lane path, whose per-instruction events are part of the
+// equivalence contract.
 
 // vecFn steps one op across all lanes. It updates stats for every lane
 // that retired the op and m.finish for memory completions; on a guest

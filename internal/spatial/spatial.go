@@ -53,34 +53,13 @@ type Config struct {
 	Tracer obs.Tracer
 }
 
-// links returns the taxonomy links of this configuration.
-func (c Config) links() (taxonomy.Links, error) {
-	if c.Sub < 1 || c.Sub > 16 {
-		return taxonomy.Links{}, fmt.Errorf("spatial: sub-type must be 1..16, got %d", c.Sub)
-	}
-	bits := c.Sub - 1
-	pick := func(bit int, off, on taxonomy.Link) taxonomy.Link {
-		if bits&bit != 0 {
-			return on
-		}
-		return off
-	}
-	return taxonomy.Links{
-		taxonomy.SiteIPIP: taxonomy.LinkCrossbar,
-		taxonomy.SiteIPDP: pick(8, taxonomy.LinkDirect, taxonomy.LinkCrossbar),
-		taxonomy.SiteIPIM: pick(4, taxonomy.LinkDirect, taxonomy.LinkCrossbar),
-		taxonomy.SiteDPDM: pick(2, taxonomy.LinkDirect, taxonomy.LinkCrossbar),
-		taxonomy.SiteDPDP: pick(1, taxonomy.LinkNone, taxonomy.LinkCrossbar),
-	}, nil
-}
-
-// Class returns the taxonomy class this configuration realizes.
+// Class returns the taxonomy class this configuration realizes: Table I's
+// ISP row with the configured sub-type.
 func (c Config) Class() (taxonomy.Class, error) {
-	links, err := c.links()
-	if err != nil {
-		return taxonomy.Class{}, err
+	if c.Sub < 1 || c.Sub > 16 {
+		return taxonomy.Class{}, fmt.Errorf("spatial: sub-type must be 1..16, got %d", c.Sub)
 	}
-	return taxonomy.Classify(taxonomy.CountN, taxonomy.CountN, links)
+	return taxonomy.Lookup(taxonomy.Name{Machine: taxonomy.InstructionFlow, Proc: taxonomy.SpatialProcessor, Sub: c.Sub})
 }
 
 func (c Config) validate() error {
@@ -93,10 +72,8 @@ func (c Config) validate() error {
 	if c.Window < 0 {
 		return fmt.Errorf("spatial: window must be >= 0, got %d", c.Window)
 	}
-	if _, err := c.links(); err != nil {
-		return err
-	}
-	return nil
+	_, err := c.Class()
+	return err
 }
 
 // group is one composed instruction processor.
@@ -105,7 +82,11 @@ type group struct {
 	members []int // includes the leader, sorted by construction order
 	prog    isa.Program
 	dec     isa.DecodedProgram
+	ops     []machine.OpFn // the compiled chain of dec, indexed by pc
 	regs    []machine.Regs // indexed like members
+	// ctrl is the leader IP's environment for control instructions, kept
+	// here because a pointer to a local would escape through the chain.
+	ctrl    machine.Env
 	pc      int
 	halted  bool
 	readyAt int64
@@ -145,13 +126,13 @@ func New(cfg Config) (*Machine, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	links, err := cfg.links()
+	class, err := cfg.Class()
 	if err != nil {
 		return nil, err
 	}
 	m := &Machine{
 		cfg:      cfg,
-		links:    links,
+		links:    class.Links,
 		banks:    make([]machine.Memory, cfg.Cores),
 		assigned: make([]bool, cfg.Cores),
 	}
@@ -183,14 +164,14 @@ func New(cfg Config) (*Machine, error) {
 		}
 		m.ipip = obs.ObserveNetwork(net, cfg.Tracer)
 	}
-	if links[taxonomy.SiteDPDM] == taxonomy.LinkCrossbar {
+	if class.Links[taxonomy.SiteDPDM] == taxonomy.LinkCrossbar {
 		net, err := interconnect.NewCrossbar(cfg.Cores)
 		if err != nil {
 			return nil, err
 		}
 		m.memNet = obs.ObserveNetwork(net, cfg.Tracer)
 	}
-	if links[taxonomy.SiteDPDP] == taxonomy.LinkCrossbar {
+	if class.Links[taxonomy.SiteDPDP] == taxonomy.LinkCrossbar {
 		net, err := interconnect.NewCrossbar(cfg.Cores)
 		if err != nil {
 			return nil, err
@@ -262,7 +243,11 @@ func (m *Machine) Compose(leader int, members []int, prog isa.Program) error {
 	for _, c := range all {
 		m.assigned[c] = true
 	}
-	g := &group{leader: leader, members: all, prog: prog, dec: isa.Predecode(prog), regs: make([]machine.Regs, len(all))}
+	dec := isa.Predecode(prog)
+	g := &group{leader: leader, members: all, prog: prog, dec: dec,
+		ops:  machine.Compile(dec, machine.CompileOptions{}).Ops(),
+		regs: make([]machine.Regs, len(all)),
+		ctrl: machine.Env{Lane: isa.Word(leader)}}
 	m.groups = append(m.groups, g)
 	return nil
 }
@@ -402,8 +387,8 @@ const (
 	groupHalted
 )
 
-// stepGroup executes one pre-decoded instruction across the whole group in
-// lockstep.
+// stepGroup executes one instruction across the whole group in lockstep:
+// d describes it to the scheduler and the group's compiled chain runs it.
 func (m *Machine) stepGroup(g *group, d *isa.DecodedOp, cycle int64, stats *machine.Stats) (groupOutcome, error) {
 	finish := cycle + 1
 
@@ -418,8 +403,7 @@ func (m *Machine) stepGroup(g *group, d *isa.DecodedOp, cycle int64, stats *mach
 		case isa.OpSync:
 			return groupInSync, nil
 		default:
-			env := machine.Env{Lane: isa.Word(g.leader)}
-			out, err := machine.StepDecoded(&g.regs[0], g.pc, d, &env)
+			out, err := g.ops[g.pc](&g.regs[0], &g.ctrl)
 			if err != nil {
 				return 0, fmt.Errorf("spatial: group of leader %d pc %d: %w", g.leader, g.pc, err)
 			}
@@ -469,7 +453,7 @@ func (m *Machine) stepGroup(g *group, d *isa.DecodedOp, cycle int64, stats *mach
 		m.cycle, m.finish = execAt, execAt+1
 		env := &m.envs[cell]
 		env.Now = execAt
-		out, err := machine.StepDecoded(&g.regs[mi], g.pc, d, env)
+		out, err := g.ops[g.pc](&g.regs[mi], env)
 		memberFinish := m.finish
 		if err != nil {
 			return 0, fmt.Errorf("spatial: cell %d pc %d: %w", cell, g.pc, err)

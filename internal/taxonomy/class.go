@@ -231,12 +231,15 @@ func Table() []Class {
 	return classes
 }
 
+// table is Table generated once, for the read-only lookups below.
+var table = Table()
+
 // Lookup finds the class with the given name in the generated table.
 func Lookup(name Name) (Class, error) {
 	if err := name.validate(); err != nil {
 		return Class{}, err
 	}
-	for _, c := range Table() {
+	for _, c := range table {
 		if c.Implementable && c.Name == name {
 			return c, nil
 		}
@@ -258,5 +261,5 @@ func ByIndex(i int) (Class, error) {
 	if i < 1 || i > 47 {
 		return Class{}, fmt.Errorf("taxonomy: Table I has rows 1..47, no row %d", i)
 	}
-	return Table()[i-1], nil
+	return table[i-1], nil
 }

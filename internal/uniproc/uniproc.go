@@ -37,7 +37,7 @@ type Config struct {
 	// memory traffic) on track 0. Nil disables tracing at zero cost.
 	Tracer obs.Tracer
 	// Backend selects the execution engine; the zero value resolves to the
-	// compiled backend. All backends are architecturally identical (results,
+	// compiled backend. Both backends are architecturally identical (results,
 	// Stats, traced events) — see machine.Backend.
 	Backend machine.Backend
 }
@@ -53,9 +53,8 @@ type Machine struct {
 	prog isa.Program
 	dec  isa.DecodedProgram
 	mem  machine.Memory
-	// backend is the resolved engine; comp is non-nil iff it is compiled.
-	backend machine.Backend
-	comp    *machine.CompiledProgram
+	// comp is non-nil iff the resolved backend is compiled.
+	comp *machine.CompiledProgram
 }
 
 // New builds a uni-processor loaded with the given program. The program is
@@ -79,10 +78,9 @@ func New(cfg Config, prog isa.Program) (*Machine, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := &Machine{cfg: cfg, prog: prog, dec: isa.Predecode(prog),
-		backend: cfg.Backend.Resolve()}
+	m := &Machine{cfg: cfg, prog: prog, dec: isa.Predecode(prog)}
 	m.mem = mem
-	if m.backend == machine.BackendCompiled {
+	if cfg.Backend.Resolve() == machine.BackendCompiled {
 		m.comp = machine.Compile(m.dec, machine.CompileOptions{
 			MemLatency:    cfg.MemLatency,
 			BranchPenalty: cfg.BranchPenalty,
@@ -112,9 +110,8 @@ func (m *Machine) Program() isa.Program { return m.prog }
 // The configured backend only changes host dispatch: the compiled backend
 // runs fused basic blocks with batched accounting when nothing observes
 // individual instructions, and its threaded per-op chain when a Tracer or
-// Trace callback does; interp and decoded step through machine.Step and
-// machine.StepDecoded. Results, Stats and traced events are identical
-// across all of them.
+// Trace callback does; interp steps through machine.Step. Results, Stats
+// and traced events are identical across both.
 func (m *Machine) Run() (machine.Stats, error) {
 	var stats machine.Stats
 	budget := m.cfg.MaxCycles
@@ -161,13 +158,10 @@ func (m *Machine) Run() (machine.Stats, error) {
 		env.Now = issue
 		var out machine.Outcome
 		var err error
-		switch {
-		case ops != nil:
+		if ops != nil {
 			out, err = ops[pc](&regs, &env)
-		case m.backend == machine.BackendInterp:
+		} else {
 			out, err = machine.Step(&regs, pc, m.prog[pc], env)
-		default:
-			out, err = machine.StepDecoded(&regs, pc, d, &env)
 		}
 		if err != nil {
 			return stats, fmt.Errorf("uniproc: pc %d: %w", pc, err)

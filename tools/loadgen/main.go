@@ -21,12 +21,12 @@
 //	                                                 # status outside 2xx/429
 //	                                                 # fails the run
 //
-// The JSON document (stdout or -out) is the serving baseline
-// (BENCH_PR4.json, BENCH_PR6.json, BENCH_PR8.json): one result row per
-// endpoint with requests, error counts, throughput, p50/p90/p99/max latency,
-// and — when the servers export the repro_http_stage_seconds histograms —
-// the per-stage latency attribution (decode, cache, queue, item, exec,
-// encode) summed across replicas over exactly this endpoint's window.
+// The JSON document (stdout or -out) is a serving baseline: one result row
+// per endpoint with requests, error counts, throughput, p50/p90/p99/max
+// latency, and — when the servers export the repro_http_stage_seconds
+// histograms — the per-stage latency attribution (decode, cache, queue,
+// item, exec, encode) summed across replicas over exactly this endpoint's
+// window.
 package main
 
 import (
@@ -254,8 +254,8 @@ func stageDelta(before, after *stageSnapshot, ep string) (map[string]StageStat, 
 	return stats, dominant
 }
 
-// Doc is the emitted JSON document — the serving-baseline counterpart of
-// tools/benchjson's format.
+// Doc is the emitted JSON document: host metadata plus one row per
+// endpoint.
 type Doc struct {
 	GoVersion  string   `json:"go_version"`
 	GOOS       string   `json:"goos"`
