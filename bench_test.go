@@ -166,6 +166,15 @@ func BenchmarkMorphProbes(b *testing.B) {
 	}
 }
 
+// benchClass looks up a Table I class by name.
+func benchClass(name string) taxonomy.Class {
+	c, err := taxonomy.LookupString(name)
+	if err != nil {
+		panic(err)
+	}
+	return c
+}
+
 // benchVectors builds deterministic operand vectors.
 func benchVectors(n int) (a, b []isa.Word) {
 	a = make([]isa.Word, n)
@@ -183,17 +192,23 @@ func benchVectors(n int) (a, b []isa.Word) {
 func BenchmarkSim_VecAdd(b *testing.B) {
 	const n = 256
 	a, v := benchVectors(n)
+	iap1 := benchClass("IAP-I")
+	iap4 := benchClass("IAP-IV")
+	imp1 := benchClass("IMP-I")
+	imp3 := benchClass("IMP-III")
+	dmp2 := benchClass("DMP-II")
+	dmp4 := benchClass("DMP-IV")
 	cases := []struct {
 		name string
 		run  func() (workload.Result, error)
 	}{
 		{"IUP", func() (workload.Result, error) { return workload.VecAddUni(a, v) }},
-		{"IAP-I/8", func() (workload.Result, error) { return workload.VecAddSIMD(1, 8, a, v) }},
-		{"IAP-IV/8", func() (workload.Result, error) { return workload.VecAddSIMD(4, 8, a, v) }},
-		{"IMP-I/8", func() (workload.Result, error) { return workload.VecAddMIMD(1, 8, a, v) }},
-		{"IMP-III/8", func() (workload.Result, error) { return workload.VecAddMIMD(3, 8, a, v) }},
-		{"DMP-II/8", func() (workload.Result, error) { return workload.VecAddDataflow(2, 8, a, v) }},
-		{"DMP-IV/8", func() (workload.Result, error) { return workload.VecAddDataflow(4, 8, a, v) }},
+		{"IAP-I/8", func() (workload.Result, error) { return workload.VecAdd(iap1, 8, a, v) }},
+		{"IAP-IV/8", func() (workload.Result, error) { return workload.VecAdd(iap4, 8, a, v) }},
+		{"IMP-I/8", func() (workload.Result, error) { return workload.VecAdd(imp1, 8, a, v) }},
+		{"IMP-III/8", func() (workload.Result, error) { return workload.VecAdd(imp3, 8, a, v) }},
+		{"DMP-II/8", func() (workload.Result, error) { return workload.VecAddDataflow(dmp2, 8, a, v) }},
+		{"DMP-IV/8", func() (workload.Result, error) { return workload.VecAddDataflow(dmp4, 8, a, v) }},
 		{"USP", func() (workload.Result, error) { return workload.VecAddFabric(16, a, v) }},
 	}
 	for _, tc := range cases {
@@ -216,14 +231,17 @@ func BenchmarkSim_VecAdd(b *testing.B) {
 func BenchmarkSim_Dot(b *testing.B) {
 	const n = 256
 	a, v := benchVectors(n)
+	iap2 := benchClass("IAP-II")
+	imp2 := benchClass("IMP-II")
+	imp4 := benchClass("IMP-IV")
 	cases := []struct {
 		name string
 		run  func() (workload.Result, error)
 	}{
 		{"IUP", func() (workload.Result, error) { return workload.DotUni(a, v) }},
-		{"IAP-II/8", func() (workload.Result, error) { return workload.DotSIMD(2, 8, a, v) }},
-		{"IMP-II/8", func() (workload.Result, error) { return workload.DotMIMD(2, 8, a, v) }},
-		{"IMP-IV/8", func() (workload.Result, error) { return workload.DotMIMD(4, 8, a, v) }},
+		{"IAP-II/8", func() (workload.Result, error) { return workload.Dot(iap2, 8, a, v) }},
+		{"IMP-II/8", func() (workload.Result, error) { return workload.Dot(imp2, 8, a, v) }},
+		{"IMP-IV/8", func() (workload.Result, error) { return workload.Dot(imp4, 8, a, v) }},
 	}
 	for _, tc := range cases {
 		b.Run(tc.name, func(b *testing.B) {
@@ -244,12 +262,14 @@ func BenchmarkSim_Dot(b *testing.B) {
 // that can express it: lockstep IAP-II and SPMD IMP-II.
 func BenchmarkSim_Stencil(b *testing.B) {
 	a, _ := benchVectors(256)
+	iap2 := benchClass("IAP-II")
+	imp2 := benchClass("IMP-II")
 	cases := []struct {
 		name string
 		run  func() (workload.Result, error)
 	}{
-		{"IAP-II/8", func() (workload.Result, error) { return workload.Stencil3SIMD(2, 8, a) }},
-		{"IMP-II/8", func() (workload.Result, error) { return workload.Stencil3MIMD(2, 8, a) }},
+		{"IAP-II/8", func() (workload.Result, error) { return workload.Stencil3(iap2, 8, a) }},
+		{"IMP-II/8", func() (workload.Result, error) { return workload.Stencil3(imp2, 8, a) }},
 	}
 	for _, tc := range cases {
 		b.Run(tc.name, func(b *testing.B) {
@@ -270,9 +290,10 @@ func BenchmarkSim_Stencil(b *testing.B) {
 // only per-processor control flow can express (no IAP entry by design).
 func BenchmarkSim_Scan(b *testing.B) {
 	a, _ := benchVectors(256)
+	imp2 := benchClass("IMP-II")
 	var cycles int64
 	for i := 0; i < b.N; i++ {
-		res, err := workload.ScanMIMD(2, 8, a)
+		res, err := workload.Scan(imp2, 8, a)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -292,15 +313,17 @@ func BenchmarkSim_MatMul(b *testing.B) {
 	for i := range bm {
 		bm[i] = isa.Word(i%7 + 1)
 	}
+	imp1 := benchClass("IMP-I")
+	imp3 := benchClass("IMP-III")
 	cases := []struct {
 		name string
 		run  func() (workload.Result, error)
 	}{
 		{"replicated-B/IMP-I", func() (workload.Result, error) {
-			return workload.MatMulMIMDReplicated(1, 4, a, bm, rows, k, n)
+			return workload.MatMul(imp1, 4, a, bm, rows, k, n)
 		}},
 		{"shared-B/IMP-III", func() (workload.Result, error) {
-			return workload.MatMulMIMDShared(3, 4, a, bm, rows, k, n)
+			return workload.MatMul(imp3, 4, a, bm, rows, k, n)
 		}},
 	}
 	for _, tc := range cases {
@@ -326,11 +349,12 @@ func BenchmarkSim_MatMul(b *testing.B) {
 func BenchmarkSim_LaneScaling(b *testing.B) {
 	const n = 512
 	a, v := benchVectors(n)
+	iap1 := benchClass("IAP-I")
 	for _, lanes := range []int{2, 4, 8, 16, 32} {
 		b.Run(fmt.Sprintf("lanes=%d", lanes), func(b *testing.B) {
 			var cycles int64
 			for i := 0; i < b.N; i++ {
-				res, err := workload.VecAddSIMD(1, lanes, a, v)
+				res, err := workload.VecAdd(iap1, lanes, a, v)
 				if err != nil {
 					b.Fatal(err)
 				}

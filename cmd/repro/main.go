@@ -19,9 +19,10 @@ import (
 	"strings"
 
 	"repro/internal/bibliometrics"
-	"repro/internal/isa"
+	"repro/internal/modelzoo"
 	"repro/internal/obs"
 	"repro/internal/report"
+	"repro/internal/taxonomy"
 	"repro/internal/workload"
 )
 
@@ -123,39 +124,23 @@ func artefacts(width int, tracesDir string) []artefact {
 	}
 }
 
-// renderClassRuns regenerates the F3-F6 companion table: the same
-// vector-add kernel executed on a representative of every machine family
-// the figures illustrate, with the cycle-level statistics that make the
+// renderClassRuns regenerates the F3-F6 companion table: the kernel
+// table's vector add over 256 elements, at width 8 where the class is
+// parallel, executed on a representative of every machine family the
+// figures illustrate, with the cycle-level statistics that make the
 // structural diagrams operational. With tracesDir set, each run also
 // writes a Chrome trace file classes-<class>.json there.
 func renderClassRuns(tracesDir string) (string, error) {
 	const n = 256
-	a := make([]isa.Word, n)
-	v := make([]isa.Word, n)
-	for i := range a {
-		a[i] = isa.Word(i%97 + 1)
-		v[i] = isa.Word(i%89 + 2)
-	}
-	runs := []struct {
-		class, label string
-		fn           func(...workload.Option) (workload.Result, error)
-	}{
-		{"IUP", "IUP (fig: Von Neumann baseline)",
-			func(o ...workload.Option) (workload.Result, error) { return workload.VecAddUni(a, v, o...) }},
-		{"IAP-I", "IAP-I x8 (Fig 4)",
-			func(o ...workload.Option) (workload.Result, error) { return workload.VecAddSIMD(1, 8, a, v, o...) }},
-		{"IAP-IV", "IAP-IV x8 (Fig 4)",
-			func(o ...workload.Option) (workload.Result, error) { return workload.VecAddSIMD(4, 8, a, v, o...) }},
-		{"IMP-I", "IMP-I x8 (Fig 5 family)",
-			func(o ...workload.Option) (workload.Result, error) { return workload.VecAddMIMD(1, 8, a, v, o...) }},
-		{"IMP-XVI", "IMP-XVI x8 (Fig 5 family)",
-			func(o ...workload.Option) (workload.Result, error) { return workload.VecAddMIMD(16, 8, a, v, o...) }},
-		{"DMP-II", "DMP-II x8 (Fig 3)",
-			func(o ...workload.Option) (workload.Result, error) { return workload.VecAddDataflow(2, 8, a, v, o...) }},
-		{"DMP-IV", "DMP-IV x8 (Fig 3)",
-			func(o ...workload.Option) (workload.Result, error) { return workload.VecAddDataflow(4, 8, a, v, o...) }},
-		{"USP", "USP adder overlay (Fig 6)",
-			func(o ...workload.Option) (workload.Result, error) { return workload.VecAddFabric(16, a, v, o...) }},
+	runs := []struct{ class, label string }{
+		{"IUP", "IUP (fig: Von Neumann baseline)"},
+		{"IAP-I", "IAP-I x8 (Fig 4)"},
+		{"IAP-IV", "IAP-IV x8 (Fig 4)"},
+		{"IMP-I", "IMP-I x8 (Fig 5 family)"},
+		{"IMP-XVI", "IMP-XVI x8 (Fig 5 family)"},
+		{"DMP-II", "DMP-II x8 (Fig 3)"},
+		{"DMP-IV", "DMP-IV x8 (Fig 3)"},
+		{"USP", "USP adder overlay (Fig 6)"},
 	}
 	t := report.Table{Headers: []string{"Machine", "Cycles", "Instr", "IPC", "MemOps", "Messages", "Conflicts"}}
 	for _, r := range runs {
@@ -165,7 +150,11 @@ func renderClassRuns(tracesDir string) (string, error) {
 			tr = obs.NewTrace()
 			opts = append(opts, workload.WithTracer(tr))
 		}
-		res, err := r.fn(opts...)
+		c, err := taxonomy.LookupString(r.class)
+		if err != nil {
+			return "", err
+		}
+		res, err := modelzoo.RunKernel(c, "vecadd", n, 8, opts...)
 		if err != nil {
 			return "", fmt.Errorf("%s: %w", r.label, err)
 		}

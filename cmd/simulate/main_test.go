@@ -157,6 +157,24 @@ func TestBackendFlagExitCodes(t *testing.T) {
 	}
 }
 
+// TestDUPIsUnsupported: the data-flow uni-processor has no kernel runner,
+// so -class DUP exits 1 with the unsupported message rather than failing
+// inside a simulator constructor.
+func TestDUPIsUnsupported(t *testing.T) {
+	cmd := exec.Command(os.Args[0], "-test.run=TestHelperProcess", "--",
+		"-class", "DUP", "-kernel", "vecadd", "-n", "8")
+	cmd.Env = append(os.Environ(), "SIMULATE_HELPER=1")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	_ = cmd.Run()
+	if code := cmd.ProcessState.ExitCode(); code != 1 {
+		t.Errorf("-class DUP exited %d, want 1; stderr: %s", code, stderr.String())
+	}
+	if want := "modelzoo: no simulator runner for class DUP"; !strings.Contains(stderr.String(), want) {
+		t.Errorf("stderr %q does not contain %q", stderr.String(), want)
+	}
+}
+
 // TestRun_UnknownKernelListsValid checks the error on a bad kernel name
 // names the kernels the class runner actually supports.
 func TestRun_UnknownKernelListsValid(t *testing.T) {

@@ -63,13 +63,13 @@ func main() {
 	}
 	a := seq(128, 3)
 	b := seq(128, 11)
-	dataParallel, err := workload.VecAddMIMD(best.Name.Sub, 8, a, b)
+	dataParallel, err := workload.VecAdd(best, 8, a, b)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nSPMD vector add on %s: %d cycles for %d elements\n",
 		best, dataParallel.Stats.Cycles, len(a))
-	taskParallel, err := workload.DotMIMD(best.Name.Sub, 8, a, b)
+	taskParallel, err := workload.Dot(best, 8, a, b)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -50,6 +50,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer m.Release()
 
 	// A DSP-style composed region: cells 2..5 under leader 3 run a MAC
 	// kernel in lockstep (every cell's bank holds coefficients at 0..3 and
@@ -122,6 +123,7 @@ done:   addi r4, r9, 8
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer m2.Release()
 	if err := m2.Compose(0, []int{5}, mac); err != nil {
 		fmt.Println("window constraint enforced:", err)
 	} else {

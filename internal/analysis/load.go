@@ -46,7 +46,7 @@ type World struct {
 	// Fset is the file set shared by every package in the world.
 	Fset *token.FileSet
 	// Pkgs lists all loaded packages in dependency order.
-	Pkgs []*Package
+	Pkgs   []*Package
 	byPath map[string]*types.Package
 }
 

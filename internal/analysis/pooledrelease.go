@@ -26,13 +26,20 @@ type PoolConfig struct {
 }
 
 // DefaultPoolConfig covers this repository's pooled hot-path resources:
-// machine memory banks, register files and obs trace recorders.
+// machine memory banks, register files and obs trace recorders, and the
+// simulator constructors whose machines own banks and register files
+// until their Release.
 var DefaultPoolConfig = PoolConfig{
 	Acquires: []PoolFunc{
 		{"repro/internal/machine", "GetMemory"},
 		{"repro/internal/machine", "GetRegs"},
 		{"repro/internal/obs", "AcquireTrace"},
 		{"repro/internal/obs", "AcquireHeadTrace"},
+		{"repro/internal/simd", "New"},
+		{"repro/internal/mimd", "New"},
+		{"repro/internal/spatial", "New"},
+		{"repro/internal/dataflow", "New"},
+		{"repro/internal/uniproc", "New"},
 	},
 	Releases: []PoolFunc{
 		{"repro/internal/machine", "PutMemory"},
@@ -72,7 +79,7 @@ var PooledRelease = NewPooledRelease(DefaultPoolConfig)
 func NewPooledRelease(cfg PoolConfig) *Analyzer {
 	a := &Analyzer{
 		Name: "pooledrelease",
-		Doc:  "pooled acquisitions (GetMemory/GetRegs/AcquireTrace) must be released on every return path",
+		Doc:  "pooled acquisitions (GetMemory/GetRegs/AcquireTrace and the simulator constructors) must be released on every return path",
 	}
 	a.Run = func(pass *Pass) error {
 		for _, file := range pass.Files {

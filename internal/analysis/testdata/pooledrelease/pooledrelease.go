@@ -5,8 +5,10 @@ package pooledrelease
 import (
 	"fmt"
 
+	"repro/internal/isa"
 	"repro/internal/machine"
 	"repro/internal/obs"
+	"repro/internal/uniproc"
 )
 
 // leakOnSecondReturn: the own error path of an acquisition is fine, but a
@@ -118,4 +120,41 @@ func deferredPut(words int) (int64, error) {
 		sum += int64(w)
 	}
 	return sum, nil
+}
+
+// constructorLeak: a simulator constructor is an acquisition too — its
+// machine owns pooled banks and register files until Release.
+func constructorLeak(prog isa.Program, fail bool) error {
+	m, err := uniproc.New(uniproc.Config{MemWords: 8}, prog)
+	if err != nil {
+		return err
+	}
+	if fail {
+		return fmt.Errorf("boom") // want "return leaks uniproc.New"
+	}
+	m.Release()
+	return nil
+}
+
+// constructorDiscard: building a machine only to check the error drops
+// its banks on the floor.
+func constructorDiscard(prog isa.Program) error {
+	if _, err := uniproc.New(uniproc.Config{MemWords: 8}, prog); err != nil { // want "result of uniproc.New is discarded"
+		return err
+	}
+	return nil
+}
+
+// constructorDeferred: the defer-release idiom covers every later return.
+func constructorDeferred(prog isa.Program) (int64, error) {
+	m, err := uniproc.New(uniproc.Config{MemWords: 8}, prog)
+	if err != nil {
+		return 0, err
+	}
+	defer m.Release()
+	stats, err := m.Run()
+	if err != nil {
+		return 0, err
+	}
+	return stats.Cycles, nil
 }

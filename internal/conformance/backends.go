@@ -164,7 +164,7 @@ func runSIMDBackend(prog isa.Program, img []isa.Word, bank int, b machine.Backen
 	}
 	defer arr.Release()
 	for lane := 0; lane < lockstepProcs; lane++ {
-		if err := arr.LoadLane(lane, 0, img); err != nil {
+		if err := arr.LoadBank(lane, 0, img); err != nil {
 			return backendOutcome{}, err
 		}
 	}
@@ -174,7 +174,7 @@ func runSIMDBackend(prog isa.Program, img []isa.Word, bank int, b machine.Backen
 	}
 	out := backendOutcome{stats: stats}
 	for lane := 0; lane < lockstepProcs; lane++ {
-		mem, err := arr.ReadLane(lane, 0, bank)
+		mem, err := arr.ReadBank(lane, 0, bank)
 		if err != nil {
 			return backendOutcome{}, err
 		}

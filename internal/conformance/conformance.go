@@ -110,7 +110,8 @@ func ClassNames() []string {
 
 // columns are the matrix's machine classes, in display order: Table I's
 // implementable classes, instruction-flow first, except the data-flow
-// uni-processor (DUP), which has no sub-type for the DMP runners to build.
+// uni-processor (DUP): modelzoo has no runner for it and reports every
+// kernel on it as unsupported.
 var columns = func() []taxonomy.Class {
 	var classes []taxonomy.Class
 	for _, c := range taxonomy.Table() {

@@ -215,7 +215,7 @@ func lockstepCheck(seed int64, cfg GenConfig) LockstepResult {
 	}
 	defer arr.Release()
 	for lane := 0; lane < lockstepProcs; lane++ {
-		if err := arr.LoadLane(lane, 0, img); err != nil {
+		if err := arr.LoadBank(lane, 0, img); err != nil {
 			return fail(err, prog)
 		}
 	}
@@ -224,7 +224,7 @@ func lockstepCheck(seed int64, cfg GenConfig) LockstepResult {
 		return fail(fmt.Errorf("simd: %w", err), prog)
 	}
 	for lane := 0; lane < lockstepProcs; lane++ {
-		laneMem, err := arr.ReadLane(lane, 0, bank)
+		laneMem, err := arr.ReadBank(lane, 0, bank)
 		if err != nil {
 			return fail(err, prog)
 		}

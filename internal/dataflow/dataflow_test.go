@@ -314,6 +314,25 @@ func TestDivideByZero(t *testing.T) {
 	}
 }
 
+// TestForSubtypeIsTableI: every sub-type's switches are Table I's DMP row
+// with that sub-type, not a second copy of the table.
+func TestForSubtypeIsTableI(t *testing.T) {
+	for sub := 1; sub <= 4; sub++ {
+		c, err := taxonomy.Lookup(taxonomy.Name{Machine: taxonomy.DataFlow, Proc: taxonomy.MultiProcessor, Sub: sub})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg, err := ForSubtype(sub, 4, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cfg.DPDM != c.Links[taxonomy.SiteDPDM] || cfg.DPDP != c.Links[taxonomy.SiteDPDP] {
+			t.Errorf("%s: config DP-DM %v DP-DP %v, Table I %v %v", c, cfg.DPDM, cfg.DPDP,
+				c.Links[taxonomy.SiteDPDM], c.Links[taxonomy.SiteDPDP])
+		}
+	}
+}
+
 func TestClass(t *testing.T) {
 	for sub, want := range map[int]string{1: "DMP-I", 2: "DMP-II", 3: "DMP-III", 4: "DMP-IV"} {
 		cfg, err := ForSubtype(sub, 4, 64)

@@ -32,22 +32,22 @@ type Config struct {
 	Tracer obs.Tracer
 }
 
-// ForSubtype returns the configuration of DMP sub-type 1..4.
+// ForSubtype returns the configuration of DMP sub-type 1..4: the DP-DM
+// and DP-DP switch kinds of Table I's DMP row with that sub-type.
 func ForSubtype(sub, pes, bankWords int) (Config, error) {
-	cfg := Config{PEs: pes, BankWords: bankWords}
-	switch sub {
-	case 1:
-		cfg.DPDM, cfg.DPDP = taxonomy.LinkDirect, taxonomy.LinkNone
-	case 2:
-		cfg.DPDM, cfg.DPDP = taxonomy.LinkDirect, taxonomy.LinkCrossbar
-	case 3:
-		cfg.DPDM, cfg.DPDP = taxonomy.LinkCrossbar, taxonomy.LinkNone
-	case 4:
-		cfg.DPDM, cfg.DPDP = taxonomy.LinkCrossbar, taxonomy.LinkCrossbar
-	default:
+	if sub < 1 || sub > 4 {
 		return Config{}, fmt.Errorf("dataflow: data-flow multi-processors have sub-types I..IV, got %d", sub)
 	}
-	return cfg, nil
+	class, err := taxonomy.Lookup(taxonomy.Name{Machine: taxonomy.DataFlow, Proc: taxonomy.MultiProcessor, Sub: sub})
+	if err != nil {
+		return Config{}, err
+	}
+	return Config{
+		PEs:       pes,
+		BankWords: bankWords,
+		DPDM:      class.Links[taxonomy.SiteDPDM],
+		DPDP:      class.Links[taxonomy.SiteDPDP],
+	}, nil
 }
 
 // Class returns the taxonomy class this configuration realizes.

@@ -106,9 +106,9 @@ func TestScoreDominatedAddInvariance(t *testing.T) {
 func TestScoreHolesAndFailuresNeverDivide(t *testing.T) {
 	cells := []CellMeasure{
 		cell("k1", "A", 100),
-		{Kernel: "k2", Class: "A"},                                          // unrunnable hole
+		{Kernel: "k2", Class: "A"}, // unrunnable hole
 		{Kernel: "k3", Class: "A", Runnable: true, Err: "machine: exploded"}, // failed run
-		{Kernel: "k1", Class: "B", Runnable: true, Cycles: 0},               // degenerate count
+		{Kernel: "k1", Class: "B", Runnable: true, Cycles: 0},                // degenerate count
 		{Kernel: "k2", Class: "B"},
 		{Kernel: "k3", Class: "B"},
 	}

@@ -20,6 +20,24 @@ func mustConfig(t *testing.T, sub, cores, bank int) Config {
 	return cfg
 }
 
+// TestForSubtypeIsTableI: every sub-type's switches are Table I's IMP row
+// with that sub-type, not a second copy of the table.
+func TestForSubtypeIsTableI(t *testing.T) {
+	for sub := 1; sub <= 16; sub++ {
+		c, err := taxonomy.Lookup(taxonomy.Name{Machine: taxonomy.InstructionFlow, Proc: taxonomy.MultiProcessor, Sub: sub})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := mustConfig(t, sub, 4, 64)
+		got := [...]taxonomy.Link{cfg.IPDP, cfg.IPIM, cfg.DPDM, cfg.DPDP}
+		want := [...]taxonomy.Link{c.Links[taxonomy.SiteIPDP], c.Links[taxonomy.SiteIPIM],
+			c.Links[taxonomy.SiteDPDM], c.Links[taxonomy.SiteDPDP]}
+		if got != want {
+			t.Errorf("%s: config links %v, Table I %v", c, got, want)
+		}
+	}
+}
+
 func TestForSubtype_ClassRoundTrip(t *testing.T) {
 	for sub := 1; sub <= 16; sub++ {
 		cfg := mustConfig(t, sub, 4, 64)

@@ -34,8 +34,8 @@ type Kernel struct {
 	matrix func(c taxonomy.Class) bool
 }
 
-// family is a machine family: the unit a runner is written for. Runners
-// read the class's sub-type and links to pick their strategy.
+// family is a machine family: the column a runner fills. Runners read the
+// class's Table I links to pick their strategy.
 type family int
 
 const (
@@ -49,10 +49,12 @@ const (
 )
 
 // familyOf maps a Table I class to the family whose runners execute it.
+// The data-flow uni-processor has none: the data-flow simulator runs the
+// DMP sub-types, and DUP is reported as unsupported.
 func familyOf(c taxonomy.Class) (family, bool) {
 	switch c.Name.Machine {
 	case taxonomy.DataFlow:
-		return familyDMP, true
+		return familyDMP, c.Name.Proc == taxonomy.MultiProcessor
 	case taxonomy.UniversalFlow:
 		return familyUSP, true
 	case taxonomy.InstructionFlow:
@@ -106,48 +108,37 @@ func matmulOperands(n int) operands {
 	return operands{a: seq(n*k, 23, 1), b: seq(k*cols, 19, 1), rows: n, k: k, cols: cols}
 }
 
-// pairFunc is the workload runner shape over (sub-type, width, a, b); uni,
-// pair and single adapt the workload runner shapes to runner.
-type pairFunc func(sub, procs int, a, b []isa.Word, opts ...workload.Option) (workload.Result, error)
-
+// uni, pair and single adapt the workload runner shapes to runner.
 func uni(f func(a, b []isa.Word, opts ...workload.Option) (workload.Result, error)) runner {
 	return func(_ taxonomy.Class, _ int, in operands, opts []workload.Option) (workload.Result, error) {
 		return f(in.a, in.b, opts...)
 	}
 }
 
-func pair(f pairFunc) runner {
+func pair(f func(c taxonomy.Class, procs int, a, b []isa.Word, opts ...workload.Option) (workload.Result, error)) runner {
 	return func(c taxonomy.Class, procs int, in operands, opts []workload.Option) (workload.Result, error) {
-		return f(c.Name.Sub, procs, in.a, in.b, opts...)
+		return f(c, procs, in.a, in.b, opts...)
 	}
 }
 
-func single(f func(sub, procs int, a []isa.Word, opts ...workload.Option) (workload.Result, error)) runner {
+func single(f func(c taxonomy.Class, procs int, a []isa.Word, opts ...workload.Option) (workload.Result, error)) runner {
 	return func(c taxonomy.Class, procs int, in operands, opts []workload.Option) (workload.Result, error) {
-		return f(c.Name.Sub, procs, in.a, opts...)
+		return f(c, procs, in.a, opts...)
 	}
 }
 
 // reduction all-reduces with the butterfly over the DP-DP switch, and
 // falls back to host-gathered partial sums on classes without one.
-func reduction(butterfly, partial pairFunc) runner {
-	return func(c taxonomy.Class, procs int, in operands, opts []workload.Option) (workload.Result, error) {
-		run := butterfly
-		if !c.Links[taxonomy.SiteDPDP].Switched() {
-			run = partial
-		}
-		return run(c.Name.Sub, procs, in.a, in.b, opts...)
+func reduction(c taxonomy.Class, procs int, in operands, opts []workload.Option) (workload.Result, error) {
+	if c.Links[taxonomy.SiteDPDP].Switched() {
+		return workload.Dot(c, procs, in.a, in.b, opts...)
 	}
+	return workload.DotPartial(c, procs, in.a, in.b, opts...)
 }
 
-// matmul shares one copy of B through a DP-DM crossbar and replicates it
-// into every bank of a direct DP-DM.
+// matmul runs the matrix product; the DP-DM link picks B's layout.
 func matmul(c taxonomy.Class, procs int, in operands, opts []workload.Option) (workload.Result, error) {
-	run := workload.MatMulMIMDReplicated
-	if c.Links[taxonomy.SiteDPDM].Switched() {
-		run = workload.MatMulMIMDShared
-	}
-	return run(c.Name.Sub, procs, in.a, in.b, in.rows, in.k, in.cols, opts...)
+	return workload.MatMul(c, procs, in.a, in.b, in.rows, in.k, in.cols, opts...)
 }
 
 // fabric runs the vector add on the LUT fabric's 16-bit adder overlay.
@@ -183,17 +174,17 @@ func refMatMul(in operands) ([]isa.Word, error) {
 // dotRunners serve both dot and reduce: reduce is dot against ones.
 var dotRunners = [familyCount]runner{
 	familyIUP: uni(workload.DotUni),
-	familyIAP: reduction(workload.DotSIMD, workload.DotSIMDPartial),
-	familyIMP: reduction(workload.DotMIMD, workload.DotMIMDPartial),
+	familyIAP: reduction,
+	familyIMP: reduction,
 }
 
 // kernelTable is the kernel table in display order.
 var kernelTable = []Kernel{
 	{Name: "vecadd", operands: vectors, ref: refVecAdd, run: [familyCount]runner{
 		familyIUP: uni(workload.VecAddUni),
-		familyIAP: pair(workload.VecAddSIMD),
-		familyIMP: pair(workload.VecAddMIMD),
-		familyISP: pair(workload.VecAddSpatial),
+		familyIAP: pair(workload.VecAdd),
+		familyIMP: pair(workload.VecAdd),
+		familyISP: pair(workload.VecAdd),
 		familyDMP: pair(workload.VecAddDataflow),
 		familyUSP: fabric,
 	}},
@@ -201,18 +192,18 @@ var kernelTable = []Kernel{
 	{Name: "reduce", operands: vectorAndOnes, ref: refReduce, run: dotRunners},
 	{Name: "fir", operands: firOperands, ref: refFIR, matrix: localAddressing, run: [familyCount]runner{
 		familyIUP: uni(workload.FIRUni),
-		familyIAP: pair(workload.FIRSIMD),
+		familyIAP: pair(workload.FIR),
 	}},
 	{Name: "matmul", operands: matmulOperands, ref: refMatMul, run: [familyCount]runner{
 		familyIMP: matmul,
 	}},
 	// scan's coordinator/worker split needs per-core control flow.
 	{Name: "scan", operands: vector, ref: refScan, matrix: haloExchange, run: [familyCount]runner{
-		familyIMP: single(workload.ScanMIMD),
+		familyIMP: single(workload.Scan),
 	}},
 	{Name: "stencil", operands: vector, ref: refStencil, matrix: haloExchange, run: [familyCount]runner{
-		familyIAP: single(workload.Stencil3SIMD),
-		familyIMP: single(workload.Stencil3MIMD),
+		familyIAP: single(workload.Stencil3),
+		familyIMP: single(workload.Stencil3),
 	}},
 }
 

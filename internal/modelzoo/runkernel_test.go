@@ -45,6 +45,7 @@ func TestRunKernelMatchesMatrix(t *testing.T) {
 func TestUnsupportedListsFamilyKernels(t *testing.T) {
 	cases := []struct{ class, kernel, want string }{
 		{"DMP-I", "dot", `modelzoo: unknown kernel "dot" (have vecadd)`},
+		{"DUP", "vecadd", `modelzoo: no simulator runner for class DUP`},
 		{"ISP-IV", "dot", `modelzoo: unknown kernel "dot" (have vecadd)`},
 		{"IUP", "scan", `modelzoo: unknown kernel "scan" (have vecadd, dot, reduce, fir)`},
 		{"IMP-II", "fft", `modelzoo: unknown kernel "fft" (have vecadd, dot, reduce, matmul, scan, stencil)`},

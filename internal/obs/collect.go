@@ -11,21 +11,21 @@ import (
 // are defined so that they equal the corresponding machine.Stats fields of
 // the traced run — the invariant cmd/simulate -metrics cross-checks.
 const (
-	MetricInstructions     = "sim_instructions_total"
-	MetricALUOps           = "sim_alu_ops_total"
-	MetricMemReads         = "sim_mem_reads_total"
-	MetricMemWrites        = "sim_mem_writes_total"
-	MetricMessages         = "sim_messages_total"
-	MetricBarriers         = "sim_barriers_total"
-	MetricNetConflict      = "sim_net_conflict_cycles_total"
-	MetricReconfigs        = "sim_reconfigs_total"
-	MetricReconfigBits     = "sim_reconfig_bits_total"
-	MetricCycles           = "sim_cycles"
-	MetricTracks           = "sim_tracks"
-	MetricInstrMix         = "sim_instruction_mix_total"
-	MetricStallHist        = "sim_net_stall_cycles"
-	MetricQueueWaitHist    = "sim_queue_wait_cycles"
-	MetricTrackInstrs      = "sim_track_instructions_total"
+	MetricInstructions  = "sim_instructions_total"
+	MetricALUOps        = "sim_alu_ops_total"
+	MetricMemReads      = "sim_mem_reads_total"
+	MetricMemWrites     = "sim_mem_writes_total"
+	MetricMessages      = "sim_messages_total"
+	MetricBarriers      = "sim_barriers_total"
+	MetricNetConflict   = "sim_net_conflict_cycles_total"
+	MetricReconfigs     = "sim_reconfigs_total"
+	MetricReconfigBits  = "sim_reconfig_bits_total"
+	MetricCycles        = "sim_cycles"
+	MetricTracks        = "sim_tracks"
+	MetricInstrMix      = "sim_instruction_mix_total"
+	MetricStallHist     = "sim_net_stall_cycles"
+	MetricQueueWaitHist = "sim_queue_wait_cycles"
+	MetricTrackInstrs   = "sim_track_instructions_total"
 )
 
 // StallBuckets are the contention-stall histogram bounds in cycles.

@@ -18,6 +18,7 @@ import (
 	"repro/internal/isa"
 	"repro/internal/machine"
 	"repro/internal/obs"
+	"repro/internal/taxonomy"
 	"repro/internal/workload"
 )
 
@@ -34,7 +35,7 @@ func TestChromeGolden_IAP1VecAdd(t *testing.T) {
 	a := []isa.Word{1, 2, 3, 4}
 	b := []isa.Word{10, 20, 30, 40}
 	tr := obs.NewTrace()
-	if _, err := workload.VecAddSIMD(1, 2, a, b, workload.WithTracer(tr)); err != nil {
+	if _, err := workload.VecAdd(mustClass(t, "IAP-I"), 2, a, b, workload.WithTracer(tr)); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
@@ -90,8 +91,9 @@ func chromeEvents(t *testing.T, data []byte) []struct {
 // never go backwards.
 func TestChromeMonotonePerTrack_MIMD(t *testing.T) {
 	a, b := seq(64, 1), seq(64, 3)
+	imp2 := mustClass(t, "IMP-II")
 	tr := obs.NewTrace()
-	if _, err := workload.DotMIMD(2, 4, a, b, workload.WithTracer(tr)); err != nil {
+	if _, err := workload.Dot(imp2, 4, a, b, workload.WithTracer(tr)); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
@@ -121,6 +123,7 @@ func TestChromeMonotonePerTrack_MIMD(t *testing.T) {
 // one valid JSON document.
 func TestChromeConcurrentMIMDEmission(t *testing.T) {
 	a, b := seq(32, 1), seq(32, 3)
+	imp2 := mustClass(t, "IMP-II")
 	tr := obs.NewTrace()
 	var wg sync.WaitGroup
 	errs := make([]error, 4)
@@ -128,7 +131,7 @@ func TestChromeConcurrentMIMDEmission(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, errs[i] = workload.DotMIMD(2, 4, a, b, workload.WithTracer(tr))
+			_, errs[i] = workload.Dot(imp2, 4, a, b, workload.WithTracer(tr))
 		}(i)
 	}
 	wg.Wait()
@@ -149,11 +152,12 @@ func TestChromeConcurrentMIMDEmission(t *testing.T) {
 	}
 }
 
-// tracedEventCount runs one traced DotMIMD and reports its event count.
+// tracedEventCount runs one traced IMP-II dot and reports its event count.
 func tracedEventCount(t *testing.T, a, b []isa.Word) int {
 	t.Helper()
+	imp2 := mustClass(t, "IMP-II")
 	tr := obs.NewTrace()
-	if _, err := workload.DotMIMD(2, 4, a, b, workload.WithTracer(tr)); err != nil {
+	if _, err := workload.Dot(imp2, 4, a, b, workload.WithTracer(tr)); err != nil {
 		t.Fatal(err)
 	}
 	return tr.Len()
@@ -217,15 +221,33 @@ func TestMetricsMatchStats(t *testing.T) {
 	}{
 		{"IUP vecadd", func(o ...workload.Option) (workload.Result, error) { return workload.VecAddUni(a, b, o...) }},
 		{"IUP dot", func(o ...workload.Option) (workload.Result, error) { return workload.DotUni(a, b, o...) }},
-		{"IAP-I vecadd", func(o ...workload.Option) (workload.Result, error) { return workload.VecAddSIMD(1, 4, a, b, o...) }},
-		{"IAP-II dot", func(o ...workload.Option) (workload.Result, error) { return workload.DotSIMD(2, 4, a, b, o...) }},
-		{"IAP-IV dot", func(o ...workload.Option) (workload.Result, error) { return workload.DotSIMD(4, 4, a, b, o...) }},
-		{"IMP-II dot", func(o ...workload.Option) (workload.Result, error) { return workload.DotMIMD(2, 4, a, b, o...) }},
-		{"IMP-XVI vecadd", func(o ...workload.Option) (workload.Result, error) { return workload.VecAddMIMD(16, 4, a, b, o...) }},
-		{"IMP-II scan", func(o ...workload.Option) (workload.Result, error) { return workload.ScanMIMD(2, 4, a, o...) }},
-		{"IMP-I partial dot", func(o ...workload.Option) (workload.Result, error) { return workload.DotMIMDPartial(1, 4, a, b, o...) }},
-		{"DMP-I vecadd", func(o ...workload.Option) (workload.Result, error) { return workload.VecAddDataflow(1, 4, a, b, o...) }},
-		{"DMP-IV vecadd", func(o ...workload.Option) (workload.Result, error) { return workload.VecAddDataflow(4, 4, a, b, o...) }},
+		{"IAP-I vecadd", func(o ...workload.Option) (workload.Result, error) {
+			return workload.VecAdd(mustClass(t, "IAP-I"), 4, a, b, o...)
+		}},
+		{"IAP-II dot", func(o ...workload.Option) (workload.Result, error) {
+			return workload.Dot(mustClass(t, "IAP-II"), 4, a, b, o...)
+		}},
+		{"IAP-IV dot", func(o ...workload.Option) (workload.Result, error) {
+			return workload.Dot(mustClass(t, "IAP-IV"), 4, a, b, o...)
+		}},
+		{"IMP-II dot", func(o ...workload.Option) (workload.Result, error) {
+			return workload.Dot(mustClass(t, "IMP-II"), 4, a, b, o...)
+		}},
+		{"IMP-XVI vecadd", func(o ...workload.Option) (workload.Result, error) {
+			return workload.VecAdd(mustClass(t, "IMP-XVI"), 4, a, b, o...)
+		}},
+		{"IMP-II scan", func(o ...workload.Option) (workload.Result, error) {
+			return workload.Scan(mustClass(t, "IMP-II"), 4, a, o...)
+		}},
+		{"IMP-I partial dot", func(o ...workload.Option) (workload.Result, error) {
+			return workload.DotPartial(mustClass(t, "IMP-I"), 4, a, b, o...)
+		}},
+		{"DMP-I vecadd", func(o ...workload.Option) (workload.Result, error) {
+			return workload.VecAddDataflow(mustClass(t, "DMP-I"), 4, a, b, o...)
+		}},
+		{"DMP-IV vecadd", func(o ...workload.Option) (workload.Result, error) {
+			return workload.VecAddDataflow(mustClass(t, "DMP-IV"), 4, a, b, o...)
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -261,6 +283,16 @@ func TestMetricsMatchStats(t *testing.T) {
 }
 
 // seq builds [start, start+1, ...] of length n.
+// mustClass looks up a Table I class by name.
+func mustClass(t testing.TB, name string) taxonomy.Class {
+	t.Helper()
+	c, err := taxonomy.LookupString(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 func seq(n int, start int) []isa.Word {
 	out := make([]isa.Word, n)
 	for i := range out {
@@ -336,4 +368,3 @@ func BenchmarkMorphProbesTraced(b *testing.B) {
 		}
 	}
 }
-

@@ -143,10 +143,10 @@ func TestWriteJSON(t *testing.T) {
 		t.Fatal(err)
 	}
 	var series []struct {
-		Name  string   `json:"name"`
-		Kind  string   `json:"kind"`
-		Value *float64 `json:"value"`
-		Count *int64   `json:"count"`
+		Name    string   `json:"name"`
+		Kind    string   `json:"kind"`
+		Value   *float64 `json:"value"`
+		Count   *int64   `json:"count"`
 		Buckets []struct {
 			Le    string `json:"le"`
 			Count int64  `json:"count"`

@@ -256,12 +256,12 @@ func RecordSpan(ctx context.Context, name string, track int32, start time.Time, 
 // SpanSnapshot is one exported span. Offsets are microseconds from the
 // request start, the unit the Chrome trace viewer uses.
 type SpanSnapshot struct {
-	ID     int32  `json:"id"`
-	Parent int32  `json:"parent"` // SpanNone for the root
-	Name   string `json:"name"`
-	Track  int32  `json:"track"`
-	StartUs int64 `json:"start_us"`
-	DurUs   int64 `json:"dur_us"`
+	ID      int32  `json:"id"`
+	Parent  int32  `json:"parent"` // SpanNone for the root
+	Name    string `json:"name"`
+	Track   int32  `json:"track"`
+	StartUs int64  `json:"start_us"`
+	DurUs   int64  `json:"dur_us"`
 	// Open marks a span never ended before the snapshot (its DurUs is the
 	// time to the snapshot instant).
 	Open bool `json:"open,omitempty"`

@@ -144,9 +144,9 @@ func (c Config) withDefaults() Config {
 // (tests) or ListenAndServe/Serve (production), stop with Shutdown (or
 // Close in tests that never served).
 type Server struct {
-	cfg Config
-	mux *http.ServeMux
-	reg *obs.Registry
+	cfg  Config
+	mux  *http.ServeMux
+	reg  *obs.Registry
 	http *http.Server
 
 	// The distributed result cache and its instruments, plus the

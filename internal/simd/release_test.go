@@ -31,7 +31,7 @@ func TestRelease(t *testing.T) {
 	}
 	defer m2.Release()
 	for lane := 0; lane < 4; lane++ {
-		out, err := m2.ReadLane(lane, 0, 1)
+		out, err := m2.ReadBank(lane, 0, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -48,23 +48,22 @@ type Config struct {
 	Backend machine.Backend
 }
 
-// ForSubtype returns the configuration of one of the paper's four IAP
-// sub-types.
+// ForSubtype returns the configuration of IAP sub-type 1..4: the DP-DM
+// and DP-DP switch kinds of Table I's IAP row with that sub-type.
 func ForSubtype(sub, lanes, bankWords int) (Config, error) {
-	cfg := Config{Lanes: lanes, BankWords: bankWords}
-	switch sub {
-	case 1:
-		cfg.DPDM, cfg.DPDP = taxonomy.LinkDirect, taxonomy.LinkNone
-	case 2:
-		cfg.DPDM, cfg.DPDP = taxonomy.LinkDirect, taxonomy.LinkCrossbar
-	case 3:
-		cfg.DPDM, cfg.DPDP = taxonomy.LinkCrossbar, taxonomy.LinkNone
-	case 4:
-		cfg.DPDM, cfg.DPDP = taxonomy.LinkCrossbar, taxonomy.LinkCrossbar
-	default:
+	if sub < 1 || sub > 4 {
 		return Config{}, fmt.Errorf("simd: array processors have sub-types I..IV, got %d", sub)
 	}
-	return cfg, nil
+	class, err := taxonomy.Lookup(taxonomy.Name{Machine: taxonomy.InstructionFlow, Proc: taxonomy.ArrayProcessor, Sub: sub})
+	if err != nil {
+		return Config{}, err
+	}
+	return Config{
+		Lanes:     lanes,
+		BankWords: bankWords,
+		DPDM:      class.Links[taxonomy.SiteDPDM],
+		DPDP:      class.Links[taxonomy.SiteDPDP],
+	}, nil
 }
 
 // Class returns the taxonomy class this configuration realizes.
@@ -202,16 +201,16 @@ func (m *Machine) Release() {
 // Lanes returns the lane count.
 func (m *Machine) Lanes() int { return m.cfg.Lanes }
 
-// LoadLane copies vals into lane's bank at base (lane-local addressing).
-func (m *Machine) LoadLane(lane, base int, vals []isa.Word) error {
+// LoadBank copies vals into lane's bank at base (lane-local addressing).
+func (m *Machine) LoadBank(lane, base int, vals []isa.Word) error {
 	if lane < 0 || lane >= m.cfg.Lanes {
 		return fmt.Errorf("simd: lane %d out of range [0,%d)", lane, m.cfg.Lanes)
 	}
 	return m.banks[lane].CopyIn(base, vals)
 }
 
-// ReadLane reads n words from lane's bank at base.
-func (m *Machine) ReadLane(lane, base, n int) ([]isa.Word, error) {
+// ReadBank reads n words from lane's bank at base.
+func (m *Machine) ReadBank(lane, base, n int) ([]isa.Word, error) {
 	if lane < 0 || lane >= m.cfg.Lanes {
 		return nil, fmt.Errorf("simd: lane %d out of range [0,%d)", lane, m.cfg.Lanes)
 	}

@@ -19,6 +19,22 @@ func mustConfig(t *testing.T, sub, lanes, bank int) Config {
 	return cfg
 }
 
+// TestForSubtypeIsTableI: every sub-type's switches are Table I's IAP row
+// with that sub-type, not a second copy of the table.
+func TestForSubtypeIsTableI(t *testing.T) {
+	for sub := 1; sub <= 4; sub++ {
+		c, err := taxonomy.Lookup(taxonomy.Name{Machine: taxonomy.InstructionFlow, Proc: taxonomy.ArrayProcessor, Sub: sub})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := mustConfig(t, sub, 4, 64)
+		if cfg.DPDM != c.Links[taxonomy.SiteDPDM] || cfg.DPDP != c.Links[taxonomy.SiteDPDP] {
+			t.Errorf("%s: config DP-DM %v DP-DP %v, Table I %v %v", c, cfg.DPDM, cfg.DPDP,
+				c.Links[taxonomy.SiteDPDM], c.Links[taxonomy.SiteDPDP])
+		}
+	}
+}
+
 func TestForSubtype(t *testing.T) {
 	for sub, want := range map[int]string{1: "IAP-I", 2: "IAP-II", 3: "IAP-III", 4: "IAP-IV"} {
 		cfg := mustConfig(t, sub, 4, 64)
@@ -55,7 +71,7 @@ func TestIAP1_LanewiseVectorAdd(t *testing.T) {
 		t.Fatal(err)
 	}
 	for lane := 0; lane < 8; lane++ {
-		if err := m.LoadLane(lane, 0, []isa.Word{isa.Word(lane), isa.Word(10 * lane)}); err != nil {
+		if err := m.LoadBank(lane, 0, []isa.Word{isa.Word(lane), isa.Word(10 * lane)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -64,7 +80,7 @@ func TestIAP1_LanewiseVectorAdd(t *testing.T) {
 		t.Fatal(err)
 	}
 	for lane := 0; lane < 8; lane++ {
-		out, err := m.ReadLane(lane, 2, 1)
+		out, err := m.ReadBank(lane, 2, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,7 +139,7 @@ func TestIAP2_LaneShiftExchange(t *testing.T) {
 		t.Fatal(err)
 	}
 	for lane := 0; lane < lanes; lane++ {
-		if err := m.LoadLane(lane, 0, []isa.Word{isa.Word(100 + lane)}); err != nil {
+		if err := m.LoadBank(lane, 0, []isa.Word{isa.Word(100 + lane)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -132,7 +148,7 @@ func TestIAP2_LaneShiftExchange(t *testing.T) {
 		t.Fatal(err)
 	}
 	for lane := 0; lane < lanes; lane++ {
-		out, err := m.ReadLane(lane, 1, 1)
+		out, err := m.ReadBank(lane, 1, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -183,7 +199,7 @@ func TestIAP3_GlobalGather(t *testing.T) {
 		t.Fatal(err)
 	}
 	for lane := 0; lane < lanes; lane++ {
-		if err := m.LoadLane(lane, 0, []isa.Word{isa.Word(lane * 7)}); err != nil {
+		if err := m.LoadBank(lane, 0, []isa.Word{isa.Word(lane * 7)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -191,7 +207,7 @@ func TestIAP3_GlobalGather(t *testing.T) {
 		t.Fatal(err)
 	}
 	for lane := 0; lane < lanes; lane++ {
-		out, err := m.ReadLane(lane, 1, 1)
+		out, err := m.ReadBank(lane, 1, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -273,7 +289,7 @@ loop:   addi r1, r1, 1
 		t.Fatal(err)
 	}
 	for lane := 0; lane < 4; lane++ {
-		out, err := m.ReadLane(lane, 0, 1)
+		out, err := m.ReadBank(lane, 0, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -398,13 +414,13 @@ func TestLaneAccessors_Reject(t *testing.T) {
 	if m.Lanes() != 4 {
 		t.Errorf("Lanes() = %d", m.Lanes())
 	}
-	if err := m.LoadLane(9, 0, nil); err == nil {
-		t.Error("LoadLane(9) accepted")
+	if err := m.LoadBank(9, 0, nil); err == nil {
+		t.Error("LoadBank(9) accepted")
 	}
-	if _, err := m.ReadLane(-1, 0, 1); err == nil {
-		t.Error("ReadLane(-1) accepted")
+	if _, err := m.ReadBank(-1, 0, 1); err == nil {
+		t.Error("ReadBank(-1) accepted")
 	}
-	if err := m.LoadLane(0, 7, []isa.Word{1, 2}); err == nil {
-		t.Error("overflowing LoadLane accepted")
+	if err := m.LoadBank(0, 7, []isa.Word{1, 2}); err == nil {
+		t.Error("overflowing LoadBank accepted")
 	}
 }

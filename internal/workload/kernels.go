@@ -6,8 +6,7 @@ import (
 	"repro/internal/dataflow"
 	"repro/internal/fabric"
 	"repro/internal/isa"
-	"repro/internal/mimd"
-	"repro/internal/simd"
+	"repro/internal/taxonomy"
 	"repro/internal/uniproc"
 )
 
@@ -43,130 +42,27 @@ func VecAddUni(a, b []isa.Word, opts ...Option) (Result, error) {
 	return Result{Output: out, Stats: stats}, nil
 }
 
-// VecAddSIMD runs c = a + b on an IAP of the given sub-type, splitting the
-// vectors into contiguous per-lane chunks. len(a) must divide evenly.
-func VecAddSIMD(sub, lanes int, a, b []isa.Word, opts ...Option) (Result, error) {
+// VecAdd runs c = a + b on an IAP, IMP or ISP class, splitting the
+// vectors into contiguous per-processor chunks; len(a) must divide evenly.
+// A DP-DM crossbar class runs the global-addressing program, every other
+// class the local program the uni-processor runs too.
+func VecAdd(c taxonomy.Class, procs int, a, b []isa.Word, opts ...Option) (Result, error) {
 	want, err := RefVecAdd(a, b)
 	if err != nil {
 		return Result{}, err
 	}
-	n := len(a)
-	if lanes < 2 || n%lanes != 0 {
-		return Result{}, fmt.Errorf("workload: %d elements do not shard over %d lanes", n, lanes)
-	}
-	m := n / lanes
-	bankWords := 3*m + 16
-	prog, err := VecAddProgram(m)
-	if sub == 3 || sub == 4 { // DP-DM crossbar: global addressing
-		prog, err = vecAddProgramGlobal(m, bankWords)
-	}
+	m, err := shard(len(a), procs, 2, "elements")
 	if err != nil {
 		return Result{}, err
 	}
-	cfg, err := simd.ForSubtype(sub, lanes, bankWords)
-	if err != nil {
-		return Result{}, err
-	}
-	ro := applyOpts(opts)
-	cfg.Tracer = ro.tracer
-	cfg.Backend = ro.backend
-	if ro.record(simdSpec("vecadd", prog, cfg)) {
-		return Result{}, nil
-	}
-	mach, err := simd.New(cfg, prog)
-	if err != nil {
-		return Result{}, err
-	}
-	defer mach.Release()
-	for lane := 0; lane < lanes; lane++ {
-		chunk := append(append([]isa.Word{}, a[lane*m:(lane+1)*m]...), b[lane*m:(lane+1)*m]...)
-		if err := mach.LoadLane(lane, 0, chunk); err != nil {
-			return Result{}, err
-		}
-	}
-	stats, err := mach.Run()
-	if err != nil {
-		return Result{}, err
-	}
-	out := make([]isa.Word, 0, n)
-	for lane := 0; lane < lanes; lane++ {
-		part, err := mach.ReadLane(lane, 2*m, m)
-		if err != nil {
-			return Result{}, err
-		}
-		out = append(out, part...)
-	}
-	if err := checkEqual(out, want); err != nil {
-		return Result{}, err
-	}
-	return Result{Output: out, Stats: stats}, nil
-}
-
-// VecAddMIMD runs c = a + b SPMD on an IMP of the given sub-type. Sub-types
-// with a direct IP-IM get one copy of the program per core; sub-types with
-// the IP-IM crossbar share a single image.
-func VecAddMIMD(sub, cores int, a, b []isa.Word, opts ...Option) (Result, error) {
-	want, err := RefVecAdd(a, b)
-	if err != nil {
-		return Result{}, err
-	}
-	n := len(a)
-	if cores < 2 || n%cores != 0 {
-		return Result{}, fmt.Errorf("workload: %d elements do not shard over %d cores", n, cores)
-	}
-	m := n / cores
-	bankWords := 3*m + 16
-	prog, err := VecAddProgram(m)
-	if (sub-1)&2 != 0 { // DP-DM crossbar: global addressing
-		prog, err = vecAddProgramGlobal(m, bankWords)
-	}
-	if err != nil {
-		return Result{}, err
-	}
-	cfg, err := mimd.ForSubtype(sub, cores, bankWords)
-	if err != nil {
-		return Result{}, err
-	}
-	ro := applyOpts(opts)
-	cfg.Tracer = ro.tracer
-	cfg.Backend = ro.backend
-	if ro.record(mimdSpec("vecadd", prog, cfg)) {
-		return Result{}, nil
-	}
-	images := []isa.Program{prog}
-	if (sub-1)&4 == 0 { // IP-IM direct: one private copy per core
-		images = make([]isa.Program, cores)
-		for i := range images {
-			images[i] = prog
-		}
-	}
-	mach, err := mimd.New(cfg, images)
-	if err != nil {
-		return Result{}, err
-	}
-	defer mach.Release()
-	for core := 0; core < cores; core++ {
-		chunk := append(append([]isa.Word{}, a[core*m:(core+1)*m]...), b[core*m:(core+1)*m]...)
-		if err := mach.LoadBank(core, 0, chunk); err != nil {
-			return Result{}, err
-		}
-	}
-	stats, err := mach.Run()
-	if err != nil {
-		return Result{}, err
-	}
-	out := make([]isa.Word, 0, n)
-	for core := 0; core < cores; core++ {
-		part, err := mach.ReadBank(core, 2*m, m)
-		if err != nil {
-			return Result{}, err
-		}
-		out = append(out, part...)
-	}
-	if err := checkEqual(out, want); err != nil {
-		return Result{}, err
-	}
-	return Result{Output: out, Stats: stats}, nil
+	return runSPMD(c, spmd{name: "vecadd", procs: procs, bankWords: 3*m + 16,
+		program: func(global int) (isa.Program, error) {
+			if global == 0 {
+				return VecAddProgram(m)
+			}
+			return vecAddProgramGlobal(m, global)
+		},
+		load: chunks(m, a, b), outBase: 2 * m, outLen: m}, want, opts)
 }
 
 // DotUni computes the dot product on the uni-processor.
@@ -201,261 +97,48 @@ func DotUni(a, b []isa.Word, opts ...Option) (Result, error) {
 	return Result{Output: out, Stats: stats}, nil
 }
 
-// DotSIMD computes the dot product on an IAP with a butterfly all-reduce
-// over the lane network. It requires a DP-DP switch (sub-types II and IV)
-// and a power-of-two lane count; on sub-types I and III the run fails with
-// the machine's no-DP-DP error — the probe relies on that.
-func DotSIMD(sub, lanes int, a, b []isa.Word, opts ...Option) (Result, error) {
+// Dot computes the dot product on an IAP, IMP or ISP class with a
+// butterfly all-reduce over the DP-DP switch and a power-of-two processor
+// count. Without a DP-DP switch the run fails with the machine's no-DP-DP
+// error — the probe relies on that; DotPartial is the strategy for those
+// classes.
+func Dot(c taxonomy.Class, procs int, a, b []isa.Word, opts ...Option) (Result, error) {
+	return dot(c, procs, a, b, "dot-butterfly", gatherFirst, func(m, global int) (isa.Program, error) {
+		return dotButterflyProgram(m, procs, global)
+	}, opts)
+}
+
+// DotPartial computes the dot product on a class without a DP-DP switch:
+// every processor reduces its own chunk to a partial in its bank and the
+// host gathers — the only dot strategy those classes admit, since Dot's
+// all-reduce is architecturally impossible without processor-to-processor
+// exchange (Table I).
+func DotPartial(c taxonomy.Class, procs int, a, b []isa.Word, opts ...Option) (Result, error) {
+	return dot(c, procs, a, b, "dot-partial", gatherSum, dotPartialProgram, opts)
+}
+
+// dot runs a dot-product program that leaves each processor's word at
+// address 2m of its bank.
+func dot(c taxonomy.Class, procs int, a, b []isa.Word, name string, g gather,
+	program func(m, global int) (isa.Program, error), opts []Option) (Result, error) {
 	want, err := RefDot(a, b)
 	if err != nil {
 		return Result{}, err
 	}
-	n := len(a)
-	if lanes < 2 || n%lanes != 0 {
-		return Result{}, fmt.Errorf("workload: %d elements do not shard over %d lanes", n, lanes)
-	}
-	m := n / lanes
-	bankWords := 2*m + 16
-	prog, err := dotButterflyProgram(m, lanes)
-	if sub == 3 || sub == 4 { // DP-DM crossbar: global addressing
-		prog, err = dotButterflyProgramGlobal(m, lanes, bankWords)
-	}
+	m, err := shard(len(a), procs, 2, "elements")
 	if err != nil {
 		return Result{}, err
 	}
-	cfg, err := simd.ForSubtype(sub, lanes, bankWords)
-	if err != nil {
-		return Result{}, err
-	}
-	ro := applyOpts(opts)
-	cfg.Tracer = ro.tracer
-	cfg.Backend = ro.backend
-	if ro.record(simdSpec("dot-butterfly", prog, cfg)) {
-		return Result{}, nil
-	}
-	mach, err := simd.New(cfg, prog)
-	if err != nil {
-		return Result{}, err
-	}
-	defer mach.Release()
-	for lane := 0; lane < lanes; lane++ {
-		chunk := append(append([]isa.Word{}, a[lane*m:(lane+1)*m]...), b[lane*m:(lane+1)*m]...)
-		if err := mach.LoadLane(lane, 0, chunk); err != nil {
-			return Result{}, err
-		}
-	}
-	stats, err := mach.Run()
-	if err != nil {
-		return Result{}, err
-	}
-	out, err := mach.ReadLane(0, 2*m, 1)
-	if err != nil {
-		return Result{}, err
-	}
-	if out[0] != want {
-		return Result{}, fmt.Errorf("workload: SIMD dot = %d, want %d", out[0], want)
-	}
-	return Result{Output: out, Stats: stats}, nil
+	return runSPMD(c, spmd{name: name, procs: procs, bankWords: 2*m + 16,
+		program: func(global int) (isa.Program, error) { return program(m, global) },
+		load:    chunks(m, a, b), outBase: 2 * m, outLen: 1, gather: g}, []isa.Word{want}, opts)
 }
 
-// DotMIMD computes the dot product SPMD on an IMP with the same butterfly
-// all-reduce; it requires the DP-DP crossbar (even sub-types).
-func DotMIMD(sub, cores int, a, b []isa.Word, opts ...Option) (Result, error) {
-	want, err := RefDot(a, b)
-	if err != nil {
-		return Result{}, err
-	}
-	n := len(a)
-	if cores < 2 || n%cores != 0 {
-		return Result{}, fmt.Errorf("workload: %d elements do not shard over %d cores", n, cores)
-	}
-	m := n / cores
-	bankWords := 2*m + 16
-	prog, err := dotButterflyProgram(m, cores)
-	if (sub-1)&2 != 0 { // DP-DM crossbar: global addressing
-		prog, err = dotButterflyProgramGlobal(m, cores, bankWords)
-	}
-	if err != nil {
-		return Result{}, err
-	}
-	cfg, err := mimd.ForSubtype(sub, cores, bankWords)
-	if err != nil {
-		return Result{}, err
-	}
-	ro := applyOpts(opts)
-	cfg.Tracer = ro.tracer
-	cfg.Backend = ro.backend
-	if ro.record(mimdSpec("dot-butterfly", prog, cfg)) {
-		return Result{}, nil
-	}
-	images := []isa.Program{prog}
-	if (sub-1)&4 == 0 {
-		images = make([]isa.Program, cores)
-		for i := range images {
-			images[i] = prog
-		}
-	}
-	mach, err := mimd.New(cfg, images)
-	if err != nil {
-		return Result{}, err
-	}
-	defer mach.Release()
-	for core := 0; core < cores; core++ {
-		chunk := append(append([]isa.Word{}, a[core*m:(core+1)*m]...), b[core*m:(core+1)*m]...)
-		if err := mach.LoadBank(core, 0, chunk); err != nil {
-			return Result{}, err
-		}
-	}
-	stats, err := mach.Run()
-	if err != nil {
-		return Result{}, err
-	}
-	out, err := mach.ReadBank(0, 2*m, 1)
-	if err != nil {
-		return Result{}, err
-	}
-	if out[0] != want {
-		return Result{}, fmt.Errorf("workload: MIMD dot = %d, want %d", out[0], want)
-	}
-	return Result{Output: out, Stats: stats}, nil
-}
-
-// DotSIMDPartial computes the dot product on an IAP without a DP-DP
-// switch: every lane reduces its own chunk to a partial in its bank and
-// the host gathers — the only dot strategy sub-types I and III admit,
-// since the butterfly all-reduce DotSIMD uses is architecturally
-// impossible without lane-to-lane exchange (Table I).
-func DotSIMDPartial(sub, lanes int, a, b []isa.Word, opts ...Option) (Result, error) {
-	want, err := RefDot(a, b)
-	if err != nil {
-		return Result{}, err
-	}
-	n := len(a)
-	if lanes < 2 || n%lanes != 0 {
-		return Result{}, fmt.Errorf("workload: %d elements do not shard over %d lanes", n, lanes)
-	}
-	m := n / lanes
-	bankWords := 2*m + 16
-	global := 0
-	if sub == 3 || sub == 4 { // DP-DM crossbar: global addressing
-		global = bankWords
-	}
-	prog, err := dotPartialProgram(m, global)
-	if err != nil {
-		return Result{}, err
-	}
-	cfg, err := simd.ForSubtype(sub, lanes, bankWords)
-	if err != nil {
-		return Result{}, err
-	}
-	ro := applyOpts(opts)
-	cfg.Tracer = ro.tracer
-	cfg.Backend = ro.backend
-	if ro.record(simdSpec("dot-partial", prog, cfg)) {
-		return Result{}, nil
-	}
-	mach, err := simd.New(cfg, prog)
-	if err != nil {
-		return Result{}, err
-	}
-	defer mach.Release()
-	for lane := 0; lane < lanes; lane++ {
-		chunk := append(append([]isa.Word{}, a[lane*m:(lane+1)*m]...), b[lane*m:(lane+1)*m]...)
-		if err := mach.LoadLane(lane, 0, chunk); err != nil {
-			return Result{}, err
-		}
-	}
-	stats, err := mach.Run()
-	if err != nil {
-		return Result{}, err
-	}
-	var sum isa.Word
-	for lane := 0; lane < lanes; lane++ {
-		part, err := mach.ReadLane(lane, 2*m, 1)
-		if err != nil {
-			return Result{}, err
-		}
-		sum += part[0]
-	}
-	if sum != want {
-		return Result{}, fmt.Errorf("workload: SIMD partial dot = %d, want %d", sum, want)
-	}
-	return Result{Output: []isa.Word{sum}, Stats: stats}, nil
-}
-
-// DotMIMDPartial is DotSIMDPartial on an IMP: per-core partials plus a
-// host-side gather, for the eight odd sub-types whose DP-DP switch is
-// absent and therefore cannot run DotMIMD's butterfly.
-func DotMIMDPartial(sub, cores int, a, b []isa.Word, opts ...Option) (Result, error) {
-	want, err := RefDot(a, b)
-	if err != nil {
-		return Result{}, err
-	}
-	n := len(a)
-	if cores < 2 || n%cores != 0 {
-		return Result{}, fmt.Errorf("workload: %d elements do not shard over %d cores", n, cores)
-	}
-	m := n / cores
-	bankWords := 2*m + 16
-	global := 0
-	if (sub-1)&2 != 0 { // DP-DM crossbar: global addressing
-		global = bankWords
-	}
-	prog, err := dotPartialProgram(m, global)
-	if err != nil {
-		return Result{}, err
-	}
-	cfg, err := mimd.ForSubtype(sub, cores, bankWords)
-	if err != nil {
-		return Result{}, err
-	}
-	ro := applyOpts(opts)
-	cfg.Tracer = ro.tracer
-	cfg.Backend = ro.backend
-	if ro.record(mimdSpec("dot-partial", prog, cfg)) {
-		return Result{}, nil
-	}
-	images := []isa.Program{prog}
-	if (sub-1)&4 == 0 {
-		images = make([]isa.Program, cores)
-		for i := range images {
-			images[i] = prog
-		}
-	}
-	mach, err := mimd.New(cfg, images)
-	if err != nil {
-		return Result{}, err
-	}
-	defer mach.Release()
-	for core := 0; core < cores; core++ {
-		chunk := append(append([]isa.Word{}, a[core*m:(core+1)*m]...), b[core*m:(core+1)*m]...)
-		if err := mach.LoadBank(core, 0, chunk); err != nil {
-			return Result{}, err
-		}
-	}
-	stats, err := mach.Run()
-	if err != nil {
-		return Result{}, err
-	}
-	var sum isa.Word
-	for core := 0; core < cores; core++ {
-		part, err := mach.ReadBank(core, 2*m, 1)
-		if err != nil {
-			return Result{}, err
-		}
-		sum += part[0]
-	}
-	if sum != want {
-		return Result{}, fmt.Errorf("workload: MIMD partial dot = %d, want %d", sum, want)
-	}
-	return Result{Output: []isa.Word{sum}, Stats: stats}, nil
-}
-
-// VecAddDataflow runs c = a + b as a static dataflow graph on a DMP of the
-// given sub-type. Elements are load/add/store chains; on multi-PE machines
+// VecAddDataflow runs c = a + b as a static dataflow graph on a DMP
+// class. Elements are load/add/store chains; on multi-PE machines
 // each chain is kept PE-local (so even DMP-I can run it) and the banks are
 // sharded like the SIMD layout.
-func VecAddDataflow(sub, pes int, a, b []isa.Word, opts ...Option) (Result, error) {
+func VecAddDataflow(c taxonomy.Class, pes int, a, b []isa.Word, opts ...Option) (Result, error) {
 	want, err := RefVecAdd(a, b)
 	if err != nil {
 		return Result{}, err
@@ -478,7 +161,7 @@ func VecAddDataflow(sub, pes int, a, b []isa.Word, opts ...Option) (Result, erro
 			// for crossbar sub-types the bank offset is pe*bankWords.
 			base := int64(0)
 			bankWords := int64(3*m + 16)
-			if sub == 3 || sub == 4 {
+			if c.Links[taxonomy.SiteDPDM].Switched() {
 				base = int64(pe) * bankWords
 			}
 			aAddr := g.Const(base + int64(i))
@@ -495,7 +178,7 @@ func VecAddDataflow(sub, pes int, a, b []isa.Word, opts ...Option) (Result, erro
 			}
 		}
 	}
-	cfg, err := dataflow.ForSubtype(sub, pes, 3*m+16)
+	cfg, err := dataflow.ForSubtype(c.Name.Sub, pes, 3*m+16)
 	if err != nil {
 		return Result{}, err
 	}

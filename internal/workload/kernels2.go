@@ -4,8 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/isa"
-	"repro/internal/mimd"
-	"repro/internal/simd"
+	"repro/internal/taxonomy"
 	"repro/internal/uniproc"
 )
 
@@ -66,296 +65,70 @@ func RefFIR(x, h []isa.Word) ([]isa.Word, error) {
 	return out, nil
 }
 
-// Stencil3SIMD runs the periodic 3-point stencil on an IAP with halo
-// exchange over the lane network: it needs a DP-DP switch (sub-types II and
-// IV) and >= 3 lanes.
-func Stencil3SIMD(sub, lanes int, a []isa.Word, opts ...Option) (Result, error) {
-	want := RefStencil3Periodic(a)
-	n := len(a)
-	if lanes < 3 || n%lanes != 0 {
-		return Result{}, fmt.Errorf("workload: %d elements do not shard over %d lanes (need >= 3 lanes)", n, lanes)
-	}
-	if sub == 3 || sub == 4 {
-		return Result{}, fmt.Errorf("workload: the stencil runner uses local addressing; use sub-type II for the lane network")
-	}
-	m := n / lanes
-	prog, err := stencilProgram(m, lanes)
+// Stencil3 runs the periodic 3-point stencil on an IAP, IMP or ISP class
+// with halo exchange over the DP-DP network: it needs a DP-DP switch, local
+// addressing and >= 3 processors.
+func Stencil3(c taxonomy.Class, procs int, a []isa.Word, opts ...Option) (Result, error) {
+	m, err := shard(len(a), procs, 3, "elements")
 	if err != nil {
 		return Result{}, err
 	}
-	cfg, err := simd.ForSubtype(sub, lanes, 2*m+16)
-	if err != nil {
-		return Result{}, err
-	}
-	ro := applyOpts(opts)
-	cfg.Tracer = ro.tracer
-	cfg.Backend = ro.backend
-	if ro.record(simdSpec("stencil3", prog, cfg)) {
-		return Result{}, nil
-	}
-	mach, err := simd.New(cfg, prog)
-	if err != nil {
-		return Result{}, err
-	}
-	defer mach.Release()
-	for lane := 0; lane < lanes; lane++ {
-		if err := mach.LoadLane(lane, 0, a[lane*m:(lane+1)*m]); err != nil {
-			return Result{}, err
-		}
-	}
-	stats, err := mach.Run()
-	if err != nil {
-		return Result{}, err
-	}
-	out := make([]isa.Word, 0, n)
-	for lane := 0; lane < lanes; lane++ {
-		part, err := mach.ReadLane(lane, m, m)
-		if err != nil {
-			return Result{}, err
-		}
-		out = append(out, part...)
-	}
-	if err := checkEqual(out, want); err != nil {
-		return Result{}, err
-	}
-	return Result{Output: out, Stats: stats}, nil
+	return runSPMD(c, spmd{name: "stencil3", procs: procs, bankWords: 2*m + 16, local: true,
+		program: func(int) (isa.Program, error) { return stencilProgram(m, procs) },
+		load:    chunks(m, a), outBase: m, outLen: m}, RefStencil3Periodic(a), opts)
 }
 
-// Stencil3MIMD runs the same halo-exchange stencil SPMD on an IMP with a
-// DP-DP switch (even sub-types) and >= 3 cores.
-func Stencil3MIMD(sub, cores int, a []isa.Word, opts ...Option) (Result, error) {
-	want := RefStencil3Periodic(a)
-	n := len(a)
-	if cores < 3 || n%cores != 0 {
-		return Result{}, fmt.Errorf("workload: %d elements do not shard over %d cores (need >= 3 cores)", n, cores)
-	}
-	if (sub-1)&2 != 0 {
-		return Result{}, fmt.Errorf("workload: the stencil runner uses local addressing; pick a direct DP-DM sub-type (II, VI, X, XIV)")
-	}
-	m := n / cores
-	prog, err := stencilProgram(m, cores)
+// Scan runs the distributed inclusive prefix sum on a class with a DP-DP
+// switch and local addressing. The coordinator/worker role split requires
+// per-core control flow, which an IAP's single lockstep stream cannot
+// follow (see probeIAPCannotActAsIMP); the kernel table runs it on the IMP.
+func Scan(c taxonomy.Class, procs int, a []isa.Word, opts ...Option) (Result, error) {
+	m, err := shard(len(a), procs, 2, "elements")
 	if err != nil {
 		return Result{}, err
 	}
-	cfg, err := mimd.ForSubtype(sub, cores, 2*m+16)
-	if err != nil {
-		return Result{}, err
-	}
-	ro := applyOpts(opts)
-	cfg.Tracer = ro.tracer
-	cfg.Backend = ro.backend
-	if ro.record(mimdSpec("stencil3", prog, cfg)) {
-		return Result{}, nil
-	}
-	mach, err := newSPMD(cfg, sub, cores, prog)
-	if err != nil {
-		return Result{}, err
-	}
-	defer mach.Release()
-	for core := 0; core < cores; core++ {
-		if err := mach.LoadBank(core, 0, a[core*m:(core+1)*m]); err != nil {
-			return Result{}, err
-		}
-	}
-	stats, err := mach.Run()
-	if err != nil {
-		return Result{}, err
-	}
-	out := make([]isa.Word, 0, n)
-	for core := 0; core < cores; core++ {
-		part, err := mach.ReadBank(core, m, m)
-		if err != nil {
-			return Result{}, err
-		}
-		out = append(out, part...)
-	}
-	if err := checkEqual(out, want); err != nil {
-		return Result{}, err
-	}
-	return Result{Output: out, Stats: stats}, nil
+	return runSPMD(c, spmd{name: "scan", procs: procs, bankWords: 2*m + 16, local: true,
+		program: func(int) (isa.Program, error) { return scanProgram(m, procs) },
+		load:    chunks(m, a), outBase: m, outLen: m}, RefScan(a), opts)
 }
 
-// ScanMIMD runs the distributed inclusive prefix sum on an IMP with a
-// DP-DP switch. The coordinator/worker role split requires per-core control
-// flow; there is deliberately no ScanSIMD — see probeIAPCannotActAsIMP.
-func ScanMIMD(sub, cores int, a []isa.Word, opts ...Option) (Result, error) {
-	want := RefScan(a)
-	n := len(a)
-	if cores < 2 || n%cores != 0 {
-		return Result{}, fmt.Errorf("workload: %d elements do not shard over %d cores", n, cores)
-	}
-	if (sub-1)&2 != 0 {
-		return Result{}, fmt.Errorf("workload: the scan runner uses local addressing; pick a direct DP-DM sub-type (II, VI, X, XIV)")
-	}
-	m := n / cores
-	prog, err := scanProgram(m, cores)
-	if err != nil {
-		return Result{}, err
-	}
-	cfg, err := mimd.ForSubtype(sub, cores, 2*m+16)
-	if err != nil {
-		return Result{}, err
-	}
-	ro := applyOpts(opts)
-	cfg.Tracer = ro.tracer
-	cfg.Backend = ro.backend
-	if ro.record(mimdSpec("scan", prog, cfg)) {
-		return Result{}, nil
-	}
-	mach, err := newSPMD(cfg, sub, cores, prog)
-	if err != nil {
-		return Result{}, err
-	}
-	defer mach.Release()
-	for core := 0; core < cores; core++ {
-		if err := mach.LoadBank(core, 0, a[core*m:(core+1)*m]); err != nil {
-			return Result{}, err
-		}
-	}
-	stats, err := mach.Run()
-	if err != nil {
-		return Result{}, err
-	}
-	out := make([]isa.Word, 0, n)
-	for core := 0; core < cores; core++ {
-		part, err := mach.ReadBank(core, m, m)
-		if err != nil {
-			return Result{}, err
-		}
-		out = append(out, part...)
-	}
-	if err := checkEqual(out, want); err != nil {
-		return Result{}, err
-	}
-	return Result{Output: out, Stats: stats}, nil
-}
-
-// MatMulMIMDReplicated runs C = A x B on an IMP of any sub-type by
-// replicating B into every core's bank: rows of A are sharded, B is copied
-// per core. This is how a machine *without* shared memory gets matmul.
-func MatMulMIMDReplicated(sub, cores int, a, b []isa.Word, rows, k, n int, opts ...Option) (Result, error) {
+// MatMul runs C = A x B with the rows of A sharded over the processors.
+// Under local addressing (a direct DP-DM) every bank holds its own copy of
+// B — how a machine without shared memory gets matmul. Through a DP-DM
+// crossbar B lives once, in bank 0, and every processor reads it there;
+// compare the two layouts' NetConflictCycles for the storage/traffic trade
+// they make.
+func MatMul(c taxonomy.Class, procs int, a, b []isa.Word, rows, k, n int, opts ...Option) (Result, error) {
 	want, err := RefMatMul(a, b, rows, k, n)
 	if err != nil {
 		return Result{}, err
 	}
-	if cores < 2 || rows%cores != 0 {
-		return Result{}, fmt.Errorf("workload: %d rows do not shard over %d cores", rows, cores)
-	}
-	mr := rows / cores
-	prog, err := matmulProgram(mr, k, n)
+	mr, err := shard(rows, procs, 2, "rows")
 	if err != nil {
 		return Result{}, err
 	}
-	bankWords := mr*k + k*n + mr*n + 16
-	cfg, err := mimd.ForSubtype(sub, cores, bankWords)
-	if err != nil {
-		return Result{}, err
+	// Every bank holds its A rows at 0; the replicated layout puts B and
+	// then C after them, the shared one C and then, in bank 0 only, B.
+	shared := c.Links[taxonomy.SiteDPDM].Switched()
+	name, bBase, cBase := "matmul-replicated", mr*k, mr*k+k*n
+	if shared {
+		name, bBase, cBase = "matmul-shared", mr*k+mr*n, mr*k
 	}
-	ro := applyOpts(opts)
-	cfg.Tracer = ro.tracer
-	cfg.Backend = ro.backend
-	if ro.record(mimdSpec("matmul-replicated", prog, cfg)) {
-		return Result{}, nil
-	}
-	// Replicated-B addressing is local: only direct-DP-DM sub-types keep
-	// local addressing in this simulator, so require one.
-	if (sub-1)&2 != 0 {
-		return Result{}, fmt.Errorf("workload: replicated matmul uses local addressing; use MatMulMIMDShared on DP-DM crossbar sub-types")
-	}
-	mach, err := newSPMD(cfg, sub, cores, prog)
-	if err != nil {
-		return Result{}, err
-	}
-	defer mach.Release()
-	for core := 0; core < cores; core++ {
-		if err := mach.LoadBank(core, 0, a[core*mr*k:(core+1)*mr*k]); err != nil {
-			return Result{}, err
-		}
-		if err := mach.LoadBank(core, mr*k, b); err != nil {
-			return Result{}, err
-		}
-	}
-	stats, err := mach.Run()
-	if err != nil {
-		return Result{}, err
-	}
-	out := make([]isa.Word, 0, rows*n)
-	for core := 0; core < cores; core++ {
-		part, err := mach.ReadBank(core, mr*k+k*n, mr*n)
-		if err != nil {
-			return Result{}, err
-		}
-		out = append(out, part...)
-	}
-	if err := checkEqual(out, want); err != nil {
-		return Result{}, err
-	}
-	return Result{Output: out, Stats: stats}, nil
-}
-
-// MatMulMIMDShared runs C = A x B on an IMP with the DP-DM crossbar
-// (sub-types III, IV, VII, VIII, ...): B lives once in core 0's bank and
-// every core reads it through the memory crossbar. Compare its
-// NetConflictCycles with MatMulMIMDReplicated's zero — the storage/traffic
-// trade the two organisations make.
-func MatMulMIMDShared(sub, cores int, a, b []isa.Word, rows, k, n int, opts ...Option) (Result, error) {
-	want, err := RefMatMul(a, b, rows, k, n)
-	if err != nil {
-		return Result{}, err
-	}
-	if cores < 2 || rows%cores != 0 {
-		return Result{}, fmt.Errorf("workload: %d rows do not shard over %d cores", rows, cores)
-	}
-	if (sub-1)&2 == 0 {
-		return Result{}, fmt.Errorf("workload: shared-B matmul needs the DP-DM crossbar (sub-types III/IV/...)")
-	}
-	mr := rows / cores
-	// Bank layout: A rows + C rows locally; B appended to core 0's bank.
-	bankWords := mr*k + mr*n + k*n + 16
-	bGlobal := mr*k + mr*n // B's offset inside core 0's bank == its global address in bank 0
-	prog, err := matmulSharedProgram(mr, k, n, bankWords, bGlobal)
-	if err != nil {
-		return Result{}, err
-	}
-	cfg, err := mimd.ForSubtype(sub, cores, bankWords)
-	if err != nil {
-		return Result{}, err
-	}
-	ro := applyOpts(opts)
-	cfg.Tracer = ro.tracer
-	cfg.Backend = ro.backend
-	if ro.record(mimdSpec("matmul-shared", prog, cfg)) {
-		return Result{}, nil
-	}
-	mach, err := newSPMD(cfg, sub, cores, prog)
-	if err != nil {
-		return Result{}, err
-	}
-	defer mach.Release()
-	for core := 0; core < cores; core++ {
-		if err := mach.LoadBank(core, 0, a[core*mr*k:(core+1)*mr*k]); err != nil {
-			return Result{}, err
-		}
-	}
-	if err := mach.LoadBank(0, bGlobal, b); err != nil {
-		return Result{}, err
-	}
-	stats, err := mach.Run()
-	if err != nil {
-		return Result{}, err
-	}
-	out := make([]isa.Word, 0, rows*n)
-	for core := 0; core < cores; core++ {
-		part, err := mach.ReadBank(core, mr*k, mr*n)
-		if err != nil {
-			return Result{}, err
-		}
-		out = append(out, part...)
-	}
-	if err := checkEqual(out, want); err != nil {
-		return Result{}, err
-	}
-	return Result{Output: out, Stats: stats}, nil
+	return runSPMD(c, spmd{name: name, procs: procs, bankWords: mr*k + k*n + mr*n + 16,
+		program: func(global int) (isa.Program, error) {
+			if global == 0 {
+				return matmulProgram(mr, k, n)
+			}
+			return matmulSharedProgram(mr, k, n, global, bBase)
+		},
+		load: func(p int) []segment {
+			segs := []segment{{base: 0, vals: a[p*mr*k : (p+1)*mr*k]}}
+			if !shared || p == 0 {
+				segs = append(segs, segment{base: bBase, vals: b})
+			}
+			return segs
+		},
+		outBase: cBase, outLen: mr * n}, want, opts)
 }
 
 // FIRUni runs the FIR filter on the uni-processor. x includes len(h)-1
@@ -391,80 +164,25 @@ func FIRUni(x, h []isa.Word, opts ...Option) (Result, error) {
 	return Result{Output: out, Stats: stats}, nil
 }
 
-// FIRSIMD runs the FIR filter on an IAP of any sub-type using overlapped
-// sharding: every lane's chunk is preloaded with len(h)-1 ghost samples
-// from the next chunk, so no communication is needed and even IAP-I (no
-// DP-DP switch) runs it — the overlap is the software workaround for the
-// missing switch, bought with duplicated input words.
-func FIRSIMD(sub, lanes int, x, h []isa.Word, opts ...Option) (Result, error) {
+// FIR runs the FIR filter on a local-addressing class using overlapped
+// sharding: every processor's chunk is preloaded with len(h)-1 ghost
+// samples from the next chunk, so no communication is needed and even
+// IAP-I (no DP-DP switch) runs it — the overlap is the software workaround
+// for the missing switch, bought with duplicated input words.
+func FIR(c taxonomy.Class, procs int, x, h []isa.Word, opts ...Option) (Result, error) {
 	want, err := RefFIR(x, h)
 	if err != nil {
 		return Result{}, err
 	}
-	outLen := len(want)
-	if lanes < 2 || outLen%lanes != 0 {
-		return Result{}, fmt.Errorf("workload: %d outputs do not shard over %d lanes", outLen, lanes)
+	m, err := shard(len(want), procs, 2, "outputs")
+	if err != nil {
+		return Result{}, err
 	}
-	if sub != 1 && sub != 2 {
-		return Result{}, fmt.Errorf("workload: FIR runner uses local addressing (sub-types I and II), got %d", sub)
-	}
-	m := outLen / lanes
 	taps := len(h)
-	prog, err := firProgram(m, taps)
-	if err != nil {
-		return Result{}, err
-	}
-	bankWords := (m + taps - 1) + taps + m + 16
-	cfg, err := simd.ForSubtype(sub, lanes, bankWords)
-	if err != nil {
-		return Result{}, err
-	}
-	ro := applyOpts(opts)
-	cfg.Tracer = ro.tracer
-	cfg.Backend = ro.backend
-	if ro.record(simdSpec("fir", prog, cfg)) {
-		return Result{}, nil
-	}
-	mach, err := simd.New(cfg, prog)
-	if err != nil {
-		return Result{}, err
-	}
-	defer mach.Release()
-	for lane := 0; lane < lanes; lane++ {
-		chunk := x[lane*m : lane*m+m+taps-1] // includes the ghost overlap
-		payload := append(append([]isa.Word{}, chunk...), h...)
-		if err := mach.LoadLane(lane, 0, payload); err != nil {
-			return Result{}, err
-		}
-	}
-	stats, err := mach.Run()
-	if err != nil {
-		return Result{}, err
-	}
-	out := make([]isa.Word, 0, outLen)
-	for lane := 0; lane < lanes; lane++ {
-		part, err := mach.ReadLane(lane, m+2*taps-1, m)
-		if err != nil {
-			return Result{}, err
-		}
-		out = append(out, part...)
-	}
-	if err := checkEqual(out, want); err != nil {
-		return Result{}, err
-	}
-	return Result{Output: out, Stats: stats}, nil
-}
-
-// newSPMD builds an IMP machine running one program on every core,
-// regardless of whether the sub-type shares images (IP-IM crossbar) or
-// needs per-core copies (IP-IM direct).
-func newSPMD(cfg mimd.Config, sub, cores int, prog isa.Program) (*mimd.Machine, error) {
-	images := []isa.Program{prog}
-	if (sub-1)&4 == 0 {
-		images = make([]isa.Program, cores)
-		for i := range images {
-			images[i] = prog
-		}
-	}
-	return mimd.New(cfg, images)
+	return runSPMD(c, spmd{name: "fir", procs: procs, bankWords: (m + taps - 1) + taps + m + 16, local: true,
+		program: func(int) (isa.Program, error) { return firProgram(m, taps) },
+		load: func(p int) []segment {
+			return []segment{{base: 0, vals: x[p*m : p*m+m+taps-1]}, {base: m + taps - 1, vals: h}}
+		},
+		outBase: m + 2*taps - 1, outLen: m}, want, opts)
 }

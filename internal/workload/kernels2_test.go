@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -59,16 +60,16 @@ func TestRefMatMulAndFIR(t *testing.T) {
 
 func TestStencil3_SIMDAndMIMD(t *testing.T) {
 	a := seq(64, 5)
-	sres, err := Stencil3SIMD(2, 4, a)
+	sres, err := Stencil3(mustClass("IAP-II"), 4, a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mres, err := Stencil3MIMD(2, 4, a)
+	mres, err := Stencil3(mustClass("IMP-II"), 4, a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !equalWords(sres.Output, mres.Output) {
-		t.Error("SIMD and MIMD stencils disagree")
+	if !slices.Equal(sres.Output, mres.Output) {
+		t.Error("IAP and IMP stencils disagree")
 	}
 	// Each processor performs 2 sends and 2 recvs; both count as messages.
 	if sres.Stats.Messages != 4*4 || mres.Stats.Messages != 4*4 {
@@ -78,28 +79,31 @@ func TestStencil3_SIMDAndMIMD(t *testing.T) {
 
 func TestStencil3_RequiresNetworkAndShape(t *testing.T) {
 	a := seq(64, 1)
-	if _, err := Stencil3SIMD(1, 4, a); err == nil || !strings.Contains(err.Error(), "DP-DP") {
+	if _, err := Stencil3(mustClass("IAP-I"), 4, a); err == nil || !strings.Contains(err.Error(), "DP-DP") {
 		t.Errorf("stencil on IAP-I: %v", err)
 	}
-	if _, err := Stencil3SIMD(2, 2, a); err == nil {
+	if _, err := Stencil3(mustClass("IAP-II"), 2, a); err == nil {
 		t.Error("2-lane halo exchange accepted (neighbour queues collide)")
 	}
-	if _, err := Stencil3SIMD(2, 5, seq(63, 1)); err == nil {
+	if _, err := Stencil3(mustClass("IAP-II"), 5, seq(63, 1)); err == nil {
 		t.Error("non-dividing shard accepted")
 	}
-	if _, err := Stencil3MIMD(1, 4, a); err == nil {
+	if _, err := Stencil3(mustClass("IMP-I"), 4, a); err == nil {
 		t.Error("stencil on IMP-I accepted (no DP-DP)")
+	}
+	if _, err := Stencil3(mustClass("IAP-IV"), 4, a); err == nil || !strings.Contains(err.Error(), "local addressing") {
+		t.Errorf("stencil on IAP-IV (DP-DM crossbar): %v", err)
 	}
 }
 
 func TestScanMIMD(t *testing.T) {
 	a := seq(64, -10)
-	res, err := ScanMIMD(2, 8, a)
+	res, err := Scan(mustClass("IMP-II"), 8, a)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := RefScan(a)
-	if !equalWords(res.Output, want) {
+	if !slices.Equal(res.Output, want) {
 		t.Errorf("scan output wrong: %v...", res.Output[:4])
 	}
 	// Coordinator protocol: every worker sends one total and receives one
@@ -108,10 +112,10 @@ func TestScanMIMD(t *testing.T) {
 	if res.Stats.Messages != 4*7 {
 		t.Errorf("scan messages = %d, want 28", res.Stats.Messages)
 	}
-	if _, err := ScanMIMD(1, 8, a); err == nil {
+	if _, err := Scan(mustClass("IMP-I"), 8, a); err == nil {
 		t.Error("scan on IMP-I accepted (no DP-DP)")
 	}
-	if _, err := ScanMIMD(2, 7, a); err == nil {
+	if _, err := Scan(mustClass("IMP-II"), 7, a); err == nil {
 		t.Error("non-dividing shard accepted")
 	}
 }
@@ -120,15 +124,15 @@ func TestMatMul_ReplicatedVsShared(t *testing.T) {
 	const rows, k, n = 8, 6, 5
 	a := seq(rows*k, 1)
 	b := seq(k*n, 2)
-	rep, err := MatMulMIMDReplicated(1, 4, a, b, rows, k, n)
+	rep, err := MatMul(mustClass("IMP-I"), 4, a, b, rows, k, n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh, err := MatMulMIMDShared(3, 4, a, b, rows, k, n)
+	sh, err := MatMul(mustClass("IMP-III"), 4, a, b, rows, k, n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !equalWords(rep.Output, sh.Output) {
+	if !slices.Equal(rep.Output, sh.Output) {
 		t.Error("replicated and shared matmul disagree")
 	}
 	// Replicated B never touches a shared resource; shared B serializes on
@@ -139,14 +143,7 @@ func TestMatMul_ReplicatedVsShared(t *testing.T) {
 	if sh.Stats.NetConflictCycles == 0 {
 		t.Error("shared matmul recorded no contention on the B bank")
 	}
-	// Wrong sub-types are rejected, not silently wrong.
-	if _, err := MatMulMIMDReplicated(3, 4, a, b, rows, k, n); err == nil {
-		t.Error("replicated matmul accepted a crossbar sub-type")
-	}
-	if _, err := MatMulMIMDShared(1, 4, a, b, rows, k, n); err == nil {
-		t.Error("shared matmul accepted a direct sub-type")
-	}
-	if _, err := MatMulMIMDReplicated(1, 3, a, b, rows, k, n); err == nil {
+	if _, err := MatMul(mustClass("IMP-I"), 3, a, b, rows, k, n); err == nil {
 		t.Error("non-dividing row shard accepted")
 	}
 }
@@ -159,22 +156,22 @@ func TestFIR_UniAndSIMD(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim, err := FIRSIMD(1, 4, x, h)
+	sim, err := FIR(mustClass("IAP-I"), 4, x, h)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !equalWords(uni.Output, sim.Output) {
-		t.Error("uni and SIMD FIR disagree")
+	if !slices.Equal(uni.Output, sim.Output) {
+		t.Error("uni and IAP FIR disagree")
 	}
 	// Lane parallelism pays off.
 	if sim.Stats.Cycles >= uni.Stats.Cycles {
 		t.Errorf("4-lane FIR (%d cycles) not faster than IUP (%d cycles)",
 			sim.Stats.Cycles, uni.Stats.Cycles)
 	}
-	if _, err := FIRSIMD(3, 4, x, h); err == nil {
-		t.Error("global-addressing sub-type accepted by local-addressing FIR")
+	if _, err := FIR(mustClass("IAP-III"), 4, x, h); err == nil {
+		t.Error("DP-DM crossbar class accepted by local-addressing FIR")
 	}
-	if _, err := FIRSIMD(1, 5, x, h); err == nil {
+	if _, err := FIR(mustClass("IAP-I"), 5, x, h); err == nil {
 		t.Error("non-dividing shard accepted")
 	}
 }
@@ -185,11 +182,11 @@ func TestScan_Property(t *testing.T) {
 		for i := range a {
 			a[i] = isa.Word((int(seed)*31 + i*17) % 50)
 		}
-		res, err := ScanMIMD(2, 4, a)
+		res, err := Scan(mustClass("IMP-II"), 4, a)
 		if err != nil {
 			return false
 		}
-		return equalWords(res.Output, RefScan(a))
+		return slices.Equal(res.Output, RefScan(a))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
 		t.Error(err)
@@ -203,11 +200,11 @@ func TestStencil_Property(t *testing.T) {
 		for i := range a {
 			a[i] = isa.Word((int(seed) + i*13) % 90)
 		}
-		res, err := Stencil3SIMD(2, lanes, a)
+		res, err := Stencil3(mustClass("IAP-II"), lanes, a)
 		if err != nil {
 			return false
 		}
-		return equalWords(res.Output, RefStencil3Periodic(a))
+		return slices.Equal(res.Output, RefStencil3Periodic(a))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
 		t.Error(err)

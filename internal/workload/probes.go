@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/dataflow"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/simd"
 	"repro/internal/spatial"
 	"repro/internal/synth"
+	"repro/internal/taxonomy"
 	"repro/internal/uniproc"
 )
 
@@ -61,17 +63,17 @@ func RunProbes(opts ...Option) ([]Probe, error) {
 func probeIMPActsAsIAP(opts ...Option) (Probe, error) {
 	a := seq(64, 1)
 	b := seq(64, 3)
-	simdRes, err := VecAddSIMD(1, 8, a, b, opts...)
+	simdRes, err := VecAdd(mustClass("IAP-I"), 8, a, b, opts...)
 	if err != nil {
 		return Probe{}, fmt.Errorf("workload: IAP-I reference run failed: %v", err)
 	}
-	mimdRes, err := VecAddMIMD(1, 8, a, b, opts...)
+	mimdRes, err := VecAdd(mustClass("IMP-I"), 8, a, b, opts...)
 	claim := Probe{Claim: "IMP-I can act as an array processor by running the same program on every core (§III.B)"}
 	if err != nil {
 		claim.Detail = fmt.Sprintf("SPMD vector add failed on IMP-I: %v", err)
 		return claim, nil
 	}
-	claim.Holds = equalWords(simdRes.Output, mimdRes.Output)
+	claim.Holds = slices.Equal(simdRes.Output, mimdRes.Output)
 	claim.Detail = fmt.Sprintf("vector add over 64 elements: IAP-I produced %d outputs, IMP-I (same program on 8 cores) matched = %v",
 		len(simdRes.Output), claim.Holds)
 	return claim, nil
@@ -133,7 +135,7 @@ func probeIAPCannotActAsIMP(opts ...Option) (Probe, error) {
 	}
 	simdWrong := false
 	for lane := 1; lane < procs; lane++ {
-		out, err := sm.ReadLane(lane, 0, 1)
+		out, err := sm.ReadBank(lane, 0, 1)
 		if err != nil {
 			return Probe{}, err
 		}
@@ -177,17 +179,17 @@ func probeIAPActsAsIUP(opts ...Option) (Probe, error) {
 	}
 	defer sm.Release()
 	input := append(append([]isa.Word{}, a...), b...)
-	if err := sm.LoadLane(0, 0, input); err != nil {
+	if err := sm.LoadBank(0, 0, input); err != nil {
 		return Probe{}, err
 	}
 	if _, err := sm.Run(); err != nil {
 		return Probe{}, fmt.Errorf("workload: IAP-as-IUP run failed: %v", err)
 	}
-	out, err := sm.ReadLane(0, 2*n, n)
+	out, err := sm.ReadBank(0, 2*n, n)
 	if err != nil {
 		return Probe{}, err
 	}
-	holds := equalWords(out, uniRes.Output)
+	holds := slices.Equal(out, uniRes.Output)
 	return Probe{
 		Claim:  "IAP-I can act as a uni-processor by turning off its extra DPs (§III.B)",
 		Holds:  holds,
@@ -206,7 +208,7 @@ func probeIUPCannotActAsIAP(opts ...Option) (Probe, error) {
 	if err != nil {
 		return Probe{}, err
 	}
-	simdRes, err := VecAddSIMD(1, 8, a, b, opts...)
+	simdRes, err := VecAdd(mustClass("IAP-I"), 8, a, b, opts...)
 	if err != nil {
 		return Probe{}, err
 	}
@@ -224,10 +226,10 @@ func probeIUPCannotActAsIAP(opts ...Option) (Probe, error) {
 func probeIAP1CannotExchange(opts ...Option) (Probe, error) {
 	a := seq(64, 1)
 	b := seq(64, 1)
-	if _, err := DotSIMD(2, 8, a, b, opts...); err != nil {
+	if _, err := Dot(mustClass("IAP-II"), 8, a, b, opts...); err != nil {
 		return Probe{}, fmt.Errorf("workload: dot on IAP-II failed: %v", err)
 	}
-	_, err := DotSIMD(1, 8, a, b, opts...)
+	_, err := Dot(mustClass("IAP-I"), 8, a, b, opts...)
 	holds := err != nil && strings.Contains(err.Error(), "DP-DP")
 	detail := "dot-product all-reduce ran on IAP-II (DP-DP crossbar)"
 	if err != nil {
@@ -319,9 +321,11 @@ func probeUSPPaysConfigOverhead(opts ...Option) (Probe, error) {
         st  r3, [r0+2]
         halt
 `)
-	if _, err := uniproc.New(uniproc.Config{MemWords: 8}, prog); err != nil {
+	um, err := uniproc.New(uniproc.Config{MemWords: 8}, prog)
+	if err != nil {
 		return Probe{}, err
 	}
+	um.Release()
 	progBits := len(prog) * 64 // one 64-bit instruction word each
 
 	holds := fabricBits > 4*progBits
@@ -398,6 +402,7 @@ func probeISPMorphsBetweenIMPAndIAP(opts ...Option) (Probe, error) {
 	if err != nil {
 		return Probe{}, err
 	}
+	defer composed.Release()
 	if err := composed.Compose(0, []int{1, 2, 3}, prog); err != nil {
 		return Probe{}, err
 	}
@@ -410,6 +415,7 @@ func probeISPMorphsBetweenIMPAndIAP(opts ...Option) (Probe, error) {
 	if err != nil {
 		return Probe{}, err
 	}
+	defer split.Release()
 	for c := 0; c < cells; c++ {
 		if err := split.Compose(c, nil, prog); err != nil {
 			return Probe{}, err
@@ -504,6 +510,15 @@ func probeUSPImplementsDataflow(opts ...Option) (Probe, error) {
 	}, nil
 }
 
+// mustClass looks up a Table I class the probes name.
+func mustClass(name string) taxonomy.Class {
+	c, err := taxonomy.LookupString(name)
+	if err != nil {
+		panic(err)
+	}
+	return c
+}
+
 // seq builds the vector v[i] = start + i.
 func seq(n int, start isa.Word) []isa.Word {
 	v := make([]isa.Word, n)
@@ -511,16 +526,4 @@ func seq(n int, start isa.Word) []isa.Word {
 		v[i] = start + isa.Word(i)
 	}
 	return v
-}
-
-func equalWords(a, b []isa.Word) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

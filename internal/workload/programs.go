@@ -37,9 +37,9 @@ done:   halt
 	return isa.Assemble(src)
 }
 
-// dotPartialProgram computes the dot product of the m-element vectors at
-// [0,m) and [m,2m) into register r8 and stores it at address 2m, then
-// halts. Used standalone on the uni-processor.
+// dotProgram computes the dot product of the m-element vectors at [0,m)
+// and [m,2m) into register r8 and stores it at address 2m, then halts.
+// Used standalone on the uni-processor.
 func dotProgram(m int) (isa.Program, error) {
 	if m < 1 {
 		return nil, fmt.Errorf("workload: vector length must be >= 1, got %d", m)
@@ -66,34 +66,49 @@ done:   ldi  r9, %d
 // dotButterflyProgram computes a lane/core-local dot partial over the local
 // chunk and then all-reduces it across `procs` processors with a
 // recursive-doubling butterfly over the DP-DP network; every processor ends
-// with the full dot product and stores it at local address 2m. procs must
-// be a power of two. The identical program runs on every processor — the
-// SPMD shape both IAP-II and IMP-II can execute.
-func dotButterflyProgram(m, procs int) (isa.Program, error) {
+// with the full dot product and stores it at address 2m of its bank. procs
+// must be a power of two. The identical program runs on every processor —
+// the SPMD shape both IAP-II and IMP-II can execute. bankWords == 0 selects
+// local (direct DP-DM) addressing; otherwise accesses are offset by the
+// processor's global bank base.
+func dotButterflyProgram(m, procs, bankWords int) (isa.Program, error) {
 	if m < 1 {
 		return nil, fmt.Errorf("workload: chunk length must be >= 1, got %d", m)
 	}
 	if !isPow2(procs) {
 		return nil, fmt.Errorf("workload: butterfly reduction needs a power-of-two processor count, got %d", procs)
 	}
-	// bankWords == 0 means local (direct DP-DM) addressing; otherwise the
-	// processor offsets all accesses by its global bank base.
-	return dotButterfly(m, procs, 0)
-}
-
-// dotButterflyProgramGlobal is dotButterflyProgram for crossbar DP-DM
-// machines: addresses are offset by the processor's bank base.
-func dotButterflyProgramGlobal(m, procs, bankWords int) (isa.Program, error) {
-	if m < 1 {
-		return nil, fmt.Errorf("workload: chunk length must be >= 1, got %d", m)
-	}
-	if !isPow2(procs) {
-		return nil, fmt.Errorf("workload: butterfly reduction needs a power-of-two processor count, got %d", procs)
-	}
-	if bankWords < 2*m+1 {
+	if bankWords != 0 && bankWords < 2*m+1 {
 		return nil, fmt.Errorf("workload: bank of %d words cannot hold 2x%d elements plus the result", bankWords, m)
 	}
-	return dotButterfly(m, procs, bankWords)
+	src := fmt.Sprintf(`
+        lane r10            ; my index
+        muli r9, r10, %d    ; my bank base (0 under local addressing)
+        ldi  r1, 0          ; i
+        ldi  r2, %d         ; m
+        ldi  r8, 0          ; acc
+loop:   beq  r1, r2, done
+        add  r4, r9, r1
+        ld   r3, [r4+0]
+        ld   r5, [r4+%d]
+        mul  r6, r3, r5
+        add  r8, r8, r6
+        addi r1, r1, 1
+        jmp  loop
+done:   ldi  r11, 1         ; distance d
+        ldi  r12, %d        ; procs
+red:    bge  r11, r12, out  ; while d < procs
+        xor  r13, r10, r11  ; partner = me XOR d
+        send r8, r13
+        recv r14, r13
+        add  r8, r8, r14
+        add  r11, r11, r11  ; d *= 2
+        jmp  red
+out:    addi r9, r9, %d
+        st   r8, [r9+0]
+        halt
+`, bankWords, m, m, procs, 2*m)
+	return isa.Assemble(src)
 }
 
 // dotPartialProgram computes a processor-local dot partial over the local
@@ -128,37 +143,6 @@ done:   addi r9, r9, %d
         st   r8, [r9+0]
         halt
 `, bankWords, m, m, 2*m)
-	return isa.Assemble(src)
-}
-
-func dotButterfly(m, procs, bankWords int) (isa.Program, error) {
-	src := fmt.Sprintf(`
-        lane r10            ; my index
-        muli r9, r10, %d    ; my bank base (0 under local addressing)
-        ldi  r1, 0          ; i
-        ldi  r2, %d         ; m
-        ldi  r8, 0          ; acc
-loop:   beq  r1, r2, done
-        add  r4, r9, r1
-        ld   r3, [r4+0]
-        ld   r5, [r4+%d]
-        mul  r6, r3, r5
-        add  r8, r8, r6
-        addi r1, r1, 1
-        jmp  loop
-done:   ldi  r11, 1         ; distance d
-        ldi  r12, %d        ; procs
-red:    bge  r11, r12, out  ; while d < procs
-        xor  r13, r10, r11  ; partner = me XOR d
-        send r8, r13
-        recv r14, r13
-        add  r8, r8, r14
-        add  r11, r11, r11  ; d *= 2
-        jmp  red
-out:    addi r9, r9, %d
-        st   r8, [r9+0]
-        halt
-`, bankWords, m, m, procs, 2*m)
 	return isa.Assemble(src)
 }
 

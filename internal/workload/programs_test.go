@@ -19,19 +19,19 @@ func TestProgramGenerators_RejectBadShapes(t *testing.T) {
 	if _, err := dotProgram(0); err == nil {
 		t.Error("dotProgram(0) accepted")
 	}
-	if _, err := dotButterflyProgram(0, 4); err == nil {
+	if _, err := dotButterflyProgram(0, 4, 0); err == nil {
 		t.Error("dotButterflyProgram(0,4) accepted")
 	}
-	if _, err := dotButterflyProgram(4, 3); err == nil {
+	if _, err := dotButterflyProgram(4, 3, 0); err == nil {
 		t.Error("non-pow2 butterfly accepted")
 	}
-	if _, err := dotButterflyProgramGlobal(0, 4, 64); err == nil {
-		t.Error("dotButterflyProgramGlobal(0) accepted")
+	if _, err := dotButterflyProgram(0, 4, 64); err == nil {
+		t.Error("global dotButterflyProgram(0) accepted")
 	}
-	if _, err := dotButterflyProgramGlobal(4, 3, 64); err == nil {
+	if _, err := dotButterflyProgram(4, 3, 64); err == nil {
 		t.Error("global non-pow2 butterfly accepted")
 	}
-	if _, err := dotButterflyProgramGlobal(8, 4, 10); err == nil {
+	if _, err := dotButterflyProgram(8, 4, 10); err == nil {
 		t.Error("global butterfly undersized bank accepted")
 	}
 	if _, err := stencilProgram(1, 4); err == nil {
@@ -64,26 +64,25 @@ func TestProgramGenerators_RejectBadShapes(t *testing.T) {
 }
 
 func TestDot_GlobalAddressingSubtypes(t *testing.T) {
-	// Sub-type IV on both machines exercises the global-addressing
-	// butterfly program.
+	// IAP-IV and IMP-IV exercise the global-addressing butterfly program.
 	a, b := seq(64, 2), seq(64, 5)
 	want, _ := RefDot(a, b)
-	sres, err := DotSIMD(4, 8, a, b)
+	sres, err := Dot(mustClass("IAP-IV"), 8, a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sres.Output[0] != want {
 		t.Errorf("IAP-IV dot = %d, want %d", sres.Output[0], want)
 	}
-	mres, err := DotMIMD(4, 8, a, b)
+	mres, err := Dot(mustClass("IMP-IV"), 8, a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if mres.Output[0] != want {
 		t.Errorf("IMP-IV dot = %d, want %d", mres.Output[0], want)
 	}
-	// Sub-type VIII: all three data-side crossbars.
-	m8, err := DotMIMD(8, 8, a, b)
+	// IMP-VIII: all three data-side crossbars.
+	m8, err := Dot(mustClass("IMP-VIII"), 8, a, b)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,6 +16,7 @@ import (
 	"repro/internal/mimd"
 	"repro/internal/obs"
 	"repro/internal/simd"
+	"repro/internal/spatial"
 	"repro/internal/taxonomy"
 )
 
@@ -158,24 +159,170 @@ func checkEqual(got, want []isa.Word) error {
 // isPow2 reports whether v is a positive power of two.
 func isPow2(v int) bool { return v > 0 && v&(v-1) == 0 }
 
-// simdSpec derives the checker-facing program spec from an IAP
-// configuration: a DP-DM crossbar means global addressing over all banks,
-// and the lockstep array always has an (implicit) barrier.
-func simdSpec(name string, prog isa.Program, cfg simd.Config) ProgramSpec {
-	mem := cfg.BankWords
-	if cfg.DPDM == taxonomy.LinkCrossbar {
-		mem = cfg.Lanes * cfg.BankWords
-	}
-	return ProgramSpec{Name: name, Program: prog, MemWords: mem, Procs: cfg.Lanes,
-		HasNetwork: cfg.DPDP == taxonomy.LinkCrossbar, HasBarrier: true}
+// banked is what the SPMD harness needs of a sharded simulator; the IAP,
+// IMP and ISP machines all provide it.
+type banked interface {
+	LoadBank(p, base int, vals []isa.Word) error
+	ReadBank(p, base, n int) ([]isa.Word, error)
+	Run() (machine.Stats, error)
+	Release()
 }
 
-// mimdSpec is simdSpec for IMP configurations.
-func mimdSpec(name string, prog isa.Program, cfg mimd.Config) ProgramSpec {
-	mem := cfg.BankWords
-	if cfg.DPDM == taxonomy.LinkCrossbar {
-		mem = cfg.Cores * cfg.BankWords
+// segment is one host-to-bank copy: vals at word base.
+type segment struct {
+	base int
+	vals []isa.Word
+}
+
+// gather says how the host combines the processors' result words.
+type gather int
+
+const (
+	gatherAll   gather = iota // every processor's words, in processor order
+	gatherFirst               // processor 0's words: an all-reduce left them everywhere
+	gatherSum                 // the sum of the processors' words: host-gathered partials
+)
+
+// spmd is one sharded kernel run: the same program on every lane, core or
+// cell, each working on its own bank.
+type spmd struct {
+	// name labels the program in its ProgramSpec.
+	name      string
+	procs     int
+	bankWords int
+	// local marks a program written for local addressing only, which a
+	// DP-DM crossbar class cannot run.
+	local bool
+	// program builds the guest program. global is the bank size under a
+	// DP-DM crossbar, where each processor offsets its accesses by its
+	// bank base, and 0 under local addressing.
+	program func(global int) (isa.Program, error)
+	// load lists the words to copy into processor p's bank.
+	load func(p int) []segment
+	// outBase and outLen locate each processor's result words.
+	outBase, outLen int
+	gather          gather
+}
+
+// shard splits total items evenly over procs >= minProcs processors and
+// returns each processor's share.
+func shard(total, procs, minProcs int, items string) (int, error) {
+	if procs < minProcs || total%procs != 0 {
+		return 0, fmt.Errorf("workload: %d %s do not shard over %d processors (need >= %d)", total, items, procs, minProcs)
 	}
-	return ProgramSpec{Name: name, Program: prog, MemWords: mem, Procs: cfg.Cores,
-		HasNetwork: cfg.DPDP == taxonomy.LinkCrossbar, HasBarrier: true}
+	return total / procs, nil
+}
+
+// chunks loads processor p's m-word chunk of each vector, one after the
+// other from address 0.
+func chunks(m int, vs ...[]isa.Word) func(p int) []segment {
+	return func(p int) []segment {
+		segs := make([]segment, len(vs))
+		for i, v := range vs {
+			segs[i] = segment{base: i * m, vals: v[p*m : (p+1)*m]}
+		}
+		return segs
+	}
+}
+
+// runSPMD runs k on an IAP, IMP or ISP class. The class's Table I links
+// decide the machine: a switched DP-DM means global addressing over all
+// banks, a switched DP-DP gives the processors a network, and on an IMP
+// a switched IP-IM shares one program image where a direct one needs a
+// copy per core. The gathered output must equal want.
+func runSPMD(c taxonomy.Class, k spmd, want []isa.Word, opts []Option) (Result, error) {
+	if c.Name.Machine != taxonomy.InstructionFlow || c.Name.Proc == taxonomy.UniProcessor {
+		return Result{}, fmt.Errorf("workload: %s is not an array, multi- or spatial processor", c)
+	}
+	global, mem := 0, k.bankWords
+	if c.Links[taxonomy.SiteDPDM].Switched() {
+		if k.local {
+			return Result{}, fmt.Errorf("workload: the %s program uses local addressing; %s has a DP-DM crossbar", k.name, c)
+		}
+		global, mem = k.bankWords, k.procs*k.bankWords
+	}
+	prog, err := k.program(global)
+	if err != nil {
+		return Result{}, err
+	}
+	ro := applyOpts(opts)
+	if ro.record(ProgramSpec{Name: k.name, Program: prog, MemWords: mem, Procs: k.procs,
+		HasNetwork: c.Links[taxonomy.SiteDPDP].Switched(), HasBarrier: true}) {
+		return Result{}, nil
+	}
+	mach, err := newBanked(c, k.procs, k.bankWords, prog, ro)
+	if err != nil {
+		return Result{}, err
+	}
+	defer mach.Release()
+	for p := 0; p < k.procs; p++ {
+		for _, s := range k.load(p) {
+			if err := mach.LoadBank(p, s.base, s.vals); err != nil {
+				return Result{}, err
+			}
+		}
+	}
+	stats, err := mach.Run()
+	if err != nil {
+		return Result{}, err
+	}
+	readers := k.procs
+	if k.gather == gatherFirst {
+		readers = 1
+	}
+	out := make([]isa.Word, 0, readers*k.outLen)
+	for p := 0; p < readers; p++ {
+		part, err := mach.ReadBank(p, k.outBase, k.outLen)
+		if err != nil {
+			return Result{}, err
+		}
+		out = append(out, part...)
+	}
+	if k.gather == gatherSum {
+		out = []isa.Word{RefSum(out)}
+	}
+	if err := checkEqual(out, want); err != nil {
+		return Result{}, err
+	}
+	return Result{Output: out, Stats: stats}, nil
+}
+
+// newBanked builds c's simulator running prog on every processor: the IAP
+// broadcasts it, the IMP loads it into one shared or per-core images, and
+// the ISP composes one control group spanning every cell, whose leader
+// streams the program to the others over the IP-IP switch.
+func newBanked(c taxonomy.Class, procs, bankWords int, prog isa.Program, ro runOpts) (banked, error) {
+	l := c.Links
+	switch c.Name.Proc {
+	case taxonomy.ArrayProcessor:
+		return simd.New(simd.Config{Lanes: procs, BankWords: bankWords,
+			DPDM: l[taxonomy.SiteDPDM], DPDP: l[taxonomy.SiteDPDP],
+			Tracer: ro.tracer, Backend: ro.backend}, prog)
+	case taxonomy.MultiProcessor:
+		images := []isa.Program{prog}
+		if !l[taxonomy.SiteIPIM].Switched() {
+			images = make([]isa.Program, procs)
+			for i := range images {
+				images[i] = prog
+			}
+		}
+		return mimd.New(mimd.Config{Cores: procs, BankWords: bankWords,
+			IPDP: l[taxonomy.SiteIPDP], IPIM: l[taxonomy.SiteIPIM],
+			DPDM: l[taxonomy.SiteDPDM], DPDP: l[taxonomy.SiteDPDP],
+			Tracer: ro.tracer, Backend: ro.backend}, images)
+	default: // taxonomy.SpatialProcessor, the only other class runSPMD admits
+		m, err := spatial.New(spatial.Config{Cores: procs, BankWords: bankWords, Sub: c.Name.Sub, Tracer: ro.tracer})
+		if err != nil {
+			return nil, err
+		}
+		members := make([]int, procs-1)
+		for i := range members {
+			members[i] = i + 1
+		}
+		if err := m.Compose(0, members, prog); err != nil {
+			m.Release()
+			return nil, err
+		}
+		return m, nil
+	}
 }

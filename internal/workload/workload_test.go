@@ -1,12 +1,26 @@
 package workload
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/isa"
+	"repro/internal/taxonomy"
 )
+
+// tableClasses lists Table I's classes of one machine and processing type,
+// in table order.
+func tableClasses(m taxonomy.MachineType, proc taxonomy.ProcessingType) []taxonomy.Class {
+	var cs []taxonomy.Class
+	for _, c := range taxonomy.Table() {
+		if c.Implementable && c.Name.Machine == m && c.Name.Proc == proc {
+			cs = append(cs, c)
+		}
+	}
+	return cs
+}
 
 func TestRefHelpers(t *testing.T) {
 	c, err := RefVecAdd([]isa.Word{1, 2}, []isa.Word{10, 20})
@@ -42,54 +56,58 @@ func TestVecAddUni(t *testing.T) {
 }
 
 func TestVecAddSIMD_AllSubtypes(t *testing.T) {
-	for sub := 1; sub <= 4; sub++ {
-		res, err := VecAddSIMD(sub, 8, seq(64, 1), seq(64, 7))
+	for _, c := range tableClasses(taxonomy.InstructionFlow, taxonomy.ArrayProcessor) {
+		res, err := VecAdd(c, 8, seq(64, 1), seq(64, 7))
 		if err != nil {
-			t.Errorf("sub %d: %v", sub, err)
+			t.Errorf("%s: %v", c, err)
 			continue
 		}
 		if res.Output[63] != (1+63)+(7+63) {
-			t.Errorf("sub %d: tail = %d, want 134", sub, res.Output[63])
+			t.Errorf("%s: tail = %d, want 134", c, res.Output[63])
 		}
 	}
-	if _, err := VecAddSIMD(1, 7, seq(64, 1), seq(64, 7)); err == nil {
+	if _, err := VecAdd(mustClass("IAP-I"), 7, seq(64, 1), seq(64, 7)); err == nil {
 		t.Error("non-dividing shard accepted")
 	}
-	if _, err := VecAddSIMD(9, 8, seq(64, 1), seq(64, 7)); err == nil {
-		t.Error("bad sub-type accepted")
+	// Classes without a sharded machine are refused, not run on some
+	// other simulator.
+	for _, name := range []string{"IUP", "DMP-I", "USP"} {
+		if _, err := VecAdd(mustClass(name), 8, seq(64, 1), seq(64, 7)); err == nil {
+			t.Errorf("%s accepted", name)
+		}
 	}
 }
 
 func TestVecAddMIMD_SubtypesAndSharing(t *testing.T) {
-	// Sub-type 1 uses private images, sub-type 5 shares one image.
-	for _, sub := range []int{1, 5} {
-		res, err := VecAddMIMD(sub, 4, seq(32, 1), seq(32, 2))
+	// IMP-I uses private images, IMP-V shares one image.
+	for _, name := range []string{"IMP-I", "IMP-V"} {
+		res, err := VecAdd(mustClass(name), 4, seq(32, 1), seq(32, 2))
 		if err != nil {
-			t.Errorf("sub %d: %v", sub, err)
+			t.Errorf("%s: %v", name, err)
 			continue
 		}
 		if res.Output[0] != 3 {
-			t.Errorf("sub %d: head = %d", sub, res.Output[0])
+			t.Errorf("%s: head = %d", name, res.Output[0])
 		}
 	}
-	if _, err := VecAddMIMD(1, 5, seq(32, 1), seq(32, 2)); err == nil {
+	if _, err := VecAdd(mustClass("IMP-I"), 5, seq(32, 1), seq(32, 2)); err == nil {
 		t.Error("non-dividing shard accepted")
 	}
 }
 
 func TestVecAddMIMD_AllSixteenSubtypes(t *testing.T) {
 	// Every IMP sub-type runs the kernel: the runner picks local or global
-	// addressing and private or shared images per the sub-type bits.
+	// addressing and private or shared images per the class's links.
 	a, b := seq(32, 1), seq(32, 9)
 	want, _ := RefVecAdd(a, b)
-	for sub := 1; sub <= 16; sub++ {
-		res, err := VecAddMIMD(sub, 4, a, b)
+	for _, c := range tableClasses(taxonomy.InstructionFlow, taxonomy.MultiProcessor) {
+		res, err := VecAdd(c, 4, a, b)
 		if err != nil {
-			t.Errorf("IMP-%d: %v", sub, err)
+			t.Errorf("%s: %v", c, err)
 			continue
 		}
-		if !equalWords(res.Output, want) {
-			t.Errorf("IMP-%d produced wrong output", sub)
+		if !slices.Equal(res.Output, want) {
+			t.Errorf("%s produced wrong output", c)
 		}
 	}
 }
@@ -104,14 +122,14 @@ func TestDotAcrossClasses(t *testing.T) {
 	if uni.Output[0] != want {
 		t.Errorf("uni dot = %d, want %d", uni.Output[0], want)
 	}
-	sres, err := DotSIMD(2, 8, a, b)
+	sres, err := Dot(mustClass("IAP-II"), 8, a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sres.Output[0] != want {
 		t.Errorf("SIMD dot = %d", sres.Output[0])
 	}
-	mres, err := DotMIMD(2, 8, a, b)
+	mres, err := Dot(mustClass("IMP-II"), 8, a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,37 +140,37 @@ func TestDotAcrossClasses(t *testing.T) {
 
 func TestDot_RequiresDPDP(t *testing.T) {
 	a, b := seq(16, 1), seq(16, 1)
-	if _, err := DotSIMD(1, 4, a, b); err == nil || !strings.Contains(err.Error(), "DP-DP") {
+	if _, err := Dot(mustClass("IAP-I"), 4, a, b); err == nil || !strings.Contains(err.Error(), "DP-DP") {
 		t.Errorf("dot on IAP-I: %v", err)
 	}
-	if _, err := DotSIMD(3, 4, a, b); err == nil {
+	if _, err := Dot(mustClass("IAP-III"), 4, a, b); err == nil {
 		t.Error("dot on IAP-III accepted (no DP-DP switch)")
 	}
 }
 
 func TestDot_RequiresPow2(t *testing.T) {
 	a, b := seq(12, 1), seq(12, 1)
-	if _, err := DotSIMD(2, 6, a, b); err == nil {
+	if _, err := Dot(mustClass("IAP-II"), 6, a, b); err == nil {
 		t.Error("butterfly on 6 lanes accepted")
 	}
 }
 
 func TestVecAddDataflow_AllSubtypes(t *testing.T) {
-	for sub := 1; sub <= 4; sub++ {
-		res, err := VecAddDataflow(sub, 4, seq(16, 5), seq(16, 9))
+	for _, c := range tableClasses(taxonomy.DataFlow, taxonomy.MultiProcessor) {
+		res, err := VecAddDataflow(c, 4, seq(16, 5), seq(16, 9))
 		if err != nil {
-			t.Errorf("sub %d: %v", sub, err)
+			t.Errorf("%s: %v", c, err)
 			continue
 		}
 		if res.Output[15] != 5+15+9+15 {
-			t.Errorf("sub %d: tail = %d", sub, res.Output[15])
+			t.Errorf("%s: tail = %d", c, res.Output[15])
 		}
 	}
-	// Single PE is the data-flow uni-processor.
-	if _, err := VecAddDataflow(1, 1, seq(8, 1), seq(8, 1)); err != nil {
-		t.Errorf("DUP vecadd: %v", err)
+	// A single PE makes DMP-I the data-flow uni-processor's shape.
+	if _, err := VecAddDataflow(mustClass("DMP-I"), 1, seq(8, 1), seq(8, 1)); err != nil {
+		t.Errorf("1-PE vecadd: %v", err)
 	}
-	if _, err := VecAddDataflow(1, 3, seq(16, 1), seq(16, 1)); err == nil {
+	if _, err := VecAddDataflow(mustClass("DMP-I"), 3, seq(16, 1), seq(16, 1)); err == nil {
 		t.Error("non-dividing shard accepted")
 	}
 }
@@ -183,15 +201,15 @@ func TestConsistencyAcrossClasses_Property(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		sim, err := VecAddSIMD(2, 4, a, b)
+		sim, err := VecAdd(mustClass("IAP-II"), 4, a, b)
 		if err != nil {
 			return false
 		}
-		mim, err := VecAddMIMD(2, 4, a, b)
+		mim, err := VecAdd(mustClass("IMP-II"), 4, a, b)
 		if err != nil {
 			return false
 		}
-		df, err := VecAddDataflow(2, 4, a, b)
+		df, err := VecAddDataflow(mustClass("DMP-II"), 4, a, b)
 		if err != nil {
 			return false
 		}
@@ -199,10 +217,10 @@ func TestConsistencyAcrossClasses_Property(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return equalWords(uni.Output, sim.Output) &&
-			equalWords(uni.Output, mim.Output) &&
-			equalWords(uni.Output, df.Output) &&
-			equalWords(uni.Output, fb.Output)
+		return slices.Equal(uni.Output, sim.Output) &&
+			slices.Equal(uni.Output, mim.Output) &&
+			slices.Equal(uni.Output, df.Output) &&
+			slices.Equal(uni.Output, fb.Output)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)
@@ -231,11 +249,11 @@ func TestParallelismPaysOff(t *testing.T) {
 	// More lanes reduce cycle counts for the same problem: the reason the
 	// flexibility to morph into an array machine matters at all.
 	a, b := seq(256, 1), seq(256, 2)
-	lanes2, err := VecAddSIMD(1, 2, a, b)
+	lanes2, err := VecAdd(mustClass("IAP-I"), 2, a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lanes16, err := VecAddSIMD(1, 16, a, b)
+	lanes16, err := VecAdd(mustClass("IAP-I"), 16, a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
