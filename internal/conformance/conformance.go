@@ -164,18 +164,19 @@ func (c Cell) Execute(p Params, opts ...workload.Option) (workload.Result, []isa
 	return c.run(p, opts...)
 }
 
-// Run executes one cell: the kernel runs with a tracer attached, the output
-// is compared against the pure-Go reference, and the trace's folded totals
-// must reproduce the run's machine.Stats exactly.
+// Run executes one cell: the kernel runs with an obs.Tally attached, the
+// output is compared against the pure-Go reference, and the totals the
+// tally folded from every emitted event must reproduce the run's
+// machine.Stats exactly. The tally is the run's own, so Run is safe to call
+// from several goroutines at once.
 func Run(c Cell, p Params) CellResult {
 	r := CellResult{Kernel: c.Kernel, Class: c.Class}
 	if err := p.Validate(); err != nil {
 		r.Err = err.Error()
 		return r
 	}
-	trace := obs.AcquireTrace()
-	defer obs.ReleaseTrace(trace)
-	res, want, err := c.run(p, workload.WithTracer(trace), workload.WithBackend(p.Backend))
+	var tally obs.Tally
+	res, want, err := c.run(p, workload.WithTracer(&tally), workload.WithBackend(p.Backend))
 	if err != nil {
 		r.Err = err.Error()
 		return r
@@ -191,7 +192,7 @@ func Run(c Cell, p Params) CellResult {
 		return r
 	}
 	if !c.metricsExempt {
-		if err := trace.Check(res.Stats.Totals()); err != nil {
+		if err := tally.Check(res.Stats.Totals()); err != nil {
 			r.Err = "conformance: " + err.Error()
 			return r
 		}

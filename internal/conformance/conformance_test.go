@@ -210,6 +210,28 @@ func TestRunDetectsStatsDrift(t *testing.T) {
 	}
 }
 
+// TestRunDetectsLostEvents: a run whose events never reach Run's tally
+// must fail the cross-check too — the event side of
+// TestRunDetectsStatsDrift. The later WithTracer wins, so the honest run
+// emits into Discard.
+func TestRunDetectsLostEvents(t *testing.T) {
+	cell := Matrix()[0]
+	if cell.metricsExempt {
+		t.Fatalf("first matrix cell %s/%s is not cross-checked", cell.Kernel, cell.Class)
+	}
+	honest := cell.run
+	cell.run = func(p Params, opts ...workload.Option) (workload.Result, []isa.Word, error) {
+		return honest(p, append(opts, workload.WithTracer(obs.Discard{}))...)
+	}
+	r := Run(cell, DefaultParams())
+	if r.Pass {
+		t.Fatal("cell whose events were discarded passed")
+	}
+	if !strings.Contains(r.Err, "cross-check") || !strings.Contains(r.Err, obs.MetricInstructions) {
+		t.Errorf("error %q does not name the cross-checked %s", r.Err, obs.MetricInstructions)
+	}
+}
+
 func TestWriteTable(t *testing.T) {
 	results, _ := RunMatrix(DefaultParams())
 	var b strings.Builder

@@ -279,3 +279,78 @@ func TestHeadTraceCheck(t *testing.T) {
 		t.Errorf("after Reset: Len %d, %v", tr.Len(), err)
 	}
 }
+
+// everyKindEvents is a stream with every kind under every flag combination,
+// stalls longer than one cycle among them.
+func everyKindEvents() []Event {
+	var events []Event
+	for k := Kind(0); k < kindCount; k++ {
+		for flags := uint8(0); flags < 4; flags++ {
+			events = append(events, Event{Kind: k, Flags: flags, Track: int32(flags) - 1, Cycle: int64(len(events)), Dur: 2, Arg: int64(k) + 2})
+		}
+	}
+	return events
+}
+
+// TestTallyMatchesTrace: a tally folds a stream exactly as a full trace
+// does, so both accept the same totals and reject a mismatch with the same
+// error text.
+func TestTallyMatchesTrace(t *testing.T) {
+	events := append(everyKindEvents(), randomEvents(4, 500)...)
+	full, tally := NewTrace(), &Tally{}
+	for _, e := range events {
+		full.Emit(e)
+		tally.Emit(e)
+	}
+	want := full.totals()
+	if tally.tot != want {
+		t.Fatalf("tally folded %+v, trace %+v", tally.tot, want)
+	}
+	if err := tally.Check(want); err != nil {
+		t.Errorf("matching totals: %v", err)
+	}
+	drifts := []func(*Totals){
+		func(w *Totals) { w.Instructions++ },
+		func(w *Totals) { w.ALUOps-- },
+		func(w *Totals) { w.MemReads++ },
+		func(w *Totals) { w.MemWrites++ },
+		func(w *Totals) { w.Messages++ },
+		func(w *Totals) { w.Barriers++ },
+		func(w *Totals) { w.NetConflictCycles += 3 },
+		func(w *Totals) { *w = Totals{} },
+	}
+	for i, drift := range drifts {
+		bad := want
+		drift(&bad)
+		terr, aerr := full.Check(bad), tally.Check(bad)
+		if terr == nil || aerr == nil {
+			t.Fatalf("drift %d passed: trace %v, tally %v", i, terr, aerr)
+		}
+		if terr.Error() != aerr.Error() {
+			t.Errorf("drift %d: trace says %q, tally says %q", i, terr, aerr)
+		}
+	}
+}
+
+// TestTallyZeroAllocs: emitting into a tally and cross-checking a matching
+// run allocate nothing, the guarantee Trace.Check gives.
+func TestTallyZeroAllocs(t *testing.T) {
+	events := randomEvents(5, 1000)
+	var want Totals
+	for i := range events {
+		want.add(&events[i])
+	}
+	var tally Tally
+	var tr Tracer = &tally
+	if allocs := testing.AllocsPerRun(50, func() {
+		tally = Tally{}
+		for _, e := range events {
+			tr.Emit(e)
+		}
+		if err := tally.Check(want); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("1000 Emits and a Check allocate %v per run, want 0", allocs)
+	}
+}

@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/isa"
 	"repro/internal/machine"
+	"repro/internal/modelzoo"
 	"repro/internal/obs"
 	"repro/internal/taxonomy"
 	"repro/internal/workload"
@@ -366,5 +367,50 @@ func BenchmarkMorphProbesTraced(b *testing.B) {
 		if tr.Len() == 0 {
 			b.Fatal("probes emitted no events")
 		}
+	}
+}
+
+// BenchmarkRecorderEmit replays the event stream of one traced conformance
+// cell, IMP-II matmul at n=64 on 4 cores, into each recorder and reports
+// the cost per event: go test ./internal/obs -run '^$' -bench RecorderEmit.
+// Every iteration starts the recorder afresh, as a pooled or per-run
+// recorder starts each run.
+func BenchmarkRecorderEmit(b *testing.B) {
+	class, err := taxonomy.LookupString("IMP-II")
+	if err != nil {
+		b.Fatal(err)
+	}
+	capture := obs.NewTrace()
+	res, err := modelzoo.RunKernel(class, "matmul", 64, 4, workload.WithTracer(capture))
+	if err != nil {
+		b.Fatal(err)
+	}
+	events, want := capture.Events(), res.Stats.Totals()
+	trace, head, tally := obs.NewTrace(), &obs.HeadTrace{}, &obs.Tally{}
+	for _, r := range []struct {
+		name string
+		rec  interface {
+			obs.Tracer
+			Check(obs.Totals) error
+		}
+		reset func()
+	}{
+		{"trace", trace, trace.Reset},
+		{"headtrace", head, head.Reset},
+		{"tally", tally, func() { *tally = obs.Tally{} }},
+	} {
+		b.Run(r.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				r.reset()
+				for _, e := range events {
+					r.rec.Emit(e)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(events)), "ns/event")
+			if err := r.rec.Check(want); err != nil {
+				b.Fatal(err)
+			}
+		})
 	}
 }

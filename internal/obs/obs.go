@@ -112,9 +112,10 @@ type Event struct {
 	Arg int64
 }
 
-// Tracer receives events from the simulators. Implementations must be
-// safe for concurrent Emit calls: the MIMD and dataflow engines may emit
-// from multiple goroutines in future schedulers, and tests do today.
+// Tracer receives events from the simulators. A run emits from the
+// goroutine that calls its Run: no simulator starts goroutines of its own.
+// Trace and HeadTrace lock, so one of them may be shared by runs on
+// several goroutines; a Tally belongs to one run and is never shared.
 type Tracer interface {
 	Emit(Event)
 }

@@ -162,6 +162,21 @@ func ReleaseHeadTrace(t *HeadTrace) {
 	headTracePool.Put(t)
 }
 
+// Tally is a recorder for runs that only cross-check their event stream:
+// Emit folds each event into the run totals and stores nothing, so its
+// cost and size do not grow with the run. It belongs to one run and takes
+// no lock; the zero value is ready to use.
+type Tally struct {
+	tot Totals
+}
+
+// Emit implements Tracer.
+func (t *Tally) Emit(e Event) { t.tot.add(&e) }
+
+// Check is Trace.Check for the folded stream. It costs no allocation for a
+// matching run.
+func (t *Tally) Check(want Totals) error { return checkTotals(t.tot, want) }
+
 // ChromeOptions configures the Chrome trace-event export.
 type ChromeOptions struct {
 	// Process names the single process row; empty means "simulation".
