@@ -29,7 +29,6 @@ import (
 	"runtime"
 
 	"repro/internal/conformance"
-	"repro/internal/machine"
 )
 
 func main() {
@@ -48,7 +47,6 @@ func run(args []string, w io.Writer) error {
 	seeds := fs.Int("seeds", 25, "number of random-program lockstep seeds (0 disables the sweep)")
 	seed := fs.Int64("seed", 1, "first lockstep seed")
 	workers := fs.Int("workers", runtime.NumCPU(), "worker goroutines for matrix cells and lockstep seeds (1 = serial)")
-	backendFlag := fs.String("backend", "", "execution backend for the matrix runs: interp or compiled (empty = default, currently compiled)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -58,11 +56,7 @@ func run(args []string, w io.Writer) error {
 	if *workers < 1 {
 		return fmt.Errorf("-workers must be >= 1, got %d", *workers)
 	}
-	backend, err := machine.ParseBackend(*backendFlag)
-	if err != nil {
-		return err
-	}
-	p := conformance.Params{N: *n, Procs: *procs, Backend: backend}
+	p := conformance.Params{N: *n, Procs: *procs}
 	if err := p.Validate(); err != nil {
 		return err
 	}

@@ -73,6 +73,7 @@ func TestRunRejectsBadSizing(t *testing.T) {
 		{"-n", "63", "-procs", "4"},
 		{"-seeds", "-1"},
 		{"-workers", "0"},
+		{"-backend", "interp"}, // retired flag
 		{"-definitely-not-a-flag"},
 	}
 	for _, args := range cases {

@@ -13,10 +13,9 @@
 //	flexbench -json            # the full machine-readable result
 //	flexbench -csv             # the frontier table as CSV
 //	flexbench -workers 8       # measure cells in parallel
-//	flexbench -backend interp  # execution backend ablation
 //
-// Output is deterministic: any -workers count and any -backend produce
-// byte-identical results (cycles are architectural, not host-dependent).
+// Output is deterministic: any -workers count produces byte-identical
+// results (cycles are architectural, not host-dependent).
 // The exit status is the verdict — non-zero when any runnable cell fails
 // its reference check.
 package main
@@ -31,7 +30,6 @@ import (
 	"runtime"
 
 	"repro/internal/flexbench"
-	"repro/internal/machine"
 )
 
 func main() {
@@ -49,7 +47,6 @@ func run(args []string, w io.Writer) error {
 	jsonOut := fs.Bool("json", false, "emit the full result as JSON")
 	csvOut := fs.Bool("csv", false, "emit the frontier table as CSV")
 	workers := fs.Int("workers", runtime.NumCPU(), "worker goroutines for the matrix cells (1 = serial)")
-	backendFlag := fs.String("backend", "", "execution backend: interp or compiled (empty = default, currently compiled)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -59,11 +56,7 @@ func run(args []string, w io.Writer) error {
 	if *jsonOut && *csvOut {
 		return fmt.Errorf("-json and -csv are mutually exclusive")
 	}
-	backend, err := machine.ParseBackend(*backendFlag)
-	if err != nil {
-		return err
-	}
-	p := flexbench.Params{N: *n, Procs: *procs, Backend: backend}
+	p := flexbench.Params{N: *n, Procs: *procs}
 	if err := p.Validate(); err != nil {
 		return err
 	}

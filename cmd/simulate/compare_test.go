@@ -3,14 +3,12 @@ package main
 import (
 	"strings"
 	"testing"
-
-	"repro/internal/machine"
 )
 
 // TestRunCompare exercises the -compare mode: a full kernel row across the
 // worker pool, plus its argument-validation failures.
 func TestRunCompare(t *testing.T) {
-	out, err := capture(t, func() error { return runCompare("dot", 64, 4, 2, machine.BackendDefault) })
+	out, err := capture(t, func() error { return runCompare("dot", 64, 4, 2) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,13 +21,13 @@ func TestRunCompare(t *testing.T) {
 		t.Errorf("comparison row has failures:\n%s", out)
 	}
 
-	if _, err := capture(t, func() error { return runCompare("nope", 64, 4, 1, machine.BackendDefault) }); err == nil {
+	if _, err := capture(t, func() error { return runCompare("nope", 64, 4, 1) }); err == nil {
 		t.Error("unknown kernel accepted")
 	}
-	if _, err := capture(t, func() error { return runCompare("dot", 64, 4, 0, machine.BackendDefault) }); err == nil {
+	if _, err := capture(t, func() error { return runCompare("dot", 64, 4, 0) }); err == nil {
 		t.Error("-workers 0 accepted")
 	}
-	if _, err := capture(t, func() error { return runCompare("dot", 63, 4, 1, machine.BackendDefault) }); err == nil {
+	if _, err := capture(t, func() error { return runCompare("dot", 63, 4, 1) }); err == nil {
 		t.Error("non-sharding problem size accepted")
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/machine"
 	"repro/internal/modelzoo"
 	"repro/internal/obs"
 	"repro/internal/taxonomy"
@@ -29,10 +28,10 @@ func TestGoldenMetrics(t *testing.T) {
 		file string
 		fn   func() error
 	}{
-		{"metrics_iup_vecadd.prom", func() error { return run("IUP", "vecadd", 8, 1, "", false, true, false, machine.BackendDefault) }},
-		{"metrics_iup_vecadd.json", func() error { return run("IUP", "vecadd", 8, 1, "", false, false, true, machine.BackendDefault) }},
-		{"metrics_imp2_dot.prom", func() error { return run("IMP-II", "dot", 16, 4, "", false, true, false, machine.BackendDefault) }},
-		{"metrics_imp2_dot.json", func() error { return run("IMP-II", "dot", 16, 4, "", false, false, true, machine.BackendDefault) }},
+		{"metrics_iup_vecadd.prom", func() error { return run("IUP", "vecadd", 8, 1, "", false, true, false) }},
+		{"metrics_iup_vecadd.json", func() error { return run("IUP", "vecadd", 8, 1, "", false, false, true) }},
+		{"metrics_imp2_dot.prom", func() error { return run("IMP-II", "dot", 16, 4, "", false, true, false) }},
+		{"metrics_imp2_dot.json", func() error { return run("IMP-II", "dot", 16, 4, "", false, false, true) }},
 	}
 	for _, tc := range cases {
 		out, err := capture(t, tc.fn)
@@ -59,7 +58,7 @@ func TestGoldenMetrics(t *testing.T) {
 // TestRun_MetricsJSON: the -metrics-json document must be valid JSON after
 // the stats header (the metrics block starts at the first '[' or '{').
 func TestRun_MetricsJSON(t *testing.T) {
-	out, err := capture(t, func() error { return run("IMP-II", "dot", 64, 4, "", false, false, true, machine.BackendDefault) })
+	out, err := capture(t, func() error { return run("IMP-II", "dot", 64, 4, "", false, false, true) })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -58,16 +58,9 @@ func main() {
 	metrics := flag.Bool("metrics", false, "print Prometheus-style metrics aggregated from the trace and cross-check them against the run stats")
 	metricsJSON := flag.Bool("metrics-json", false, "like -metrics but emit the aggregated metrics as a JSON document")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
-	backendFlag := flag.String("backend", "", "execution backend: interp or compiled (empty = default, currently compiled)")
 	compare := flag.Bool("compare", false, "run the kernel on every class that implements it and print the cycle counts side by side")
 	workers := flag.Int("workers", runtime.NumCPU(), "worker goroutines for -compare (1 = serial)")
 	flag.Parse()
-
-	backend, err := machine.ParseBackend(*backendFlag)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "simulate:", err)
-		os.Exit(1)
-	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -93,13 +86,13 @@ func main() {
 		return
 	}
 	if *compare {
-		if err := runCompare(*kernel, *n, *procs, *workers, backend); err != nil {
+		if err := runCompare(*kernel, *n, *procs, *workers); err != nil {
 			fmt.Fprintln(os.Stderr, "simulate:", err)
 			os.Exit(1)
 		}
 		return
 	}
-	if err := run(*class, *kernel, *n, *procs, *tracePath, *traceASCII, *metrics, *metricsJSON, backend); err != nil {
+	if err := run(*class, *kernel, *n, *procs, *tracePath, *traceASCII, *metrics, *metricsJSON); err != nil {
 		fmt.Fprintln(os.Stderr, "simulate:", err)
 		os.Exit(1)
 	}
@@ -172,7 +165,7 @@ func runGantt(className string, procs int, tracePath string) error {
 // per-class cycle counts side by side. Each cell is a self-contained
 // simulation, so the batch engine's ordering guarantee keeps the table
 // stable at any worker count.
-func runCompare(kernel string, n, procs, workers int, backend machine.Backend) error {
+func runCompare(kernel string, n, procs, workers int) error {
 	cells, err := conformance.FilterCells([]string{kernel}, nil)
 	if err != nil {
 		return err
@@ -180,7 +173,7 @@ func runCompare(kernel string, n, procs, workers int, backend machine.Backend) e
 	if workers < 1 {
 		return fmt.Errorf("-workers must be >= 1, got %d", workers)
 	}
-	p := conformance.Params{N: n, Procs: procs, Backend: backend}
+	p := conformance.Params{N: n, Procs: procs}
 	if err := p.Validate(); err != nil {
 		return err
 	}
@@ -212,14 +205,13 @@ func runCompare(kernel string, n, procs, workers int, backend machine.Backend) e
 	return nil
 }
 
-func run(className, kernel string, n, procs int, tracePath string, traceASCII, metrics, metricsJSON bool, backend machine.Backend) error {
+func run(className, kernel string, n, procs int, tracePath string, traceASCII, metrics, metricsJSON bool) error {
 	c, err := taxonomy.LookupString(className)
 	if err != nil {
 		return err
 	}
 
 	var opts []workload.Option
-	opts = append(opts, workload.WithBackend(backend))
 	var trace *obs.Trace
 	if tracePath != "" || traceASCII || metrics || metricsJSON {
 		trace = obs.NewTrace()

@@ -9,8 +9,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"repro/internal/machine"
 )
 
 func capture(t *testing.T, fn func() error) (string, error) {
@@ -33,7 +31,7 @@ func capture(t *testing.T, fn func() error) (string, error) {
 
 // runPlain is run without any observability flags.
 func runPlain(class, kernel string, n, procs int) error {
-	return run(class, kernel, n, procs, "", false, false, false, machine.BackendDefault)
+	return run(class, kernel, n, procs, "", false, false, false)
 }
 
 func TestRun_AllClassKernelPairs(t *testing.T) {
@@ -135,25 +133,20 @@ func TestHelperProcess(t *testing.T) {
 	os.Exit(0)
 }
 
-// TestBackendFlagExitCodes: -backend accepts exactly interp and compiled;
-// the retired "decoded" spelling is an unknown backend, not an alias.
+// TestBackendFlagExitCodes: the retired -backend flag is an unknown flag,
+// so the CLI exits non-zero instead of running.
 func TestBackendFlagExitCodes(t *testing.T) {
-	for _, tc := range []struct {
-		backend string
-		code    int
-	}{{"interp", 0}, {"compiled", 0}, {"decoded", 1}} {
-		cmd := exec.Command(os.Args[0], "-test.run=TestHelperProcess", "--",
-			"-class", "IUP", "-kernel", "vecadd", "-n", "8", "-backend", tc.backend)
-		cmd.Env = append(os.Environ(), "SIMULATE_HELPER=1")
-		var stderr bytes.Buffer
-		cmd.Stderr = &stderr
-		_ = cmd.Run()
-		if code := cmd.ProcessState.ExitCode(); code != tc.code {
-			t.Errorf("-backend %s exited %d, want %d; stderr: %s", tc.backend, code, tc.code, stderr.String())
-		}
-		if tc.code != 0 && !strings.Contains(stderr.String(), "(want interp or compiled)") {
-			t.Errorf("-backend %s: stderr %q does not list the valid spellings", tc.backend, stderr.String())
-		}
+	cmd := exec.Command(os.Args[0], "-test.run=TestHelperProcess", "--",
+		"-class", "IUP", "-kernel", "vecadd", "-n", "8", "-backend", "interp")
+	cmd.Env = append(os.Environ(), "SIMULATE_HELPER=1")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	_ = cmd.Run()
+	if code := cmd.ProcessState.ExitCode(); code == 0 {
+		t.Fatalf("-backend interp exited 0; stderr: %s", stderr.String())
+	}
+	if !strings.Contains(stderr.String(), "flag provided but not defined: -backend") {
+		t.Errorf("-backend interp: stderr %q does not name the unknown flag", stderr.String())
 	}
 }
 
@@ -192,7 +185,7 @@ func TestRun_UnknownKernelListsValid(t *testing.T) {
 func TestRun_Observability(t *testing.T) {
 	tracePath := filepath.Join(t.TempDir(), "trace.json")
 	out, err := capture(t, func() error {
-		return run("IMP-II", "dot", 64, 4, tracePath, true, true, false, machine.BackendDefault)
+		return run("IMP-II", "dot", 64, 4, tracePath, true, true, false)
 	})
 	if err != nil {
 		t.Fatal(err)

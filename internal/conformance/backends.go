@@ -14,14 +14,15 @@ import (
 	"repro/internal/uniproc"
 )
 
-// This file is the backend half of the differential harness: the same
-// generated program, on the same machine shape, executed by every
-// machine.Backend — untraced and traced — must produce identical final
-// memories, an identical Stats struct (cycle counts included) and an
-// identical obs event stream. Where the lockstep sweep pins the taxonomy
-// property (different organisations, same results), this sweep pins the
-// implementation property the compiled backend's fusion and vector paths
-// must preserve: backends are host-dispatch choices, not architectures.
+// This file is the executor half of the differential harness: the same
+// generated program, on the same machine shape, executed by the compiled
+// code and by the machine.StepOps reference (Config.Interp), untraced and
+// traced, must produce identical final memories, an identical Stats struct
+// (cycle counts included) and an identical obs event stream. Where the
+// lockstep sweep pins the taxonomy property (different organisations, same
+// results), this sweep pins the implementation property the compiled
+// code's fusion and vector paths must preserve: the executor is a host
+// dispatch choice, not an architecture.
 
 // BackendResult reports one generated program's cross-backend run.
 type BackendResult struct {
@@ -64,8 +65,8 @@ func diffOutcome(who string, got, want backendOutcome) error {
 }
 
 // BackendCheck generates the program for one seed and runs it on the three
-// machine shapes with both backends, untraced and traced. Within each
-// (shape, tracing) cell the compiled backend must match the interp reference
+// machine shapes with both executors, untraced and traced. Within each
+// (shape, tracing) cell the compiled code must match the interp reference
 // exactly: memories, the full Stats struct and the traced event stream.
 func BackendCheck(seed int64) BackendResult {
 	return backendCheck(seed, DefaultGenConfig())
@@ -90,41 +91,45 @@ func backendCheck(seed int64, cfg GenConfig) BackendResult {
 
 	shapes := []struct {
 		name string
-		run  func(machine.Backend, obs.Tracer) (backendOutcome, error)
+		run  func(bool, obs.Tracer) (backendOutcome, error)
 	}{
-		{"IUP", func(b machine.Backend, tr obs.Tracer) (backendOutcome, error) {
-			return runUniBackend(prog, img, bank, b, tr)
+		{"IUP", func(interp bool, tr obs.Tracer) (backendOutcome, error) {
+			return runUniBackend(prog, img, bank, interp, tr)
 		}},
-		{"IAP-I", func(b machine.Backend, tr obs.Tracer) (backendOutcome, error) {
-			return runSIMDBackend(prog, img, bank, b, tr)
+		{"IAP-I", func(interp bool, tr obs.Tracer) (backendOutcome, error) {
+			return runSIMDBackend(prog, img, bank, interp, tr)
 		}},
-		{"IMP-I", func(b machine.Backend, tr obs.Tracer) (backendOutcome, error) {
-			return runMIMDBackend(prog, img, bank, b, tr)
+		{"IMP-I", func(interp bool, tr obs.Tracer) (backendOutcome, error) {
+			return runMIMDBackend(prog, img, bank, interp, tr)
 		}},
 	}
 	for _, shape := range shapes {
 		for _, traced := range []bool{false, true} {
 			var ref backendOutcome
-			for i, b := range machine.Backends() {
+			for i, interp := range []bool{true, false} {
+				executor := "compiled"
+				if interp {
+					executor = "interp"
+				}
 				var tr *obs.Trace
 				var tracer obs.Tracer
 				if traced {
 					tr = obs.AcquireTrace()
 					tracer = tr
 				}
-				out, err := shape.run(b, tracer)
+				out, err := shape.run(interp, tracer)
 				if tr != nil {
 					out.events = tr.Events()
 					obs.ReleaseTrace(tr)
 				}
 				if err != nil {
-					return fail(fmt.Errorf("%s/%s: %w", shape.name, b, err), prog)
+					return fail(fmt.Errorf("%s/%s: %w", shape.name, executor, err), prog)
 				}
 				if i == 0 {
 					ref = out
 					continue
 				}
-				who := fmt.Sprintf("%s/%s", shape.name, b)
+				who := fmt.Sprintf("%s/%s", shape.name, executor)
 				if traced {
 					who += " (traced)"
 				}
@@ -138,8 +143,8 @@ func backendCheck(seed int64, cfg GenConfig) BackendResult {
 	return r
 }
 
-func runUniBackend(prog isa.Program, img []isa.Word, bank int, b machine.Backend, tr obs.Tracer) (backendOutcome, error) {
-	uni, err := uniproc.New(uniproc.Config{MemWords: bank, Backend: b, Tracer: tr}, prog)
+func runUniBackend(prog isa.Program, img []isa.Word, bank int, interp bool, tr obs.Tracer) (backendOutcome, error) {
+	uni, err := uniproc.New(uniproc.Config{MemWords: bank, Interp: interp, Tracer: tr}, prog)
 	if err != nil {
 		return backendOutcome{}, err
 	}
@@ -151,12 +156,12 @@ func runUniBackend(prog isa.Program, img []isa.Word, bank int, b machine.Backend
 	return backendOutcome{mems: [][]isa.Word{mem}, stats: stats}, nil
 }
 
-func runSIMDBackend(prog isa.Program, img []isa.Word, bank int, b machine.Backend, tr obs.Tracer) (backendOutcome, error) {
+func runSIMDBackend(prog isa.Program, img []isa.Word, bank int, interp bool, tr obs.Tracer) (backendOutcome, error) {
 	cfg, err := simd.ForSubtype(1, lockstepProcs, bank)
 	if err != nil {
 		return backendOutcome{}, err
 	}
-	cfg.Backend = b
+	cfg.Interp = interp
 	cfg.Tracer = tr
 	arr, err := simd.New(cfg, prog)
 	if err != nil {
@@ -183,12 +188,12 @@ func runSIMDBackend(prog isa.Program, img []isa.Word, bank int, b machine.Backen
 	return out, nil
 }
 
-func runMIMDBackend(prog isa.Program, img []isa.Word, bank int, b machine.Backend, tr obs.Tracer) (backendOutcome, error) {
+func runMIMDBackend(prog isa.Program, img []isa.Word, bank int, interp bool, tr obs.Tracer) (backendOutcome, error) {
 	cfg, err := mimd.ForSubtype(1, lockstepProcs, bank)
 	if err != nil {
 		return backendOutcome{}, err
 	}
-	cfg.Backend = b
+	cfg.Interp = interp
 	cfg.Tracer = tr
 	images := make([]isa.Program, lockstepProcs)
 	for i := range images {
@@ -220,7 +225,7 @@ func runMIMDBackend(prog isa.Program, img []isa.Word, bank int, b machine.Backen
 }
 
 // BackendSweep runs count seeds starting at baseSeed through BackendCheck
-// and reports each result plus whether every backend matched everywhere.
+// and reports each result plus whether both executors matched everywhere.
 func BackendSweep(baseSeed int64, count int) ([]BackendResult, bool) {
 	return BackendSweepParallel(context.Background(), baseSeed, count, 1)
 }

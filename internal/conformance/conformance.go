@@ -28,7 +28,6 @@ import (
 	"sort"
 
 	"repro/internal/isa"
-	"repro/internal/machine"
 	"repro/internal/modelzoo"
 	"repro/internal/obs"
 	"repro/internal/taxonomy"
@@ -43,10 +42,6 @@ type Params struct {
 	// a power of two >= 4 (the butterfly reductions need the power of two,
 	// the stencils need >= 3 processors) and divide N.
 	Procs int
-	// Backend selects the execution backend for the instruction-flow
-	// machines; the zero value is the repo-wide default (compiled). The
-	// matrix verdicts must not depend on it — that is the point.
-	Backend machine.Backend
 }
 
 // DefaultParams is the matrix sizing used by tests and the CLI default.
@@ -176,7 +171,7 @@ func Run(c Cell, p Params) CellResult {
 		return r
 	}
 	var tally obs.Tally
-	res, want, err := c.run(p, workload.WithTracer(&tally), workload.WithBackend(p.Backend))
+	res, want, err := c.run(p, workload.WithTracer(&tally))
 	if err != nil {
 		r.Err = err.Error()
 		return r

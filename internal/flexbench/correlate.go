@@ -11,8 +11,7 @@ import (
 // Result is a complete flexbench verdict: the measured frontier plus its
 // correlation against the paper's structural scores. Its JSON form is the
 // wire shape of the CLI, the /v1/flexbench endpoint and the jobs campaign,
-// and is golden-pinned — it must stay byte-identical across execution
-// backends and worker counts (note Params omits the backend on purpose).
+// and is golden-pinned — it must stay byte-identical across worker counts.
 type Result struct {
 	Params Params `json:"params"`
 	// Kernels is the kernel vocabulary, in row order.

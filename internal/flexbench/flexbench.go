@@ -15,8 +15,7 @@
 // suite; a table-driven test enforces the equality. Scoring is a pure
 // function of the measured cells (ScoreCells), which makes the scoring
 // rule itself property-testable and fuzzable, and the whole pipeline is
-// deterministic: results are byte-identical across worker counts and
-// execution backends.
+// deterministic: results are byte-identical across worker counts.
 package flexbench
 
 import (
@@ -27,7 +26,6 @@ import (
 	"repro/internal/exec"
 	"repro/internal/isa"
 	"repro/internal/machine"
-	"repro/internal/workload"
 )
 
 // Params sizes a flexbench measurement. It deliberately mirrors
@@ -39,10 +37,6 @@ type Params struct {
 	// Procs is the lane/core/PE count for the parallel classes (power of
 	// two >= 4, dividing N). Default 4.
 	Procs int `json:"procs"`
-	// Backend selects the execution backend. It is excluded from the JSON
-	// shape on purpose: scores must be byte-identical across backends, so a
-	// result may not even mention which one produced it.
-	Backend machine.Backend `json:"-"`
 }
 
 // DefaultParams is the measurement sizing used by tests and the CLI.
@@ -50,7 +44,7 @@ func DefaultParams() Params { return Params{N: 64, Procs: 4} }
 
 // conf converts to the conformance sizing.
 func (p Params) conf() conformance.Params {
-	return conformance.Params{N: p.N, Procs: p.Procs, Backend: p.Backend}
+	return conformance.Params{N: p.N, Procs: p.Procs}
 }
 
 // Validate checks that every runnable cell can execute at this sizing.
@@ -148,7 +142,7 @@ func MeasureCell(kernel, class string, p Params) CellMeasure {
 		m.Err = err.Error()
 		return m
 	}
-	res, want, err := cells[0].Execute(p.conf(), workload.WithBackend(p.Backend))
+	res, want, err := cells[0].Execute(p.conf())
 	if err != nil {
 		m.Err = err.Error()
 		return m

@@ -22,7 +22,7 @@ import (
 //     result must be byte-identical to an uninterrupted run's.
 type Runner interface {
 	// Kind names the job type clients submit ("conformance", "lockstep",
-	// "backends").
+	// "backends", "flexbench").
 	Kind() string
 	// Prepare validates the spec and returns the chunk count.
 	Prepare(spec json.RawMessage) (chunks int, err error)

@@ -19,8 +19,8 @@ import (
 //
 // Equivalence with Step is architectural, not best-effort: the
 // differential sweeps in internal/conformance and the FuzzCompile oracle
-// byte-compare memories, registers, Stats and traced event streams across
-// both backends.
+// byte-compare memories, registers, Stats and traced event streams
+// against the StepOps reference chain.
 
 // OpFn is one unit of threaded code: Step specialized to a single decoded
 // instruction. The program counter is captured at compile time, so callers

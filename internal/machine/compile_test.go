@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"repro/internal/isa"
@@ -646,38 +645,5 @@ func TestCompileZeroLength(t *testing.T) {
 	}
 	if c.Stats != (Stats{}) {
 		t.Fatalf("empty Run produced stats %+v", c.Stats)
-	}
-}
-
-// TestBackendParse pins the flag spellings, the default resolution and the
-// ablation order.
-func TestBackendParse(t *testing.T) {
-	for _, b := range append(Backends(), BackendDefault) {
-		spelled := b.String()
-		if b == BackendDefault {
-			spelled = ""
-		}
-		got, err := ParseBackend(spelled)
-		if err != nil || got != b {
-			t.Fatalf("ParseBackend(%q) = %v, %v; want %v", spelled, got, err, b)
-		}
-	}
-	for _, s := range []string{"jit", "decoded"} {
-		_, err := ParseBackend(s)
-		if err == nil {
-			t.Fatalf("ParseBackend accepted %q", s)
-		}
-		if !strings.Contains(err.Error(), "(want interp or compiled)") {
-			t.Fatalf("ParseBackend(%q) error %q does not list the valid spellings", s, err)
-		}
-	}
-	if BackendDefault.Resolve() != BackendCompiled {
-		t.Fatalf("default backend resolves to %v, want compiled", BackendDefault.Resolve())
-	}
-	if got := Backends(); len(got) != 2 || got[0] != BackendInterp || got[1] != BackendCompiled {
-		t.Fatalf("Backends() = %v", got)
-	}
-	if s := Backend(250).String(); s != "Backend(250)" {
-		t.Fatalf("stray backend String() = %q", s)
 	}
 }

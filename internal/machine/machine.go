@@ -322,6 +322,20 @@ func Step(regs *Regs, pc int, ins isa.Instruction, env Env) (Outcome, error) {
 	return out, nil
 }
 
+// StepOps is the reference chain for a program: one OpFn per pc that runs
+// Step on the raw instruction. It dispatches exactly like a compiled chain
+// (index by pc, follow Outcome.NextPC), so a simulator built on it runs
+// the interpreter the differential sweeps compare the compiled code with.
+func StepOps(prog isa.Program) []OpFn {
+	ops := make([]OpFn, len(prog))
+	for pc, ins := range prog {
+		ops[pc] = func(regs *Regs, env *Env) (Outcome, error) {
+			return Step(regs, pc, ins, *env)
+		}
+	}
+	return ops
+}
+
 // IsALU reports whether the op counts as an ALU operation in Stats.
 func IsALU(op isa.Op) bool { return op.IsALU() }
 

@@ -56,10 +56,9 @@ type Config struct {
 	// releases on the machine track, network stalls on the sending core's
 	// track. Nil disables tracing.
 	Tracer obs.Tracer
-	// Backend selects the execution engine; the zero value resolves to the
-	// compiled backend. Both backends are architecturally identical (results,
-	// Stats, traced events) — see machine.Backend.
-	Backend machine.Backend
+	// Interp runs the machine.StepOps reference chain instead of the
+	// compiled code, for the differential sweeps that pin the two equal.
+	Interp bool
 }
 
 // ForSubtype returns the configuration of IMP sub-type 1..16: the switch
@@ -155,10 +154,9 @@ type Machine struct {
 	envs   []machine.Env
 	cycle  int64
 	finish int64
-	// ops holds one threaded per-op chain per program image when the
-	// resolved backend is compiled, nil for interp. The cross-core network
-	// and barrier timing keeps the cycle-by-cycle scheduler either way —
-	// only the per-instruction dispatch changes.
+	// ops holds one per-op chain per program image: compiled code, or the
+	// StepOps reference under Config.Interp. The cross-core network and
+	// barrier timing keeps the cycle-by-cycle scheduler either way.
 	ops [][]machine.OpFn
 }
 
@@ -200,13 +198,13 @@ func New(cfg Config, programs []isa.Program) (*Machine, error) {
 		cores:    make([]coreState, cfg.Cores),
 		banks:    make([]machine.Memory, cfg.Cores),
 		perCore:  make([]CoreStats, cfg.Cores),
+		ops:      make([][]machine.OpFn, len(programs)),
 	}
 	for i, p := range programs {
 		m.decoded[i] = isa.Predecode(p)
-	}
-	if cfg.Backend.Resolve() == machine.BackendCompiled {
-		m.ops = make([][]machine.OpFn, len(programs))
-		for i := range m.decoded {
+		if cfg.Interp {
+			m.ops[i] = machine.StepOps(p)
+		} else {
 			m.ops[i] = machine.Compile(m.decoded[i], machine.CompileOptions{}).Ops()
 		}
 	}
@@ -377,13 +375,7 @@ func (m *Machine) Run() (machine.Stats, error) {
 			m.cycle, m.finish = cycle, cycle+1
 			env := &m.envs[i]
 			env.Now = cycle
-			var out machine.Outcome
-			var err error
-			if m.ops != nil {
-				out, err = m.ops[c.prog][c.pc](&c.regs, env)
-			} else {
-				out, err = machine.Step(&c.regs, c.pc, m.programs[c.prog][c.pc], *env)
-			}
+			out, err := m.ops[c.prog][c.pc](&c.regs, env)
 			finish := m.finish
 			if err != nil {
 				m.collectNetStats(&stats)

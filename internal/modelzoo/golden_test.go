@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"repro/internal/isa"
+	"repro/internal/machine"
 	"repro/internal/modelzoo"
 	"repro/internal/obs"
 	"repro/internal/taxonomy"
@@ -26,12 +27,18 @@ var update = flag.Bool("update", false, "rewrite the golden kernel-run file")
 // processor and a chunk smaller than the width.
 var goldenShapes = [][2]int{{64, 4}, {64, 8}, {16, 2}, {48, 3}, {60, 6}, {7, 4}, {8, 1}}
 
+// matrixShape is the conformance matrix's golden sizing. The executor
+// relation is checked there too, without adding records to the golden.
+var matrixShape = [2]int{16, 4}
+
 // TestKernelRunsGolden pins every implementable Table I class × every
 // kernel × goldenShapes through RunKernel, on and off the conformance
 // matrix: Stats, a hash of the output, a hash of the traced event stream
 // and every ProgramSpec the program sink records. A failing run records
 // only that it failed and whether the failure is Unsupported, so error
-// wording may change but which cells fail may not.
+// wording may change but which cells fail may not. At every golden shape
+// and at matrixShape, the untraced run and the machine.Step reference
+// (workload.WithInterp), traced and untraced, must reproduce the record.
 func TestKernelRunsGolden(t *testing.T) {
 	var b strings.Builder
 	for _, c := range taxonomy.Table() {
@@ -42,6 +49,9 @@ func TestKernelRunsGolden(t *testing.T) {
 			for _, s := range goldenShapes {
 				goldenRun(t, &b, c, kernel, s[0], s[1])
 			}
+			n, procs := matrixShape[0], matrixShape[1]
+			want, err := kernelRun(c, kernel, n, procs, true)
+			checkRelations(t, c, kernel, n, procs, want, err)
 		}
 	}
 	got := b.String()
@@ -84,19 +94,63 @@ func goldenRun(t *testing.T, b *strings.Builder, c taxonomy.Class, kernel string
 			s.Name, s.MemWords, s.Procs, s.HasNetwork, s.HasBarrier, programHash(s.Program))
 	}
 
-	tr := &hashTracer{h: fnv.New64a()}
-	res, err := modelzoo.RunKernel(c, kernel, n, procs, workload.WithTracer(tr))
+	rec, err := kernelRun(c, kernel, n, procs, true)
 	if err != nil {
 		fmt.Fprintf(b, "  run: error unsupported=%v\n", modelzoo.Unsupported(err))
-		return
+	} else {
+		fmt.Fprintf(b, "  run: %+v out=%016x trace=%016x events=%d\n",
+			rec.stats, rec.out, rec.trace, rec.events)
 	}
-	fmt.Fprintf(b, "  run: %+v out=%016x trace=%016x events=%d\n",
-		res.Stats, wordsHash(res.Output), tr.h.Sum64(), tr.events)
+	checkRelations(t, c, kernel, n, procs, rec, err)
+}
 
-	plain, err := modelzoo.RunKernel(c, kernel, n, procs)
-	if err != nil || plain.Stats != res.Stats || wordsHash(plain.Output) != wordsHash(res.Output) {
-		t.Errorf("%s %s n=%d procs=%d: untraced run (%+v, %v) differs from the traced run (%+v)",
-			c, kernel, n, procs, plain.Stats, err, res.Stats)
+// runRecord is what the golden pins of one kernel run: Stats, the output
+// hash and, for a traced run, the event-stream hash and count.
+type runRecord struct {
+	stats  machine.Stats
+	out    uint64
+	trace  uint64
+	events int
+}
+
+// kernelRun runs one kernel, hashing its event stream when traced.
+func kernelRun(c taxonomy.Class, kernel string, n, procs int, traced bool, opts ...workload.Option) (runRecord, error) {
+	tr := &hashTracer{h: fnv.New64a()}
+	if traced {
+		opts = append(opts, workload.WithTracer(tr))
+	}
+	res, err := modelzoo.RunKernel(c, kernel, n, procs, opts...)
+	return runRecord{stats: res.Stats, out: wordsHash(res.Output), trace: tr.h.Sum64(), events: tr.events}, err
+}
+
+// checkRelations requires the untraced compiled run and the Step
+// reference, traced and untraced, to fail exactly when the traced compiled
+// run (want, wantErr) failed, and otherwise to reproduce its record; the
+// untraced runs have no event stream to compare.
+func checkRelations(t *testing.T, c taxonomy.Class, kernel string, n, procs int, want runRecord, wantErr error) {
+	t.Helper()
+	for _, v := range []struct {
+		name   string
+		traced bool
+		opts   []workload.Option
+	}{
+		{"untraced", false, nil},
+		{"interp traced", true, []workload.Option{workload.WithInterp()}},
+		{"interp untraced", false, []workload.Option{workload.WithInterp()}},
+	} {
+		got, err := kernelRun(c, kernel, n, procs, v.traced, v.opts...)
+		if (err != nil) != (wantErr != nil) {
+			t.Errorf("%s %s n=%d procs=%d: %s run error %v, traced compiled run error %v",
+				c, kernel, n, procs, v.name, err, wantErr)
+			continue
+		}
+		if !v.traced {
+			got.trace, got.events = want.trace, want.events
+		}
+		if err == nil && got != want {
+			t.Errorf("%s %s n=%d procs=%d: %s run %+v differs from the traced compiled run %+v",
+				c, kernel, n, procs, v.name, got, want)
+		}
 	}
 }
 

@@ -166,10 +166,6 @@ type SimulateRequest struct {
 	N int `json:"n,omitempty"`
 	// Procs is the lane/core/PE count for parallel classes. Default 4.
 	Procs int `json:"procs,omitempty"`
-	// Backend selects the execution backend: "interp" or "compiled".
-	// Empty means the server default (compiled). Results and
-	// statistics are backend-independent; this is an ablation knob.
-	Backend string `json:"backend,omitempty"`
 }
 
 // SimulateResponse is one kernel run's cycle-level statistics plus the
@@ -180,7 +176,6 @@ type SimulateResponse struct {
 	Kernel            string  `json:"kernel,omitempty"`
 	N                 int     `json:"n,omitempty"`
 	Procs             int     `json:"procs,omitempty"`
-	Backend           string  `json:"backend,omitempty"`
 	Cycles            int64   `json:"cycles,omitempty"`
 	Instructions      int64   `json:"instructions,omitempty"`
 	IPC               float64 `json:"ipc,omitempty"`
@@ -221,9 +216,6 @@ type ConformanceRequest struct {
 	Seeds int `json:"seeds,omitempty"`
 	// Seed is the first lockstep seed (default 1).
 	Seed int64 `json:"seed,omitempty"`
-	// Backend selects the execution backend for the matrix runs: "interp"
-	// or "compiled". Empty means the server default (compiled).
-	Backend string `json:"backend,omitempty"`
 }
 
 // ConformanceResponse is one full suite verdict.
@@ -247,11 +239,6 @@ type FlexbenchRequest struct {
 	N int `json:"n,omitempty"`
 	// Procs is the lane/core count (default 4; power of two >= 4).
 	Procs int `json:"procs,omitempty"`
-	// Backend selects the execution backend: "interp" or "compiled".
-	// Empty means the server default (compiled). The result is
-	// backend-independent by construction — this is an ablation knob, and
-	// the response does not echo it.
-	Backend string `json:"backend,omitempty"`
 }
 
 // FlexbenchResponse carries one full frontier measurement.
@@ -265,7 +252,8 @@ type FlexbenchResponse struct {
 // JobSubmitRequest enqueues one asynchronous campaign. The response is the
 // admitted job snapshot (202 Accepted) with the id to poll or stream.
 type JobSubmitRequest struct {
-	// Kind names the campaign: "conformance", "lockstep" or "backends".
+	// Kind names the campaign: "conformance", "lockstep", "backends" or
+	// "flexbench".
 	Kind string `json:"kind"`
 	// Spec is the kind-specific body (jobs.ConformanceSpec / jobs.SweepSpec);
 	// empty means the kind's defaults.

@@ -37,25 +37,6 @@ func TestFlexbenchCacheByteIdentity(t *testing.T) {
 	}
 }
 
-// TestFlexbenchBackendIndependence: the served result may not depend on the
-// requested execution backend — but each backend spelling is its own cache
-// key, so the equality below proves two separate measurements agreed,
-// not one cache entry served twice.
-func TestFlexbenchBackendIndependence(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
-	var results [][]byte
-	for _, backend := range []string{"interp", "compiled"} {
-		status, body := post(t, ts, "/v1/flexbench", `{"requests":[{"n":16,"backend":"`+backend+`"}]}`)
-		if status != http.StatusOK {
-			t.Fatalf("%s: status %d: %s", backend, status, body)
-		}
-		results = append(results, body)
-	}
-	if !bytes.Equal(results[0], results[1]) {
-		t.Fatalf("backends disagree:\ninterp:   %.200s\ncompiled: %.200s", results[0], results[1])
-	}
-}
-
 // TestFlexbenchSaturationReturns429: with the endpoint's single slot held,
 // the next measurement request is shed with a structured 429.
 func TestFlexbenchSaturationReturns429(t *testing.T) {

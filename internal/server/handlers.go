@@ -9,7 +9,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/flexbench"
-	"repro/internal/machine"
 	"repro/internal/modelzoo"
 	"repro/internal/obs"
 	"repro/internal/progcheck"
@@ -157,9 +156,6 @@ func registerRoutes(s *Server) {
 			if r.Procs < 1 || r.Procs > maxSimulateProcs {
 				return fmt.Errorf("procs must be in [1, %d], got %d", maxSimulateProcs, r.Procs)
 			}
-			if _, err := machine.ParseBackend(r.Backend); err != nil {
-				return err
-			}
 			return checkSimulateProgram(r)
 		},
 		run: func(ctx context.Context, r SimulateRequest) (SimulateResponse, error) {
@@ -187,9 +183,6 @@ func registerRoutes(s *Server) {
 			if r.Seeds < 0 || r.Seeds > maxConformanceSeeds {
 				return fmt.Errorf("seeds must be in [0, %d] on the request path, got %d; %s",
 					maxConformanceSeeds, r.Seeds, jobRedirect("lockstep"))
-			}
-			if _, err := machine.ParseBackend(r.Backend); err != nil {
-				return err
 			}
 			if err := (conformance.Params{N: r.N, Procs: r.Procs}).Validate(); err != nil {
 				return err
@@ -226,9 +219,6 @@ func registerRoutes(s *Server) {
 			if r.N > maxFlexbenchN {
 				return fmt.Errorf("n must be <= %d on the request path, got %d; %s",
 					maxFlexbenchN, r.N, jobRedirect("flexbench"))
-			}
-			if _, err := machine.ParseBackend(r.Backend); err != nil {
-				return err
 			}
 			return (flexbench.Params{N: r.N, Procs: r.Procs}).Validate()
 		},
@@ -427,33 +417,28 @@ func runSimulate(ctx context.Context, r SimulateRequest) (SimulateResponse, erro
 	if err != nil {
 		return SimulateResponse{}, err
 	}
-	backend, err := machine.ParseBackend(r.Backend)
-	if err != nil {
-		return SimulateResponse{}, err
-	}
 	trace := obs.AcquireHeadTrace()
 	defer obs.ReleaseHeadTrace(trace)
 	res, err := modelzoo.RunKernel(c, r.Kernel, r.N, r.Procs,
-		workload.WithTracer(trace), workload.WithBackend(backend))
+		workload.WithTracer(trace))
 	if err != nil {
 		return SimulateResponse{}, err
 	}
 	if sp := obs.CurrentSpan(ctx); sp != nil {
 		sp.AttachSim(fmt.Sprintf("%s %s n=%d", c, r.Kernel, r.N), trace)
 	}
-	return simulateResponse(c, r, backend, res, trace)
+	return simulateResponse(c, r, res, trace)
 }
 
 // simulateResponse renders one finished run and cross-checks the trace's
 // folded totals against the machine stats. The USP fabric's clock steps
 // are not evented, so USP runs are metrics-exempt.
-func simulateResponse(c taxonomy.Class, r SimulateRequest, backend machine.Backend, res workload.Result, trace *obs.HeadTrace) (SimulateResponse, error) {
+func simulateResponse(c taxonomy.Class, r SimulateRequest, res workload.Result, trace *obs.HeadTrace) (SimulateResponse, error) {
 	resp := SimulateResponse{
 		Class:             c.String(),
 		Kernel:            r.Kernel,
 		N:                 r.N,
 		Procs:             r.Procs,
-		Backend:           backend.Resolve().String(),
 		Cycles:            res.Stats.Cycles,
 		Instructions:      res.Stats.Instructions,
 		IPC:               res.Stats.IPC(),
@@ -480,15 +465,11 @@ func simulateResponse(c taxonomy.Class, r SimulateRequest, backend machine.Backe
 // the batch engine's parallelism is across items, and the serial run is
 // byte-stable. Validation already applied the cell and seed caps.
 func runConformance(ctx context.Context, r ConformanceRequest) (ConformanceResponse, error) {
-	backend, err := machine.ParseBackend(r.Backend)
-	if err != nil {
-		return ConformanceResponse{}, err
-	}
 	sel, err := conformance.FilterCells(r.Kernels, r.Classes)
 	if err != nil {
 		return ConformanceResponse{}, err
 	}
-	p := conformance.Params{N: r.N, Procs: r.Procs, Backend: backend}
+	p := conformance.Params{N: r.N, Procs: r.Procs}
 	mctx, msp := obs.StartSpan(ctx, "matrix")
 	cells, matrixPass := conformance.RunCellsParallel(mctx, sel, p, 1)
 	msp.End()
@@ -514,11 +495,7 @@ func runConformance(ctx context.Context, r ConformanceRequest) (ConformanceRespo
 // batch engine's parallelism is across items, and the serial measurement is
 // byte-stable. Validation already applied the sizing cap.
 func runFlexbench(ctx context.Context, r FlexbenchRequest) (FlexbenchResponse, error) {
-	backend, err := machine.ParseBackend(r.Backend)
-	if err != nil {
-		return FlexbenchResponse{}, err
-	}
-	p := flexbench.Params{N: r.N, Procs: r.Procs, Backend: backend}
+	p := flexbench.Params{N: r.N, Procs: r.Procs}
 	mctx, msp := obs.StartSpan(ctx, "measure")
 	res, err := flexbench.Run(mctx, p, 1)
 	msp.End()

@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"repro/internal/exec"
-	"repro/internal/machine"
 	"repro/internal/modelzoo"
 	"repro/internal/obs"
 	"repro/internal/taxonomy"
@@ -464,12 +463,12 @@ func TestSimulateCrossCheckNamesMetric(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := simulateResponse(c, r, machine.BackendDefault, res, trace)
+	resp, err := simulateResponse(c, r, res, trace)
 	if err != nil || !resp.MetricsChecked {
 		t.Fatalf("matching run: checked=%v err=%v", resp.MetricsChecked, err)
 	}
 	res.Stats.Messages++
-	if _, err := simulateResponse(c, r, machine.BackendDefault, res, trace); err == nil || !strings.Contains(err.Error(), obs.MetricMessages) {
+	if _, err := simulateResponse(c, r, res, trace); err == nil || !strings.Contains(err.Error(), obs.MetricMessages) {
 		t.Fatalf("drifted run: error %v does not name %s", err, obs.MetricMessages)
 	}
 }

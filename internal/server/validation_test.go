@@ -38,18 +38,18 @@ func TestRequestValidation(t *testing.T) {
 		{"simulate unknown class", "/v1/simulate", `{"requests":[{"class":"QQQ","kernel":"vecadd"}]}`, CodeInvalid, 0},
 		{"simulate n too large", "/v1/simulate", fmt.Sprintf(`{"requests":[{"class":"IUP","kernel":"vecadd","n":%d}]}`, maxSimulateN+1), CodeInvalid, 0},
 		{"simulate procs too large", "/v1/simulate", fmt.Sprintf(`{"requests":[{"class":"IMP-XVI","kernel":"vecadd","procs":%d}]}`, maxSimulateProcs+1), CodeInvalid, 0},
-		{"simulate retired decoded backend", "/v1/simulate", `{"requests":[{"class":"IUP","kernel":"vecadd","backend":"decoded"}]}`, CodeInvalid, 0},
+		{"simulate retired backend field", "/v1/simulate", `{"requests":[{"class":"IUP","kernel":"vecadd","backend":"compiled"}]}`, CodeBadRequest, -1},
 		{"simulate negative procs", "/v1/simulate", `{"requests":[{"class":"IMP-XVI","kernel":"vecadd","procs":-2}]}`, CodeInvalid, 0},
 		{"simulate budget over max cycles", "/v1/simulate", fmt.Sprintf(`{"requests":[{"class":"IMP-XVI","kernel":"matmul","n":%d}]}`, maxSimulateN), CodeInvalid, 0},
 		{"conformance procs not power of two", "/v1/conformance", `{"requests":[{"n":64,"procs":6}]}`, CodeInvalid, 0},
 		{"conformance procs does not divide n", "/v1/conformance", `{"requests":[{"n":30,"procs":4}]}`, CodeInvalid, 0},
 		{"conformance n too large", "/v1/conformance", fmt.Sprintf(`{"requests":[{"n":%d,"procs":4}]}`, maxConformanceN*2), CodeInvalid, 0},
 		{"conformance too many seeds", "/v1/conformance", fmt.Sprintf(`{"requests":[{"seeds":%d}]}`, maxConformanceSeeds+1), CodeInvalid, 0},
+		{"conformance retired backend field", "/v1/conformance", `{"requests":[{"kernels":["dot"],"backend":"interp"}]}`, CodeBadRequest, -1},
 		{"flexbench procs not power of two", "/v1/flexbench", `{"requests":[{"n":64,"procs":6}]}`, CodeInvalid, 0},
 		{"flexbench procs does not divide n", "/v1/flexbench", `{"requests":[{"n":30,"procs":4}]}`, CodeInvalid, 0},
 		{"flexbench n too large", "/v1/flexbench", fmt.Sprintf(`{"requests":[{"n":%d}]}`, maxFlexbenchN*2), CodeInvalid, 0},
-		{"flexbench unknown backend", "/v1/flexbench", `{"requests":[{"backend":"jit"}]}`, CodeInvalid, 0},
-		{"flexbench retired decoded backend", "/v1/flexbench", `{"requests":[{"backend":"decoded"}]}`, CodeInvalid, 0},
+		{"flexbench retired backend field", "/v1/flexbench", `{"requests":[{"n":16,"backend":"interp"}]}`, CodeBadRequest, -1},
 		{"flexbench unknown item field", "/v1/flexbench", `{"requests":[{"n":16,"cells":true}]}`, CodeBadRequest, -1},
 		{"survey n without run", "/v1/survey", `{"requests":[{"n":64}]}`, CodeInvalid, 0},
 		{"survey n too large", "/v1/survey", fmt.Sprintf(`{"requests":[{"run":true,"n":%d}]}`, maxSimulateN+1), CodeInvalid, 0},

@@ -42,10 +42,9 @@ type Config struct {
 	// Tracer, when non-nil, receives run events: one track per lane, plus
 	// network stalls on the source lane's track. Nil disables tracing.
 	Tracer obs.Tracer
-	// Backend selects the execution engine; the zero value resolves to the
-	// compiled backend. Both backends are architecturally identical (results,
-	// Stats, traced events) — see machine.Backend.
-	Backend machine.Backend
+	// Interp runs the machine.StepOps reference chain instead of the
+	// compiled code, for the differential sweeps that pin the two equal.
+	Interp bool
 }
 
 // ForSubtype returns the configuration of IAP sub-type 1..4: the DP-DM
@@ -96,9 +95,8 @@ func (c Config) validate() error {
 
 // Machine is one array-processor instance.
 type Machine struct {
-	cfg  Config
-	prog isa.Program
-	dec  isa.DecodedProgram
+	cfg Config
+	dec isa.DecodedProgram
 	// banks comes from the shared bank pool; regs from the register pool.
 	banks []machine.Memory
 	regs  []machine.Regs
@@ -115,9 +113,9 @@ type Machine struct {
 	envs   []machine.Env
 	issue  int64
 	finish int64
-	// With the compiled backend, ops is the threaded per-op chain (per-lane
-	// and scalar dispatch) and vec the vectorized lane path (nil entries
-	// fall back to ops); both are nil for interp.
+	// ops is the per-op chain for per-lane and scalar dispatch; vec is the
+	// compiled code's vectorized lane path (nil entries fall back to ops),
+	// nil for the Interp reference.
 	ops []machine.OpFn
 	vec []vecFn
 }
@@ -137,7 +135,6 @@ func New(cfg Config, prog isa.Program) (*Machine, error) {
 	}
 	m := &Machine{
 		cfg:   cfg,
-		prog:  prog,
 		dec:   isa.Predecode(prog),
 		banks: make([]machine.Memory, cfg.Lanes),
 		regs:  machine.GetRegs(cfg.Lanes),
@@ -179,7 +176,9 @@ func New(cfg Config, prog isa.Program) (*Machine, error) {
 	for lane := range m.envs {
 		m.envs[lane] = m.laneEnv(lane)
 	}
-	if cfg.Backend.Resolve() == machine.BackendCompiled {
+	if cfg.Interp {
+		m.ops = machine.StepOps(prog)
+	} else {
 		m.ops = machine.Compile(m.dec, machine.CompileOptions{}).Ops()
 		m.vec = m.compileVec()
 	}
@@ -264,13 +263,7 @@ func (m *Machine) Run() (machine.Stats, error) {
 		case d.IsBranch():
 			// Scalar control: the IP evaluates the branch on lane 0.
 			env := machine.Env{Lane: 0}
-			var out machine.Outcome
-			var err error
-			if m.ops != nil {
-				out, err = m.ops[pc](&m.regs[0], &env)
-			} else {
-				out, err = machine.Step(&m.regs[0], pc, m.prog[pc], env)
-			}
+			out, err := m.ops[pc](&m.regs[0], &env)
 			if err != nil {
 				m.collectNetStats(&stats)
 				return stats, fmt.Errorf("simd: pc %d: %w", pc, err)
@@ -311,7 +304,7 @@ func (m *Machine) Run() (machine.Stats, error) {
 		// Data instruction: broadcast to every lane. The vectorized path
 		// steps the op across all lanes over the register and bank slices;
 		// ops it does not cover — and every traced run, whose per-lane
-		// events are part of the backend-equivalence contract — use the
+		// events are part of the executor-equivalence contract — use the
 		// per-lane path through the prebuilt environments.
 		m.issue, m.finish = issue, finish
 		isALU := d.IsALU()
@@ -327,13 +320,7 @@ func (m *Machine) Run() (machine.Stats, error) {
 		for lane := 0; lane < m.cfg.Lanes; lane++ {
 			env := &m.envs[lane]
 			env.Now = issue
-			var out machine.Outcome
-			var err error
-			if m.ops != nil {
-				out, err = m.ops[pc](&m.regs[lane], env)
-			} else {
-				out, err = machine.Step(&m.regs[lane], pc, m.prog[pc], *env)
-			}
+			out, err := m.ops[pc](&m.regs[lane], env)
 			if err != nil {
 				m.collectNetStats(&stats)
 				return stats, fmt.Errorf("simd: lane %d pc %d: %w", lane, pc, err)

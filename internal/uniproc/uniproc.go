@@ -36,10 +36,9 @@ type Config struct {
 	// Tracer, when non-nil, receives run events (instruction retirements,
 	// memory traffic) on track 0. Nil disables tracing at zero cost.
 	Tracer obs.Tracer
-	// Backend selects the execution engine; the zero value resolves to the
-	// compiled backend. Both backends are architecturally identical (results,
-	// Stats, traced events) — see machine.Backend.
-	Backend machine.Backend
+	// Interp runs the machine.StepOps reference chain instead of the
+	// compiled code, for the differential sweeps that pin the two equal.
+	Interp bool
 }
 
 // DefaultConfig returns a 64 KiW data memory and the default cycle budget.
@@ -53,7 +52,9 @@ type Machine struct {
 	prog isa.Program
 	dec  isa.DecodedProgram
 	mem  machine.Memory
-	// comp is non-nil iff the resolved backend is compiled.
+	// ops is the per-op chain the observed path dispatches through; comp
+	// runs the fused blocks and is nil for the Interp reference.
+	ops  []machine.OpFn
 	comp *machine.CompiledProgram
 }
 
@@ -80,11 +81,14 @@ func New(cfg Config, prog isa.Program) (*Machine, error) {
 	}
 	m := &Machine{cfg: cfg, prog: prog, dec: isa.Predecode(prog)}
 	m.mem = mem
-	if cfg.Backend.Resolve() == machine.BackendCompiled {
+	if cfg.Interp {
+		m.ops = machine.StepOps(prog)
+	} else {
 		m.comp = machine.Compile(m.dec, machine.CompileOptions{
 			MemLatency:    cfg.MemLatency,
 			BranchPenalty: cfg.BranchPenalty,
 		})
+		m.ops = m.comp.Ops()
 	}
 	return m, nil
 }
@@ -107,11 +111,11 @@ func (m *Machine) Program() isa.Program { return m.prog }
 // the DP-DM traversal, matching the one-cycle direct-switch model of
 // internal/interconnect.
 //
-// The configured backend only changes host dispatch: the compiled backend
-// runs fused basic blocks with batched accounting when nothing observes
-// individual instructions, and its threaded per-op chain when a Tracer or
-// Trace callback does; interp steps through machine.Step. Results, Stats
-// and traced events are identical across both.
+// The compiled code runs fused basic blocks with batched accounting when
+// nothing observes individual instructions, and its threaded per-op chain
+// when a Tracer or Trace callback does; Config.Interp steps every run
+// through machine.Step. Results, Stats and traced events are identical
+// across all three.
 func (m *Machine) Run() (machine.Stats, error) {
 	var stats machine.Stats
 	budget := m.cfg.MaxCycles
@@ -130,10 +134,6 @@ func (m *Machine) Run() (machine.Stats, error) {
 		return cpu.Stats, nil
 	}
 
-	var ops []machine.OpFn
-	if m.comp != nil {
-		ops = m.comp.Ops()
-	}
 	var regs machine.Regs
 	tr := m.cfg.Tracer
 	env := machine.Env{
@@ -156,13 +156,7 @@ func (m *Machine) Run() (machine.Stats, error) {
 		}
 		issue := stats.Cycles
 		env.Now = issue
-		var out machine.Outcome
-		var err error
-		if ops != nil {
-			out, err = ops[pc](&regs, &env)
-		} else {
-			out, err = machine.Step(&regs, pc, m.prog[pc], env)
-		}
+		out, err := m.ops[pc](&regs, &env)
 		if err != nil {
 			return stats, fmt.Errorf("uniproc: pc %d: %w", pc, err)
 		}

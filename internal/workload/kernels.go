@@ -26,7 +26,7 @@ func VecAddUni(a, b []isa.Word, opts ...Option) (Result, error) {
 		return Result{}, nil
 	}
 	m, err := uniproc.New(uniproc.Config{MemWords: 3*n + 16, Tracer: ro.tracer,
-		Backend: ro.backend}, prog)
+		Interp: ro.interp}, prog)
 	if err != nil {
 		return Result{}, err
 	}
@@ -81,7 +81,7 @@ func DotUni(a, b []isa.Word, opts ...Option) (Result, error) {
 		return Result{}, nil
 	}
 	m, err := uniproc.New(uniproc.Config{MemWords: 2*n + 16, Tracer: ro.tracer,
-		Backend: ro.backend}, prog)
+		Interp: ro.interp}, prog)
 	if err != nil {
 		return Result{}, err
 	}

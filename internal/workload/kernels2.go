@@ -148,7 +148,7 @@ func FIRUni(x, h []isa.Word, opts ...Option) (Result, error) {
 		return Result{}, nil
 	}
 	mach, err := uniproc.New(uniproc.Config{MemWords: len(x) + len(h) + m + 16, Tracer: ro.tracer,
-		Backend: ro.backend}, prog)
+		Interp: ro.interp}, prog)
 	if err != nil {
 		return Result{}, err
 	}

@@ -93,7 +93,7 @@ func probeIAPCannotActAsIMP(opts ...Option) (Probe, error) {
 	}
 	ro := applyOpts(opts)
 	cfg.Tracer = ro.tracer
-	cfg.Backend = ro.backend
+	cfg.Interp = ro.interp
 	images := make([]isa.Program, procs)
 	for i := range images {
 		images[i] = divergentProgram()
@@ -124,7 +124,7 @@ func probeIAPCannotActAsIMP(opts ...Option) (Probe, error) {
 		return Probe{}, err
 	}
 	scfg.Tracer = ro.tracer
-	scfg.Backend = ro.backend
+	scfg.Interp = ro.interp
 	sm, err := simd.New(scfg, divergentProgram())
 	if err != nil {
 		return Probe{}, err
@@ -172,7 +172,7 @@ func probeIAPActsAsIUP(opts ...Option) (Probe, error) {
 	}
 	ro := applyOpts(opts)
 	cfg.Tracer = ro.tracer
-	cfg.Backend = ro.backend
+	cfg.Interp = ro.interp
 	sm, err := simd.New(cfg, prog)
 	if err != nil {
 		return Probe{}, err

@@ -23,9 +23,9 @@ import (
 // runOpts carries optional per-run settings kernels thread into the
 // machine configurations they build.
 type runOpts struct {
-	tracer  obs.Tracer
-	backend machine.Backend
-	specs   *[]ProgramSpec
+	tracer obs.Tracer
+	interp bool
+	specs  *[]ProgramSpec
 }
 
 // ProgramSpec describes one guest program a kernel runner was about to
@@ -57,12 +57,11 @@ func WithTracer(tr obs.Tracer) Option {
 	return func(o *runOpts) { o.tracer = tr }
 }
 
-// WithBackend selects the execution backend for every machine the kernel
-// builds. The zero value keeps the repo-wide default (compiled); results
-// and Stats are identical across backends, so this is a host-performance
-// and ablation knob only.
-func WithBackend(b machine.Backend) Option {
-	return func(o *runOpts) { o.backend = b }
+// WithInterp runs every instruction-flow machine the kernel builds on the
+// machine.StepOps reference chain instead of compiled code. Results, Stats
+// and events are identical; the differential tests use it to pin that.
+func WithInterp() Option {
+	return func(o *runOpts) { o.interp = true }
 }
 
 // WithProgramSink diverts the run into a dry audit: each runner appends
@@ -297,7 +296,7 @@ func newBanked(c taxonomy.Class, procs, bankWords int, prog isa.Program, ro runO
 	case taxonomy.ArrayProcessor:
 		return simd.New(simd.Config{Lanes: procs, BankWords: bankWords,
 			DPDM: l[taxonomy.SiteDPDM], DPDP: l[taxonomy.SiteDPDP],
-			Tracer: ro.tracer, Backend: ro.backend}, prog)
+			Tracer: ro.tracer, Interp: ro.interp}, prog)
 	case taxonomy.MultiProcessor:
 		images := []isa.Program{prog}
 		if !l[taxonomy.SiteIPIM].Switched() {
@@ -309,7 +308,7 @@ func newBanked(c taxonomy.Class, procs, bankWords int, prog isa.Program, ro runO
 		return mimd.New(mimd.Config{Cores: procs, BankWords: bankWords,
 			IPDP: l[taxonomy.SiteIPDP], IPIM: l[taxonomy.SiteIPIM],
 			DPDM: l[taxonomy.SiteDPDM], DPDP: l[taxonomy.SiteDPDP],
-			Tracer: ro.tracer, Backend: ro.backend}, images)
+			Tracer: ro.tracer, Interp: ro.interp}, images)
 	default: // taxonomy.SpatialProcessor, the only other class runSPMD admits
 		m, err := spatial.New(spatial.Config{Cores: procs, BankWords: bankWords, Sub: c.Name.Sub, Tracer: ro.tracer})
 		if err != nil {
