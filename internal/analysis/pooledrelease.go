@@ -26,13 +26,14 @@ type PoolConfig struct {
 }
 
 // DefaultPoolConfig covers this repository's pooled hot-path resources:
-// machine memory banks, register files and obs trace recorders, and the
-// simulator constructors whose machines own banks and register files
-// until their Release.
+// machine memory banks, register files, shared bank sets (NewBanks) and
+// obs trace recorders, and the simulator constructors whose machines own
+// banks and register files until their Release.
 var DefaultPoolConfig = PoolConfig{
 	Acquires: []PoolFunc{
 		{"repro/internal/machine", "GetMemory"},
 		{"repro/internal/machine", "GetRegs"},
+		{"repro/internal/machine", "NewBanks"},
 		{"repro/internal/obs", "AcquireTrace"},
 		{"repro/internal/obs", "AcquireHeadTrace"},
 		{"repro/internal/simd", "New"},
@@ -79,7 +80,7 @@ var PooledRelease = NewPooledRelease(DefaultPoolConfig)
 func NewPooledRelease(cfg PoolConfig) *Analyzer {
 	a := &Analyzer{
 		Name: "pooledrelease",
-		Doc:  "pooled acquisitions (GetMemory/GetRegs/AcquireTrace and the simulator constructors) must be released on every return path",
+		Doc:  "pooled acquisitions (GetMemory/GetRegs/NewBanks/AcquireTrace and the simulator constructors) must be released on every return path",
 	}
 	a.Run = func(pass *Pass) error {
 		for _, file := range pass.Files {

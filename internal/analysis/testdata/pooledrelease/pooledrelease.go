@@ -108,6 +108,20 @@ func fill(h *holder, words int) error {
 	return nil
 }
 
+// banksLeak: a shared data side owns pooled banks until its Release, so
+// an early return that drops it is a leak.
+func banksLeak(procs, words int, fail bool) error {
+	banks, err := machine.NewBanks(machine.BankConfig{Pkg: "fixture", Noun: "proc", Procs: procs, BankWords: words})
+	if err != nil {
+		return err
+	}
+	if fail {
+		return fmt.Errorf("boom") // want "return leaks machine.NewBanks"
+	}
+	banks.Release()
+	return nil
+}
+
 // deferredPut: the plain defer-release idiom for a straight-line user.
 func deferredPut(words int) (int64, error) {
 	bank, err := machine.GetMemory(words)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/interconnect"
-	"repro/internal/isa"
 	"repro/internal/machine"
 	"repro/internal/obs"
 	"repro/internal/taxonomy"
@@ -82,9 +81,11 @@ type Machine struct {
 	cfg     Config
 	graph   *Graph
 	mapping []int
-	banks   []machine.Memory
-	tokNet  interconnect.Network
-	memNet  interconnect.Network
+	// tokNet is the DP-DP token network; nil without a DP-DP switch.
+	tokNet interconnect.Network
+	// Banks is the PEs' data side: banks and DP-DM crossbar. Run sets its
+	// Now/Finish per firing.
+	*machine.Banks
 }
 
 // New builds a data-flow machine executing graph with the given node-to-PE
@@ -122,23 +123,7 @@ func New(cfg Config, graph *Graph, mapping []int) (*Machine, error) {
 			}
 		}
 	}
-	m := &Machine{cfg: cfg, graph: graph, mapping: append([]int(nil), mapping...)}
-	m.banks = make([]machine.Memory, cfg.PEs)
-	// On any failure past this point the cleanup returns the banks
-	// acquired so far to their pool; success disarms it.
-	built := false
-	defer func() {
-		if !built {
-			m.Release()
-		}
-	}()
-	for i := range m.banks {
-		bank, err := machine.GetMemory(cfg.BankWords)
-		if err != nil {
-			return nil, err
-		}
-		m.banks[i] = bank
-	}
+	var tokNet interconnect.Network
 	if cfg.DPDP == taxonomy.LinkCrossbar {
 		var net interconnect.Network
 		var err error
@@ -153,16 +138,16 @@ func New(cfg Config, graph *Graph, mapping []int) (*Machine, error) {
 		if err != nil {
 			return nil, err
 		}
-		m.tokNet = obs.ObserveNetwork(net, cfg.Tracer)
+		tokNet = obs.ObserveNetwork(net, cfg.Tracer)
 	}
-	if cfg.DPDM == taxonomy.LinkCrossbar {
-		net, err := interconnect.NewCrossbar(cfg.PEs)
-		if err != nil {
-			return nil, err
-		}
-		m.memNet = obs.ObserveNetwork(net, cfg.Tracer)
+	// Tokens travel on tokNet, so the shared data side has no DP-DP switch.
+	banks, err := machine.NewBanks(machine.BankConfig{Pkg: "dataflow", Noun: "PE", Procs: cfg.PEs,
+		BankWords: cfg.BankWords, DPDM: cfg.DPDM, DPDP: taxonomy.LinkNone, Tracer: cfg.Tracer})
+	if err != nil {
+		return nil, err
 	}
-	built = true
+	m := &Machine{cfg: cfg, graph: graph, mapping: append([]int(nil), mapping...), tokNet: tokNet}
+	m.Banks = banks
 	return m, nil
 }
 
@@ -177,38 +162,6 @@ func RoundRobinMapping(nodes, pes int) []int {
 
 // SinglePEMapping places every node on PE 0.
 func SinglePEMapping(nodes int) []int { return make([]int, nodes) }
-
-// LoadBank copies vals into a PE's bank at base.
-func (m *Machine) LoadBank(pe, base int, vals []isa.Word) error {
-	if pe < 0 || pe >= m.cfg.PEs {
-		return fmt.Errorf("dataflow: PE %d out of range [0,%d)", pe, m.cfg.PEs)
-	}
-	return m.banks[pe].CopyIn(base, vals)
-}
-
-// ReadBank reads n words from a PE's bank at base.
-func (m *Machine) ReadBank(pe, base, n int) ([]isa.Word, error) {
-	if pe < 0 || pe >= m.cfg.PEs {
-		return nil, fmt.Errorf("dataflow: PE %d out of range [0,%d)", pe, m.cfg.PEs)
-	}
-	return m.banks[pe].CopyOut(base, n)
-}
-
-// resolveAddr maps a PE's address under the DP-DM kind.
-func (m *Machine) resolveAddr(pe int, addr int64) (bank int, off isa.Word, err error) {
-	if m.cfg.DPDM == taxonomy.LinkDirect {
-		if addr < 0 || addr >= int64(m.cfg.BankWords) {
-			return 0, 0, fmt.Errorf("dataflow: PE %d address %d outside its bank of %d words (DP-DM is direct)",
-				pe, addr, m.cfg.BankWords)
-		}
-		return pe, isa.Word(addr), nil
-	}
-	total := int64(m.cfg.BankWords) * int64(m.cfg.PEs)
-	if addr < 0 || addr >= total {
-		return 0, 0, fmt.Errorf("dataflow: PE %d global address %d outside %d words", pe, addr, total)
-	}
-	return int(addr) / m.cfg.BankWords, isa.Word(int(addr) % m.cfg.BankWords), nil
-}
 
 // NodeFire records when one node fired in a run's schedule.
 type NodeFire struct {
@@ -228,15 +181,6 @@ type Result struct {
 	Outputs  []int64
 	Stats    machine.Stats
 	Schedule []NodeFire
-}
-
-// Release returns the machine's pooled banks. The machine must not be used
-// afterwards.
-func (m *Machine) Release() {
-	for i := range m.banks {
-		machine.PutMemory(m.banks[i])
-		m.banks[i] = nil
-	}
 }
 
 // Run executes the graph: list scheduling in topological order, each PE
@@ -289,7 +233,6 @@ func (m *Machine) Run() (Result, error) {
 			fire++
 		}
 		peBusy[pe][fire] = true
-		finish := fire + 1
 		if m.cfg.Tracer != nil && fire > ready {
 			// The node's inputs were ready but the PE was backlogged: the
 			// dataflow queue-depth signal the wait histogram aggregates.
@@ -297,8 +240,10 @@ func (m *Machine) Run() (Result, error) {
 				Cycle: ready, Dur: fire - ready, Arg: int64(id)})
 		}
 
-		// Execute; memory nodes extend finish through accountMem.
-		v, _, err := m.fire(pe, node, inputs, fire, &finish, &res.Stats)
+		// Execute; memory nodes extend Finish through the DP-DM switch.
+		m.Now, m.Finish = fire, fire+1
+		v, err := m.fire(pe, node, inputs, &res.Stats)
+		finish := m.Finish
 		if err != nil {
 			return res, fmt.Errorf("dataflow: node %d (%s): %w", id, node.Op, err)
 		}
@@ -327,7 +272,10 @@ func (m *Machine) Run() (Result, error) {
 	for _, out := range m.graph.Outputs() {
 		res.Outputs = append(res.Outputs, values[out])
 	}
-	m.collectNetStats(&res.Stats)
+	res.Stats.NetConflictCycles += m.ConflictCycles()
+	if m.tokNet != nil {
+		res.Stats.NetConflictCycles += m.tokNet.Stats().ConflictCycles
+	}
 	return res, nil
 }
 
@@ -337,15 +285,15 @@ func (m *Machine) routeToken(src, dst int, t int64) (int64, error) {
 	if m.tokNet != nil {
 		return m.tokNet.Transfer(t, src, dst)
 	}
-	if m.memNet != nil {
+	if memNet := m.MemNet(); memNet != nil {
 		// Spill through shared memory: a store from src then a load by dst,
 		// each a crossbar traversal to a commonly addressable bank (use the
 		// destination's bank as the rendezvous).
-		storeArr, err := m.memNet.Transfer(t, src, dst)
+		storeArr, err := memNet.Transfer(t, src, dst)
 		if err != nil {
 			return 0, err
 		}
-		loadArr, err := m.memNet.Transfer(storeArr, dst, dst)
+		loadArr, err := memNet.Transfer(storeArr, dst, dst)
 		if err != nil {
 			return 0, err
 		}
@@ -354,109 +302,73 @@ func (m *Machine) routeToken(src, dst int, t int64) (int64, error) {
 	return 0, fmt.Errorf("no DP-DP network and no shared memory to route through")
 }
 
-// fire computes one node's value, charging memory traffic.
-func (m *Machine) fire(pe int, node Node, in []int64, fireAt int64, finish *int64, stats *machine.Stats) (int64, bool, error) {
+// fire computes one node's value at cycle m.Now, charging memory traffic
+// to m.Finish.
+func (m *Machine) fire(pe int, node Node, in []int64, stats *machine.Stats) (int64, error) {
 	switch node.Op {
 	case OpConst:
-		return node.Value, false, nil
+		return node.Value, nil
 	case OpNot:
-		return ^in[0], false, nil
+		return ^in[0], nil
 	case OpAdd:
-		return in[0] + in[1], false, nil
+		return in[0] + in[1], nil
 	case OpSub:
-		return in[0] - in[1], false, nil
+		return in[0] - in[1], nil
 	case OpMul:
-		return in[0] * in[1], false, nil
+		return in[0] * in[1], nil
 	case OpDiv:
 		if in[1] == 0 {
-			return 0, false, fmt.Errorf("division by zero")
+			return 0, fmt.Errorf("division by zero")
 		}
-		return in[0] / in[1], false, nil
+		return in[0] / in[1], nil
 	case OpAnd:
-		return in[0] & in[1], false, nil
+		return in[0] & in[1], nil
 	case OpOr:
-		return in[0] | in[1], false, nil
+		return in[0] | in[1], nil
 	case OpXor:
-		return in[0] ^ in[1], false, nil
+		return in[0] ^ in[1], nil
 	case OpMin:
 		if in[0] < in[1] {
-			return in[0], false, nil
+			return in[0], nil
 		}
-		return in[1], false, nil
+		return in[1], nil
 	case OpMax:
 		if in[0] > in[1] {
-			return in[0], false, nil
+			return in[0], nil
 		}
-		return in[1], false, nil
+		return in[1], nil
 	case OpLt:
 		if in[0] < in[1] {
-			return 1, false, nil
+			return 1, nil
 		}
-		return 0, false, nil
+		return 0, nil
 	case OpEq:
 		if in[0] == in[1] {
-			return 1, false, nil
+			return 1, nil
 		}
-		return 0, false, nil
+		return 0, nil
 	case OpLoad:
-		bank, off, err := m.resolveAddr(pe, in[0])
+		v, err := m.Load(pe, in[0])
 		if err != nil {
-			return 0, false, err
-		}
-		m.accountMem(pe, bank, fireAt, finish)
-		v, err := m.banks[bank].Load(off)
-		if err != nil {
-			return 0, false, err
+			return 0, err
 		}
 		stats.MemReads++
 		if m.cfg.Tracer != nil {
 			m.cfg.Tracer.Emit(obs.Event{Kind: obs.KindMemRead, Track: int32(pe),
-				Cycle: fireAt, Arg: in[0]})
+				Cycle: m.Now, Arg: in[0]})
 		}
-		return int64(v), true, nil
+		return int64(v), nil
 	case OpStore:
-		bank, off, err := m.resolveAddr(pe, in[0])
-		if err != nil {
-			return 0, false, err
-		}
-		m.accountMem(pe, bank, fireAt, finish)
-		if err := m.banks[bank].Store(off, isa.Word(in[1])); err != nil {
-			return 0, false, err
+		if err := m.Store(pe, in[0], in[1]); err != nil {
+			return 0, err
 		}
 		stats.MemWrites++
 		if m.cfg.Tracer != nil {
 			m.cfg.Tracer.Emit(obs.Event{Kind: obs.KindMemWrite, Track: int32(pe),
-				Cycle: fireAt, Arg: in[0]})
+				Cycle: m.Now, Arg: in[0]})
 		}
-		return in[1], true, nil
+		return in[1], nil
 	default:
-		return 0, false, fmt.Errorf("unimplemented op %v", node.Op)
-	}
-}
-
-// accountMem charges the DP-DM traversal.
-func (m *Machine) accountMem(pe, bank int, fireAt int64, finish *int64) {
-	if m.memNet == nil {
-		if fireAt+2 > *finish {
-			*finish = fireAt + 2
-		}
-		return
-	}
-	arrival, err := m.memNet.Transfer(fireAt, pe, bank)
-	if err != nil {
-		panic(fmt.Sprintf("dataflow: internal memory network error: %v", err))
-	}
-	if arrival+1 > *finish {
-		*finish = arrival + 1
-	}
-}
-
-// collectNetStats folds interconnect counters into the run stats.
-func (m *Machine) collectNetStats(stats *machine.Stats) {
-	if m.tokNet != nil {
-		stats.NetConflictCycles += m.tokNet.Stats().ConflictCycles
-	}
-	if m.memNet != nil {
-		stats.NetConflictCycles += m.memNet.Stats().ConflictCycles
+		return 0, fmt.Errorf("unimplemented op %v", node.Op)
 	}
 }

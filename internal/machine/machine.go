@@ -1,7 +1,8 @@
 // Package machine provides the shared execution substrate of the
 // machine-class simulators: register files, bounds-checked data memories,
 // the single-instruction step function that implements the ISA semantics,
-// and the statistics every simulator reports. The per-class packages
+// the statistics every simulator reports, and Banks, the DP-DM/DP-DP data
+// side the sharded simulators share. The per-class packages
 // (internal/uniproc, internal/simd, internal/mimd, internal/spatial,
 // internal/dataflow, internal/fabric) wire these pieces together according
 // to the block counts and switch kinds of their taxonomy class.

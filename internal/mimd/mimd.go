@@ -22,7 +22,6 @@ package mimd
 import (
 	"fmt"
 
-	"repro/internal/interconnect"
 	"repro/internal/isa"
 	"repro/internal/machine"
 	"repro/internal/obs"
@@ -114,12 +113,6 @@ func (c Config) validate() error {
 	return nil
 }
 
-// message is one word in flight between cores.
-type message struct {
-	val         isa.Word
-	availableAt int64
-}
-
 // coreState tracks one core's execution.
 type coreState struct {
 	regs    machine.Regs
@@ -141,19 +134,12 @@ type Machine struct {
 	// dispatch on it in the scheduler loop.
 	decoded []isa.DecodedProgram
 	cores   []coreState
-	banks   []machine.Memory
-	memNet  interconnect.Network
-	msgNet  interconnect.Network
-	// mail[src][dst] is the in-order message queue between one core pair.
-	mail [][][]message
+	// Banks is the cores' data side: banks, DP-DM crossbar, message
+	// network and mailboxes. The scheduler sets its Now/Finish per step.
+	*machine.Banks
 	// perCore accumulates each core's retired instructions and last-active
 	// cycle for load-balance analysis.
 	perCore []CoreStats
-	// envs holds one prebuilt environment per core; the closures read the
-	// cycle/finish fields below, refreshed by the scheduler per step.
-	envs   []machine.Env
-	cycle  int64
-	finish int64
 	// ops holds one per-op chain per program image: compiled code, or the
 	// StepOps reference under Config.Interp. The cross-core network and
 	// barrier timing keeps the cycle-by-cycle scheduler either way.
@@ -191,15 +177,20 @@ func New(cfg Config, programs []isa.Program) (*Machine, error) {
 		return nil, fmt.Errorf("mimd: IP-IM is direct, need one program image per core (%d), got %d",
 			cfg.Cores, len(programs))
 	}
+	banks, err := machine.NewBanks(machine.BankConfig{Pkg: "mimd", Noun: "core", Procs: cfg.Cores,
+		BankWords: cfg.BankWords, DPDM: cfg.DPDM, DPDP: cfg.DPDP, BusDPDP: cfg.BusDPDP, Tracer: cfg.Tracer})
+	if err != nil {
+		return nil, err
+	}
 	m := &Machine{
 		cfg:      cfg,
 		programs: programs,
 		decoded:  make([]isa.DecodedProgram, len(programs)),
 		cores:    make([]coreState, cfg.Cores),
-		banks:    make([]machine.Memory, cfg.Cores),
 		perCore:  make([]CoreStats, cfg.Cores),
 		ops:      make([][]machine.OpFn, len(programs)),
 	}
+	m.Banks = banks
 	for i, p := range programs {
 		m.decoded[i] = isa.Predecode(p)
 		if cfg.Interp {
@@ -208,63 +199,14 @@ func New(cfg Config, programs []isa.Program) (*Machine, error) {
 			m.ops[i] = machine.Compile(m.decoded[i], machine.CompileOptions{}).Ops()
 		}
 	}
-	// On any failure past this point the cleanup returns the banks
-	// acquired so far to their pool; success disarms it.
-	built := false
-	defer func() {
-		if !built {
-			m.Release()
-		}
-	}()
 	for i := range m.cores {
 		if cfg.IPIM == taxonomy.LinkDirect {
 			m.cores[i].prog = i
 		}
-		bank, err := machine.GetMemory(cfg.BankWords)
-		if err != nil {
-			return nil, err
-		}
-		m.banks[i] = bank
+		// SYNC blocks until tryReleaseBarrier releases every live core.
+		m.Env(i).Barrier = func() error { return machine.ErrWouldBlock }
 	}
-	if cfg.DPDM == taxonomy.LinkCrossbar {
-		net, err := interconnect.NewCrossbar(cfg.Cores)
-		if err != nil {
-			return nil, err
-		}
-		m.memNet = obs.ObserveNetwork(net, cfg.Tracer)
-	}
-	if cfg.DPDP == taxonomy.LinkCrossbar {
-		var net interconnect.Network
-		var err error
-		if cfg.BusDPDP {
-			net, err = interconnect.NewBus(cfg.Cores)
-		} else {
-			net, err = interconnect.NewCrossbar(cfg.Cores)
-		}
-		if err != nil {
-			return nil, err
-		}
-		m.msgNet = obs.ObserveNetwork(net, cfg.Tracer)
-		m.mail = make([][][]message, cfg.Cores)
-		for i := range m.mail {
-			m.mail[i] = make([][]message, cfg.Cores)
-		}
-	}
-	m.envs = make([]machine.Env, cfg.Cores)
-	for i := range m.envs {
-		m.envs[i] = m.coreEnv(i)
-	}
-	built = true
 	return m, nil
-}
-
-// Release returns the machine's pooled banks. The machine must not be used
-// afterwards.
-func (m *Machine) Release() {
-	for i := range m.banks {
-		machine.PutMemory(m.banks[i])
-		m.banks[i] = nil
-	}
 }
 
 // Assign points core at program image. It requires the IP-IM crossbar: on
@@ -296,38 +238,6 @@ func (m *Machine) CoreStats() []CoreStats {
 	return append([]CoreStats(nil), m.perCore...)
 }
 
-// LoadBank copies vals into a core's bank at base (bank-local addressing).
-func (m *Machine) LoadBank(core, base int, vals []isa.Word) error {
-	if core < 0 || core >= m.cfg.Cores {
-		return fmt.Errorf("mimd: core %d out of range [0,%d)", core, m.cfg.Cores)
-	}
-	return m.banks[core].CopyIn(base, vals)
-}
-
-// ReadBank reads n words from a core's bank at base.
-func (m *Machine) ReadBank(core, base, n int) ([]isa.Word, error) {
-	if core < 0 || core >= m.cfg.Cores {
-		return nil, fmt.Errorf("mimd: core %d out of range [0,%d)", core, m.cfg.Cores)
-	}
-	return m.banks[core].CopyOut(base, n)
-}
-
-// resolveAddr maps a core's address under the DP-DM kind.
-func (m *Machine) resolveAddr(core int, addr isa.Word) (bank int, off isa.Word, err error) {
-	if m.cfg.DPDM == taxonomy.LinkDirect {
-		if addr < 0 || addr >= isa.Word(m.cfg.BankWords) {
-			return 0, 0, fmt.Errorf("mimd: core %d address %d outside its bank of %d words (DP-DM is direct)",
-				core, addr, m.cfg.BankWords)
-		}
-		return core, addr, nil
-	}
-	total := isa.Word(m.cfg.BankWords) * isa.Word(m.cfg.Cores)
-	if addr < 0 || addr >= total {
-		return 0, 0, fmt.Errorf("mimd: core %d global address %d outside %d words", core, addr, total)
-	}
-	return int(addr) / m.cfg.BankWords, addr % isa.Word(m.cfg.BankWords), nil
-}
-
 // Run executes all cores to completion and returns aggregate statistics.
 // The scheduler is deterministic: one simulated cycle at a time, stepping
 // ready cores in index order.
@@ -349,7 +259,7 @@ func (m *Machine) Run() (machine.Stats, error) {
 
 	for cycle := int64(0); running > 0; cycle++ {
 		if cycle >= budget {
-			m.collectNetStats(&stats)
+			stats.NetConflictCycles += m.ConflictCycles()
 			stats.Cycles = cycle
 			return stats, fmt.Errorf("mimd: %w after %d cycles", machine.ErrDeadline, cycle)
 		}
@@ -372,13 +282,13 @@ func (m *Machine) Run() (machine.Stats, error) {
 				continue
 			}
 			d := &dec[c.pc]
-			m.cycle, m.finish = cycle, cycle+1
-			env := &m.envs[i]
+			m.Now, m.Finish = cycle, cycle+1
+			env := m.Env(i)
 			env.Now = cycle
 			out, err := m.ops[c.prog][c.pc](&c.regs, env)
-			finish := m.finish
+			finish := m.Finish
 			if err != nil {
-				m.collectNetStats(&stats)
+				stats.NetConflictCycles += m.ConflictCycles()
 				stats.Cycles = cycle
 				return stats, fmt.Errorf("mimd: core %d pc %d: %w", i, c.pc, err)
 			}
@@ -437,67 +347,13 @@ func (m *Machine) Run() (machine.Stats, error) {
 			}
 			// Every live core is blocked on RECV or stuck in a barrier that
 			// can never release: deadlock.
-			m.collectNetStats(&stats)
+			stats.NetConflictCycles += m.ConflictCycles()
 			stats.Cycles = cycle
 			return stats, fmt.Errorf("mimd: deadlock at cycle %d: all %d live cores blocked", cycle, running)
 		}
 	}
-	m.collectNetStats(&stats)
+	stats.NetConflictCycles += m.ConflictCycles()
 	return stats, nil
-}
-
-// coreEnv builds one core's reusable environment. The closures read the
-// machine's cycle/finish fields, refreshed by the scheduler before every
-// step, so this runs once per core at construction instead of once per
-// instruction.
-func (m *Machine) coreEnv(core int) machine.Env {
-	env := machine.Env{Lane: isa.Word(core), Tracer: m.cfg.Tracer, Track: int32(core)}
-	env.Load = func(addr isa.Word) (isa.Word, error) {
-		bank, off, err := m.resolveAddr(core, addr)
-		if err != nil {
-			return 0, err
-		}
-		m.accountMem(core, bank, m.cycle, &m.finish)
-		return m.banks[bank].Load(off)
-	}
-	env.Store = func(addr, val isa.Word) error {
-		bank, off, err := m.resolveAddr(core, addr)
-		if err != nil {
-			return err
-		}
-		m.accountMem(core, bank, m.cycle, &m.finish)
-		return m.banks[bank].Store(off, val)
-	}
-	if m.msgNet != nil {
-		env.SendTo = func(peer int, val isa.Word) error {
-			if peer < 0 || peer >= m.cfg.Cores {
-				return fmt.Errorf("mimd: core %d sends to nonexistent core %d", core, peer)
-			}
-			arrival, err := m.msgNet.Transfer(m.cycle, core, peer)
-			if err != nil {
-				return err
-			}
-			if arrival+1 > m.finish {
-				m.finish = arrival + 1
-			}
-			m.mail[core][peer] = append(m.mail[core][peer], message{val: val, availableAt: arrival})
-			return nil
-		}
-		env.RecvFrom = func(peer int) (isa.Word, error) {
-			if peer < 0 || peer >= m.cfg.Cores {
-				return 0, fmt.Errorf("mimd: core %d receives from nonexistent core %d", core, peer)
-			}
-			q := m.mail[peer][core]
-			if len(q) == 0 || q[0].availableAt > m.cycle {
-				return 0, machine.ErrWouldBlock
-			}
-			v := q[0].val
-			m.mail[peer][core] = q[1:]
-			return v, nil
-		}
-	}
-	env.Barrier = func() error { return machine.ErrWouldBlock } // resolved by tryReleaseBarrier
-	return env
 }
 
 // tryReleaseBarrierNow is tryReleaseBarrier reporting whether it released.
@@ -547,32 +403,5 @@ func (m *Machine) tryReleaseBarrier(releaseCycle int64, stats *machine.Stats) {
 	}
 	if stats.Cycles < releaseCycle {
 		stats.Cycles = releaseCycle
-	}
-}
-
-// accountMem charges the DP-DM traversal.
-func (m *Machine) accountMem(core, bank int, cycle int64, finish *int64) {
-	if m.memNet == nil {
-		if cycle+2 > *finish {
-			*finish = cycle + 2
-		}
-		return
-	}
-	arrival, err := m.memNet.Transfer(cycle, core, bank)
-	if err != nil {
-		panic(fmt.Sprintf("mimd: internal memory network error: %v", err))
-	}
-	if arrival+1 > *finish {
-		*finish = arrival + 1
-	}
-}
-
-// collectNetStats folds interconnect counters into the run stats.
-func (m *Machine) collectNetStats(stats *machine.Stats) {
-	if m.memNet != nil {
-		stats.NetConflictCycles += m.memNet.Stats().ConflictCycles
-	}
-	if m.msgNet != nil {
-		stats.NetConflictCycles += m.msgNet.Stats().ConflictCycles
 	}
 }

@@ -19,7 +19,6 @@ package simd
 import (
 	"fmt"
 
-	"repro/internal/interconnect"
 	"repro/internal/isa"
 	"repro/internal/machine"
 	"repro/internal/obs"
@@ -97,22 +96,11 @@ func (c Config) validate() error {
 type Machine struct {
 	cfg Config
 	dec isa.DecodedProgram
-	// banks comes from the shared bank pool; regs from the register pool.
-	banks []machine.Memory
-	regs  []machine.Regs
-	// laneNet carries DP-DP exchanges; nil for sub-types I and III. It is
-	// wrapped by obs.ObserveNetwork when a tracer is configured.
-	laneNet interconnect.Network
-	// memNet carries cross-bank accesses; nil for direct DP-DM.
-	memNet interconnect.Network
-	// mailboxes[src][dst] queues values sent but not yet received.
-	mailboxes [][][]isa.Word
-	// envs holds one prebuilt environment per lane; the closures read the
-	// issue/finish fields below, so the broadcast loop reuses them instead
-	// of rebuilding five closures per lane per instruction.
-	envs   []machine.Env
-	issue  int64
-	finish int64
+	// Banks is the lanes' data side: banks, DP-DM crossbar, lane network
+	// and mailboxes. Run sets its Now/Finish once per broadcast.
+	*machine.Banks
+	// regs comes from the register pool.
+	regs []machine.Regs
 	// ops is the per-op chain for per-lane and scalar dispatch; vec is the
 	// compiled code's vectorized lane path (nil entries fall back to ops),
 	// nil for the Interp reference.
@@ -133,106 +121,32 @@ func New(cfg Config, prog isa.Program) (*Machine, error) {
 	if err := prog.Validate(); err != nil {
 		return nil, fmt.Errorf("simd: %w", err)
 	}
-	m := &Machine{
-		cfg:   cfg,
-		dec:   isa.Predecode(prog),
-		banks: make([]machine.Memory, cfg.Lanes),
-		regs:  machine.GetRegs(cfg.Lanes),
+	banks, err := machine.NewBanks(machine.BankConfig{Pkg: "simd", Noun: "lane", Procs: cfg.Lanes,
+		BankWords: cfg.BankWords, DPDM: cfg.DPDM, DPDP: cfg.DPDP, Tracer: cfg.Tracer})
+	if err != nil {
+		return nil, err
 	}
-	// On any failure past this point the cleanup returns the banks and
-	// register files acquired so far to their pools; success disarms it.
-	built := false
-	defer func() {
-		if !built {
-			m.Release()
-		}
-	}()
-	for i := range m.banks {
-		bank, err := machine.GetMemory(cfg.BankWords)
-		if err != nil {
-			return nil, err
-		}
-		m.banks[i] = bank
-	}
-	if cfg.DPDP == taxonomy.LinkCrossbar {
-		net, err := interconnect.NewCrossbar(cfg.Lanes)
-		if err != nil {
-			return nil, err
-		}
-		m.laneNet = obs.ObserveNetwork(net, cfg.Tracer)
-		m.mailboxes = make([][][]isa.Word, cfg.Lanes)
-		for i := range m.mailboxes {
-			m.mailboxes[i] = make([][]isa.Word, cfg.Lanes)
-		}
-	}
-	if cfg.DPDM == taxonomy.LinkCrossbar {
-		net, err := interconnect.NewCrossbar(cfg.Lanes)
-		if err != nil {
-			return nil, err
-		}
-		m.memNet = obs.ObserveNetwork(net, cfg.Tracer)
-	}
-	m.envs = make([]machine.Env, cfg.Lanes)
-	for lane := range m.envs {
-		m.envs[lane] = m.laneEnv(lane)
-	}
+	m := &Machine{cfg: cfg, dec: isa.Predecode(prog), regs: machine.GetRegs(cfg.Lanes)}
+	m.Banks = banks
 	if cfg.Interp {
 		m.ops = machine.StepOps(prog)
 	} else {
 		m.ops = machine.Compile(m.dec, machine.CompileOptions{}).Ops()
 		m.vec = m.compileVec()
 	}
-	built = true
 	return m, nil
 }
 
 // Release returns the machine's pooled banks and register files. The
 // machine must not be used afterwards.
 func (m *Machine) Release() {
-	for i := range m.banks {
-		machine.PutMemory(m.banks[i])
-		m.banks[i] = nil
-	}
+	m.Banks.Release()
 	machine.PutRegs(m.regs)
 	m.regs = nil
 }
 
 // Lanes returns the lane count.
 func (m *Machine) Lanes() int { return m.cfg.Lanes }
-
-// LoadBank copies vals into lane's bank at base (lane-local addressing).
-func (m *Machine) LoadBank(lane, base int, vals []isa.Word) error {
-	if lane < 0 || lane >= m.cfg.Lanes {
-		return fmt.Errorf("simd: lane %d out of range [0,%d)", lane, m.cfg.Lanes)
-	}
-	return m.banks[lane].CopyIn(base, vals)
-}
-
-// ReadBank reads n words from lane's bank at base.
-func (m *Machine) ReadBank(lane, base, n int) ([]isa.Word, error) {
-	if lane < 0 || lane >= m.cfg.Lanes {
-		return nil, fmt.Errorf("simd: lane %d out of range [0,%d)", lane, m.cfg.Lanes)
-	}
-	return m.banks[lane].CopyOut(base, n)
-}
-
-// resolveAddr maps a lane's address to (bank, offset) under the DP-DM kind.
-func (m *Machine) resolveAddr(lane int, addr isa.Word) (bank int, off isa.Word, err error) {
-	if m.cfg.DPDM == taxonomy.LinkDirect {
-		// Lane-local addressing: the lane sees only its own bank.
-		if addr < 0 || addr >= isa.Word(m.cfg.BankWords) {
-			return 0, 0, fmt.Errorf("simd: lane %d address %d outside its bank of %d words (DP-DM is direct)",
-				lane, addr, m.cfg.BankWords)
-		}
-		return lane, addr, nil
-	}
-	// Global addressing through the memory crossbar.
-	total := isa.Word(m.cfg.BankWords) * isa.Word(m.cfg.Lanes)
-	if addr < 0 || addr >= total {
-		return 0, 0, fmt.Errorf("simd: lane %d global address %d outside %d words", lane, addr, total)
-	}
-	return int(addr) / m.cfg.BankWords, addr % isa.Word(m.cfg.BankWords), nil
-}
 
 // Run executes the broadcast program until the control lane halts. Lockstep
 // semantics: every instruction issues on all lanes in the same cycle; the
@@ -247,11 +161,11 @@ func (m *Machine) Run() (machine.Stats, error) {
 	pc := 0
 	for {
 		if pc < 0 || pc >= len(m.dec) {
-			m.collectNetStats(&stats)
+			stats.NetConflictCycles += m.ConflictCycles()
 			return stats, nil
 		}
 		if stats.Cycles >= budget {
-			m.collectNetStats(&stats)
+			stats.NetConflictCycles += m.ConflictCycles()
 			return stats, fmt.Errorf("simd: %w after %d cycles", machine.ErrDeadline, stats.Cycles)
 		}
 		d := &m.dec[pc]
@@ -265,7 +179,7 @@ func (m *Machine) Run() (machine.Stats, error) {
 			env := machine.Env{Lane: 0}
 			out, err := m.ops[pc](&m.regs[0], &env)
 			if err != nil {
-				m.collectNetStats(&stats)
+				stats.NetConflictCycles += m.ConflictCycles()
 				return stats, fmt.Errorf("simd: pc %d: %w", pc, err)
 			}
 			stats.Instructions++
@@ -284,7 +198,7 @@ func (m *Machine) Run() (machine.Stats, error) {
 				tr.Emit(obs.Event{Kind: obs.KindInstr, Flags: obs.FlagHasOp, Track: 0,
 					Cycle: issue, Dur: 1, Arg: int64(d.Op)})
 			}
-			m.collectNetStats(&stats)
+			stats.NetConflictCycles += m.ConflictCycles()
 			return stats, nil
 
 		case d.Op == isa.OpSync:
@@ -306,27 +220,27 @@ func (m *Machine) Run() (machine.Stats, error) {
 		// ops it does not cover — and every traced run, whose per-lane
 		// events are part of the executor-equivalence contract — use the
 		// per-lane path through the prebuilt environments.
-		m.issue, m.finish = issue, finish
+		m.Now, m.Finish = issue, finish
 		isALU := d.IsALU()
 		if m.vec != nil && tr == nil && m.vec[pc] != nil {
 			if lane, err := m.vec[pc](m, &stats); err != nil {
-				m.collectNetStats(&stats)
+				stats.NetConflictCycles += m.ConflictCycles()
 				return stats, fmt.Errorf("simd: lane %d pc %d: %w", lane, pc, err)
 			}
-			stats.Cycles = m.finish
+			stats.Cycles = m.Finish
 			pc++
 			continue
 		}
 		for lane := 0; lane < m.cfg.Lanes; lane++ {
-			env := &m.envs[lane]
+			env := m.Env(lane)
 			env.Now = issue
 			out, err := m.ops[pc](&m.regs[lane], env)
 			if err != nil {
-				m.collectNetStats(&stats)
+				stats.NetConflictCycles += m.ConflictCycles()
 				return stats, fmt.Errorf("simd: lane %d pc %d: %w", lane, pc, err)
 			}
 			if out.Blocked {
-				m.collectNetStats(&stats)
+				stats.NetConflictCycles += m.ConflictCycles()
 				return stats, fmt.Errorf("simd: lane %d pc %d: recv with no matching send (lockstep exchange mismatch)", lane, pc)
 			}
 			stats.Instructions++
@@ -344,7 +258,7 @@ func (m *Machine) Run() (machine.Stats, error) {
 				stats.Messages++
 			}
 		}
-		finish = m.finish
+		finish = m.Finish
 		if tr != nil {
 			// Lockstep: every lane retires the same op, spanning the worst
 			// lane's completion (memory and network contention included).
@@ -359,88 +273,5 @@ func (m *Machine) Run() (machine.Stats, error) {
 		}
 		stats.Cycles = finish
 		pc++
-	}
-}
-
-// laneEnv builds one lane's reusable environment. The closures read the
-// machine's issue/finish fields, which Run refreshes per instruction, so
-// this is called once per lane at construction instead of once per lane
-// per broadcast.
-func (m *Machine) laneEnv(lane int) machine.Env {
-	env := machine.Env{Lane: isa.Word(lane), Tracer: m.cfg.Tracer, Track: int32(lane)}
-	env.Load = func(addr isa.Word) (isa.Word, error) {
-		bank, off, err := m.resolveAddr(lane, addr)
-		if err != nil {
-			return 0, err
-		}
-		m.accountMem(lane, bank, m.issue, &m.finish)
-		return m.banks[bank].Load(off)
-	}
-	env.Store = func(addr, val isa.Word) error {
-		bank, off, err := m.resolveAddr(lane, addr)
-		if err != nil {
-			return err
-		}
-		m.accountMem(lane, bank, m.issue, &m.finish)
-		return m.banks[bank].Store(off, val)
-	}
-	if m.laneNet != nil {
-		env.SendTo = func(peer int, val isa.Word) error {
-			if peer < 0 || peer >= m.cfg.Lanes {
-				return fmt.Errorf("simd: lane %d sends to nonexistent lane %d", lane, peer)
-			}
-			arrival, err := m.laneNet.Transfer(m.issue, lane, peer)
-			if err != nil {
-				return err
-			}
-			if arrival+1 > m.finish {
-				m.finish = arrival + 1
-			}
-			m.mailboxes[lane][peer] = append(m.mailboxes[lane][peer], val)
-			return nil
-		}
-		env.RecvFrom = func(peer int) (isa.Word, error) {
-			if peer < 0 || peer >= m.cfg.Lanes {
-				return 0, fmt.Errorf("simd: lane %d receives from nonexistent lane %d", lane, peer)
-			}
-			q := m.mailboxes[peer][lane]
-			if len(q) == 0 {
-				return 0, machine.ErrWouldBlock
-			}
-			v := q[0]
-			m.mailboxes[peer][lane] = q[1:]
-			return v, nil
-		}
-	}
-	return env
-}
-
-// accountMem charges the DP-DM traversal: one fixed cycle on direct wiring,
-// a contended crossbar transfer on crossbar wiring.
-func (m *Machine) accountMem(lane, bank int, issue int64, finish *int64) {
-	if m.memNet == nil {
-		if issue+2 > *finish {
-			*finish = issue + 2
-		}
-		return
-	}
-	arrival, err := m.memNet.Transfer(issue, lane, bank)
-	if err != nil {
-		// Crossbars connect all ports; Transfer only fails on range errors,
-		// which resolveAddr already excluded.
-		panic(fmt.Sprintf("simd: internal memory network error: %v", err))
-	}
-	if arrival+1 > *finish {
-		*finish = arrival + 1
-	}
-}
-
-// collectNetStats folds interconnect conflict counters into the run stats.
-func (m *Machine) collectNetStats(stats *machine.Stats) {
-	if m.laneNet != nil {
-		stats.NetConflictCycles += m.laneNet.Stats().ConflictCycles
-	}
-	if m.memNet != nil {
-		stats.NetConflictCycles += m.memNet.Stats().ConflictCycles
 	}
 }

@@ -1,8 +1,6 @@
 package simd
 
 import (
-	"fmt"
-
 	"repro/internal/isa"
 	"repro/internal/machine"
 	"repro/internal/taxonomy"
@@ -131,16 +129,16 @@ func compileVecOp(d *isa.DecodedOp, directMem bool) vecFn {
 				if addr < 0 || addr >= bw {
 					stats.Instructions += int64(l)
 					stats.MemReads += int64(l)
-					m.bumpFinish(m.issue + 2)
-					return l, fmt.Errorf("simd: lane %d address %d outside its bank of %d words (DP-DM is direct)",
-						l, addr, m.cfg.BankWords)
+					m.bumpFinish(m.Now + 2)
+					_, _, err := m.Resolve(l, addr)
+					return l, err
 				}
-				r[rd] = m.banks[l][addr]
+				r[rd] = m.Bank(l)[addr]
 			}
 			n := int64(len(m.regs))
 			stats.Instructions += n
 			stats.MemReads += n
-			m.bumpFinish(m.issue + 2)
+			m.bumpFinish(m.Now + 2)
 			return 0, nil
 		}
 	case isa.OpSt:
@@ -155,16 +153,16 @@ func compileVecOp(d *isa.DecodedOp, directMem bool) vecFn {
 				if addr < 0 || addr >= bw {
 					stats.Instructions += int64(l)
 					stats.MemWrites += int64(l)
-					m.bumpFinish(m.issue + 2)
-					return l, fmt.Errorf("simd: lane %d address %d outside its bank of %d words (DP-DM is direct)",
-						l, addr, m.cfg.BankWords)
+					m.bumpFinish(m.Now + 2)
+					_, _, err := m.Resolve(l, addr)
+					return l, err
 				}
-				m.banks[l][addr] = r[rb]
+				m.Bank(l)[addr] = r[rb]
 			}
 			n := int64(len(m.regs))
 			stats.Instructions += n
 			stats.MemWrites += n
-			m.bumpFinish(m.issue + 2)
+			m.bumpFinish(m.Now + 2)
 			return 0, nil
 		}
 	default:
@@ -175,9 +173,9 @@ func compileVecOp(d *isa.DecodedOp, directMem bool) vecFn {
 }
 
 // bumpFinish raises the in-flight instruction's completion cycle, exactly
-// like accountMem's direct-switch arm.
+// like a direct-switch bank access.
 func (m *Machine) bumpFinish(to int64) {
-	if to > m.finish {
-		m.finish = to
+	if to > m.Finish {
+		m.Finish = to
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"repro/internal/fabric"
 	"repro/internal/isa"
 	"repro/internal/taxonomy"
-	"repro/internal/uniproc"
 )
 
 // VecAddUni runs c = a + b on the instruction-flow uni-processor.
@@ -21,25 +20,7 @@ func VecAddUni(a, b []isa.Word, opts ...Option) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	ro := applyOpts(opts)
-	if ro.record(ProgramSpec{Name: "vecadd", Program: prog, MemWords: 3*n + 16, Procs: 1}) {
-		return Result{}, nil
-	}
-	m, err := uniproc.New(uniproc.Config{MemWords: 3*n + 16, Tracer: ro.tracer,
-		Interp: ro.interp}, prog)
-	if err != nil {
-		return Result{}, err
-	}
-	defer m.Release()
-	input := append(append([]isa.Word{}, a...), b...)
-	out, stats, err := m.RunWithInput(input, 2*n, n)
-	if err != nil {
-		return Result{}, err
-	}
-	if err := checkEqual(out, want); err != nil {
-		return Result{}, err
-	}
-	return Result{Output: out, Stats: stats}, nil
+	return runUni("vecadd", prog, 3*n+16, concat(a, b), 2*n, n, want, opts)
 }
 
 // VecAdd runs c = a + b on an IAP, IMP or ISP class, splitting the
@@ -76,25 +57,7 @@ func DotUni(a, b []isa.Word, opts ...Option) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	ro := applyOpts(opts)
-	if ro.record(ProgramSpec{Name: "dot", Program: prog, MemWords: 2*n + 16, Procs: 1}) {
-		return Result{}, nil
-	}
-	m, err := uniproc.New(uniproc.Config{MemWords: 2*n + 16, Tracer: ro.tracer,
-		Interp: ro.interp}, prog)
-	if err != nil {
-		return Result{}, err
-	}
-	defer m.Release()
-	input := append(append([]isa.Word{}, a...), b...)
-	out, stats, err := m.RunWithInput(input, 2*n, 1)
-	if err != nil {
-		return Result{}, err
-	}
-	if out[0] != want {
-		return Result{}, fmt.Errorf("workload: dot = %d, want %d", out[0], want)
-	}
-	return Result{Output: out, Stats: stats}, nil
+	return runUni("dot", prog, 2*n+16, concat(a, b), 2*n, 1, []isa.Word{want}, opts)
 }
 
 // Dot computes the dot product on an IAP, IMP or ISP class with a
@@ -189,7 +152,7 @@ func VecAddDataflow(c taxonomy.Class, pes int, a, b []isa.Word, opts ...Option) 
 	}
 	defer mach.Release()
 	for pe := 0; pe < pes; pe++ {
-		chunk := append(append([]isa.Word{}, a[pe*m:(pe+1)*m]...), b[pe*m:(pe+1)*m]...)
+		chunk := concat(a[pe*m:(pe+1)*m], b[pe*m:(pe+1)*m])
 		if err := mach.LoadBank(pe, 0, chunk); err != nil {
 			return Result{}, err
 		}

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/isa"
 	"repro/internal/taxonomy"
-	"repro/internal/uniproc"
 )
 
 // RefStencil3Periodic is the reference periodic 3-point stencil.
@@ -143,25 +142,7 @@ func FIRUni(x, h []isa.Word, opts ...Option) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	ro := applyOpts(opts)
-	if ro.record(ProgramSpec{Name: "fir", Program: prog, MemWords: len(x) + len(h) + m + 16, Procs: 1}) {
-		return Result{}, nil
-	}
-	mach, err := uniproc.New(uniproc.Config{MemWords: len(x) + len(h) + m + 16, Tracer: ro.tracer,
-		Interp: ro.interp}, prog)
-	if err != nil {
-		return Result{}, err
-	}
-	defer mach.Release()
-	input := append(append([]isa.Word{}, x...), h...)
-	out, stats, err := mach.RunWithInput(input, len(x)+len(h), m)
-	if err != nil {
-		return Result{}, err
-	}
-	if err := checkEqual(out, want); err != nil {
-		return Result{}, err
-	}
-	return Result{Output: out, Stats: stats}, nil
+	return runUni("fir", prog, len(x)+len(h)+m+16, concat(x, h), len(x)+len(h), m, want, opts)
 }
 
 // FIR runs the FIR filter on a local-addressing class using overlapped

@@ -178,7 +178,7 @@ func probeIAPActsAsIUP(opts ...Option) (Probe, error) {
 		return Probe{}, err
 	}
 	defer sm.Release()
-	input := append(append([]isa.Word{}, a...), b...)
+	input := concat(a, b)
 	if err := sm.LoadBank(0, 0, input); err != nil {
 		return Probe{}, err
 	}

@@ -18,6 +18,7 @@ import (
 	"repro/internal/simd"
 	"repro/internal/spatial"
 	"repro/internal/taxonomy"
+	"repro/internal/uniproc"
 )
 
 // runOpts carries optional per-run settings kernels thread into the
@@ -286,6 +287,35 @@ func runSPMD(c taxonomy.Class, k spmd, want []isa.Word, opts []Option) (Result, 
 	return Result{Output: out, Stats: stats}, nil
 }
 
+// runUni runs prog on the uni-processor with memWords words of data
+// memory: input is copied in from address 0, and the outLen words at
+// outBase must equal want.
+func runUni(name string, prog isa.Program, memWords int, input []isa.Word, outBase, outLen int, want []isa.Word, opts []Option) (Result, error) {
+	ro := applyOpts(opts)
+	if ro.record(ProgramSpec{Name: name, Program: prog, MemWords: memWords, Procs: 1}) {
+		return Result{}, nil
+	}
+	m, err := uniproc.New(uniproc.Config{MemWords: memWords, Tracer: ro.tracer, Interp: ro.interp}, prog)
+	if err != nil {
+		return Result{}, err
+	}
+	defer m.Release()
+	out, stats, err := m.RunWithInput(input, outBase, outLen)
+	if err != nil {
+		return Result{}, err
+	}
+	if err := checkEqual(out, want); err != nil {
+		return Result{}, err
+	}
+	return Result{Output: out, Stats: stats}, nil
+}
+
+// concat returns a followed by b in a new slice: two operand vectors laid
+// out back to back from address 0.
+func concat(a, b []isa.Word) []isa.Word {
+	return append(append(make([]isa.Word, 0, len(a)+len(b)), a...), b...)
+}
+
 // newBanked builds c's simulator running prog on every processor: the IAP
 // broadcasts it, the IMP loads it into one shared or per-core images, and
 // the ISP composes one control group spanning every cell, whose leader
@@ -310,7 +340,8 @@ func newBanked(c taxonomy.Class, procs, bankWords int, prog isa.Program, ro runO
 			DPDM: l[taxonomy.SiteDPDM], DPDP: l[taxonomy.SiteDPDP],
 			Tracer: ro.tracer, Interp: ro.interp}, images)
 	default: // taxonomy.SpatialProcessor, the only other class runSPMD admits
-		m, err := spatial.New(spatial.Config{Cores: procs, BankWords: bankWords, Sub: c.Name.Sub, Tracer: ro.tracer})
+		m, err := spatial.New(spatial.Config{Cores: procs, BankWords: bankWords, Sub: c.Name.Sub,
+			Tracer: ro.tracer, Interp: ro.interp})
 		if err != nil {
 			return nil, err
 		}
