@@ -24,6 +24,7 @@ import (
 	"repro/internal/isa"
 	"repro/internal/machine"
 	"repro/internal/modelzoo"
+	"repro/internal/obs"
 	"repro/internal/registry"
 	"repro/internal/report"
 	"repro/internal/taxonomy"
@@ -304,7 +305,9 @@ func BenchmarkSim_Scan(b *testing.B) {
 
 // BenchmarkSim_MatMul ablates the two matmul organisations: replicated B
 // (IMP-I, duplicated storage, zero conflicts) vs shared B through the
-// memory crossbar (IMP-III, contention).
+// memory crossbar (IMP-III, contention). The traced case runs IMP-I with an
+// obs.Tally attached, so every op steps in slot order where the untraced
+// run's cores run ahead through fused blocks: the two sides of that split.
 func BenchmarkSim_MatMul(b *testing.B) {
 	const rows, k, n = 16, 12, 10
 	a, v := benchVectors(rows * k)
@@ -324,6 +327,10 @@ func BenchmarkSim_MatMul(b *testing.B) {
 		}},
 		{"shared-B/IMP-III", func() (workload.Result, error) {
 			return workload.MatMul(imp3, 4, a, bm, rows, k, n)
+		}},
+		{"replicated-B/IMP-I/traced", func() (workload.Result, error) {
+			var tally obs.Tally
+			return workload.MatMul(imp1, 4, a, bm, rows, k, n, workload.WithTracer(&tally))
 		}},
 	}
 	for _, tc := range cases {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"repro/internal/exec"
 	"repro/internal/isa"
@@ -18,7 +19,11 @@ import (
 // generated program, on the same machine shape, executed by the compiled
 // code and by the machine.StepOps reference (Config.Interp), untraced and
 // traced, must produce identical final memories, an identical Stats struct
-// (cycle counts included) and an identical obs event stream. Where the
+// (cycle counts included) and an identical obs event stream; a run that
+// fails must fail with the same error text, Stats and per-core CoreStats.
+// Each seed also runs the IMP-I shape into a failure twice, out of cycle
+// budget partway and out of bank with a different image per core, so the
+// sweep pins the failing slot of cores that ran ahead. Where the
 // lockstep sweep pins the taxonomy property (different organisations, same
 // results), this sweep pins the implementation property the compiled
 // code's fusion and vector paths must preserve: the executor is a host
@@ -35,23 +40,35 @@ type BackendResult struct {
 }
 
 // backendOutcome is one (shape, backend, traced?) execution, flattened for
-// comparison.
+// comparison. err is the run's error text, empty for a run that finished.
 type backendOutcome struct {
 	mems   [][]isa.Word
 	stats  machine.Stats
+	cores  []mimd.CoreStats
 	events []obs.Event
+	err    string
 }
 
 // diffOutcome compares a run against the interp reference for the same
-// shape and tracing mode.
+// shape and tracing mode. The banks of a failed run are not compared: a
+// multi-processor core that ran ahead of the failing slot has already
+// written its own bank further.
 func diffOutcome(who string, got, want backendOutcome) error {
-	for i := range want.mems {
-		if err := diffMemory(fmt.Sprintf("%s bank %d", who, i), got.mems[i], want.mems[i]); err != nil {
-			return err
+	if got.err != want.err {
+		return fmt.Errorf("conformance: %s error %q, interp says %q", who, got.err, want.err)
+	}
+	if want.err == "" {
+		for i := range want.mems {
+			if err := diffMemory(fmt.Sprintf("%s bank %d", who, i), got.mems[i], want.mems[i]); err != nil {
+				return err
+			}
 		}
 	}
 	if got.stats != want.stats {
 		return fmt.Errorf("conformance: %s stats %+v, interp says %+v", who, got.stats, want.stats)
+	}
+	if !slices.Equal(got.cores, want.cores) {
+		return fmt.Errorf("conformance: %s core stats %+v, interp says %+v", who, got.cores, want.cores)
 	}
 	if len(got.events) != len(want.events) {
 		return fmt.Errorf("conformance: %s emitted %d events, interp emitted %d", who, len(got.events), len(want.events))
@@ -65,9 +82,11 @@ func diffOutcome(who string, got, want backendOutcome) error {
 }
 
 // BackendCheck generates the program for one seed and runs it on the three
-// machine shapes with both executors, untraced and traced. Within each
-// (shape, tracing) cell the compiled code must match the interp reference
-// exactly: memories, the full Stats struct and the traced event stream.
+// machine shapes, and twice more into a failure on IMP-I, with both
+// executors, untraced and traced. Within each (shape, tracing) cell the
+// compiled code must match the interp reference exactly: error text,
+// memories of a finished run, the full Stats struct, the IMP's CoreStats
+// and the traced event stream.
 func BackendCheck(seed int64) BackendResult {
 	return backendCheck(seed, DefaultGenConfig())
 }
@@ -89,58 +108,97 @@ func backendCheck(seed int64, cfg GenConfig) BackendResult {
 	img := randomImage(rng, cfg)
 	bank := cfg.MemWords()
 
-	shapes := []struct {
+	type shape struct {
 		name string
 		run  func(bool, obs.Tracer) (backendOutcome, error)
-	}{
+	}
+	imp := func(banks [][]isa.Word, bankWords int, budget int64) func(bool, obs.Tracer) (backendOutcome, error) {
+		return func(interp bool, tr obs.Tracer) (backendOutcome, error) {
+			return runMIMDBackend(prog, banks, bankWords, budget, interp, tr)
+		}
+	}
+	same := [][]isa.Word{img, img}
+	shapes := []shape{
 		{"IUP", func(interp bool, tr obs.Tracer) (backendOutcome, error) {
 			return runUniBackend(prog, img, bank, interp, tr)
 		}},
 		{"IAP-I", func(interp bool, tr obs.Tracer) (backendOutcome, error) {
 			return runSIMDBackend(prog, img, bank, interp, tr)
 		}},
-		{"IMP-I", func(interp bool, tr obs.Tracer) (backendOutcome, error) {
-			return runMIMDBackend(prog, img, bank, interp, tr)
-		}},
+		{"IMP-I", imp(same, bank, 0)},
 	}
-	for _, shape := range shapes {
-		for _, traced := range []bool{false, true} {
-			var ref backendOutcome
-			for i, interp := range []bool{true, false} {
-				executor := "compiled"
-				if interp {
-					executor = "interp"
-				}
-				var tr *obs.Trace
-				var tracer obs.Tracer
-				if traced {
-					tr = obs.AcquireTrace()
-					tracer = tr
-				}
-				out, err := shape.run(interp, tracer)
-				if tr != nil {
-					out.events = tr.Events()
-					obs.ReleaseTrace(tr)
-				}
-				if err != nil {
-					return fail(fmt.Errorf("%s/%s: %w", shape.name, executor, err), prog)
-				}
-				if i == 0 {
-					ref = out
-					continue
-				}
-				who := fmt.Sprintf("%s/%s", shape.name, executor)
-				if traced {
-					who += " (traced)"
-				}
-				if err := diffOutcome(who, out, ref); err != nil {
-					return fail(err, prog)
-				}
-			}
+	var impCycles int64
+	for _, sh := range shapes {
+		ref, err := checkShape(sh.name, sh.run)
+		if err != nil {
+			return fail(err, prog)
+		}
+		impCycles = ref.stats.Cycles // IMP-I runs last
+	}
+
+	// The failing runs: IMP-I out of budget at a random cycle of the run,
+	// and IMP-I on banks too small for the register dump (so every run
+	// faults) with a second, different image on core 1, so the cores
+	// reach their faults at different cycles.
+	short := 1 + rng.Intn(bank-1)
+	other := randomImage(rng, cfg)
+	budget := 1 + rng.Int63n(max(impCycles, 1))
+	failing := []shape{
+		{fmt.Sprintf("IMP-I budget=%d", budget), imp(same, bank, budget)},
+		{fmt.Sprintf("IMP-I bank=%d", short), imp([][]isa.Word{img[:min(short, len(img))], other[:min(short, len(other))]}, short, 0)},
+	}
+	for _, sh := range failing {
+		if _, err := checkShape(sh.name, sh.run); err != nil {
+			return fail(err, prog)
 		}
 	}
 	r.Pass = true
 	return r
+}
+
+// checkShape runs one shape with both executors, untraced and traced, and
+// diffs each compiled run against the interp run of the same tracing mode.
+// It returns the untraced interp run.
+func checkShape(name string, run func(bool, obs.Tracer) (backendOutcome, error)) (backendOutcome, error) {
+	var untraced backendOutcome
+	for _, traced := range []bool{false, true} {
+		var ref backendOutcome
+		for i, interp := range []bool{true, false} {
+			executor := "compiled"
+			if interp {
+				executor = "interp"
+			}
+			var tr *obs.Trace
+			var tracer obs.Tracer
+			if traced {
+				tr = obs.AcquireTrace()
+				tracer = tr
+			}
+			out, err := run(interp, tracer)
+			if tr != nil {
+				out.events = tr.Events()
+				obs.ReleaseTrace(tr)
+			}
+			if err != nil {
+				return backendOutcome{}, fmt.Errorf("%s/%s: %w", name, executor, err)
+			}
+			if i == 0 {
+				ref = out
+				if !traced {
+					untraced = out
+				}
+				continue
+			}
+			who := fmt.Sprintf("%s/%s", name, executor)
+			if traced {
+				who += " (traced)"
+			}
+			if err := diffOutcome(who, out, ref); err != nil {
+				return backendOutcome{}, err
+			}
+		}
+	}
+	return untraced, nil
 }
 
 func runUniBackend(prog isa.Program, img []isa.Word, bank int, interp bool, tr obs.Tracer) (backendOutcome, error) {
@@ -151,7 +209,7 @@ func runUniBackend(prog isa.Program, img []isa.Word, bank int, interp bool, tr o
 	defer uni.Release()
 	mem, stats, err := uni.RunWithInput(img, 0, bank)
 	if err != nil {
-		return backendOutcome{}, err
+		return backendOutcome{stats: stats, err: err.Error()}, nil
 	}
 	return backendOutcome{mems: [][]isa.Word{mem}, stats: stats}, nil
 }
@@ -174,10 +232,11 @@ func runSIMDBackend(prog isa.Program, img []isa.Word, bank int, interp bool, tr 
 		}
 	}
 	stats, err := arr.Run()
-	if err != nil {
-		return backendOutcome{}, err
-	}
 	out := backendOutcome{stats: stats}
+	if err != nil {
+		out.err = err.Error()
+		return out, nil
+	}
 	for lane := 0; lane < lockstepProcs; lane++ {
 		mem, err := arr.ReadBank(lane, 0, bank)
 		if err != nil {
@@ -188,13 +247,17 @@ func runSIMDBackend(prog isa.Program, img []isa.Word, bank int, interp bool, tr 
 	return out, nil
 }
 
-func runMIMDBackend(prog isa.Program, img []isa.Word, bank int, interp bool, tr obs.Tracer) (backendOutcome, error) {
-	cfg, err := mimd.ForSubtype(1, lockstepProcs, bank)
+// runMIMDBackend runs prog on a lockstepProcs-core IMP-I with bankWords-word
+// banks, core i's loaded with banks[i], under a cycle budget (0 for the
+// default).
+func runMIMDBackend(prog isa.Program, banks [][]isa.Word, bankWords int, budget int64, interp bool, tr obs.Tracer) (backendOutcome, error) {
+	cfg, err := mimd.ForSubtype(1, lockstepProcs, bankWords)
 	if err != nil {
 		return backendOutcome{}, err
 	}
 	cfg.Interp = interp
 	cfg.Tracer = tr
+	cfg.MaxCycles = budget
 	images := make([]isa.Program, lockstepProcs)
 	for i := range images {
 		images[i] = prog
@@ -205,17 +268,18 @@ func runMIMDBackend(prog isa.Program, img []isa.Word, bank int, interp bool, tr 
 	}
 	defer mp.Release()
 	for core := 0; core < lockstepProcs; core++ {
-		if err := mp.LoadBank(core, 0, img); err != nil {
+		if err := mp.LoadBank(core, 0, banks[core]); err != nil {
 			return backendOutcome{}, err
 		}
 	}
 	stats, err := mp.Run()
+	out := backendOutcome{stats: stats, cores: mp.CoreStats()}
 	if err != nil {
-		return backendOutcome{}, err
+		out.err = err.Error()
+		return out, nil
 	}
-	out := backendOutcome{stats: stats}
 	for core := 0; core < lockstepProcs; core++ {
-		mem, err := mp.ReadBank(core, 0, bank)
+		mem, err := mp.ReadBank(core, 0, bankWords)
 		if err != nil {
 			return backendOutcome{}, err
 		}

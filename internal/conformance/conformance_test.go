@@ -295,3 +295,34 @@ func TestSummary(t *testing.T) {
 		}
 	}
 }
+
+// TestLookupCellMatchesFilterCells pins the cell index to FilterCells: the
+// same cell for every runnable pair, a hole for every other pair of the
+// vocabulary, and FilterCells's error text for an unknown name.
+func TestLookupCellMatchesFilterCells(t *testing.T) {
+	for _, k := range KernelNames() {
+		for _, cl := range ClassNames() {
+			cells, err := FilterCells([]string{k}, []string{cl})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cell, ok, err := LookupCell(k, cl)
+			if err != nil || ok != (len(cells) == 1) {
+				t.Fatalf("%s/%s: LookupCell ok=%v err=%v, FilterCells found %d cells", k, cl, ok, err, len(cells))
+			}
+			if ok && (cell.Kernel != cells[0].Kernel || cell.Class != cells[0].Class) {
+				t.Fatalf("%s/%s: LookupCell found %s/%s", k, cl, cell.Kernel, cell.Class)
+			}
+		}
+	}
+	for _, names := range [][2]string{{"fft", "IUP"}, {"dot", "IMP-XX"}} {
+		_, wantErr := FilterCells([]string{names[0]}, []string{names[1]})
+		_, ok, err := LookupCell(names[0], names[1])
+		if ok || err == nil || wantErr == nil || err.Error() != wantErr.Error() {
+			t.Errorf("LookupCell(%q, %q) = %v, %v; FilterCells says %v", names[0], names[1], ok, err, wantErr)
+		}
+	}
+	if cell, ok, err := LookupCell("dot", "IMP"); err != nil || !ok || cell.Class != "IMP-I" {
+		t.Errorf("family prefix: %s, %v, %v", cell.Class, ok, err)
+	}
+}

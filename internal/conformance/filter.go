@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 
 	"repro/internal/exec"
 )
@@ -39,6 +40,45 @@ func FilterCells(kernels, classes []string) ([]Cell, error) {
 		out = append(out, c)
 	}
 	return out, nil
+}
+
+// cellKey names one (kernel, class) pair of the matrix vocabulary.
+type cellKey struct{ kernel, class string }
+
+// cellIndex maps every (kernel, class) pair of the vocabulary to its
+// matrix cell, nil for an architecturally unrunnable hole. It is built
+// once, on first use.
+var cellIndex = sync.OnceValue(func() map[cellKey]*Cell {
+	idx := map[cellKey]*Cell{}
+	for _, k := range KernelNames() {
+		for _, cl := range ClassNames() {
+			idx[cellKey{k, cl}] = nil
+		}
+	}
+	for i := range matrix {
+		c := &matrix[i]
+		idx[cellKey{c.Kernel, c.Class}] = c
+	}
+	return idx
+})
+
+// LookupCell returns the matrix cell that runs kernel on class, and whether
+// there is one: false for a class that architecturally cannot run the
+// kernel. Exact names are looked up in an index built once. Anything else
+// goes through FilterCells, so an unknown name gets its error and a class
+// family prefix selects the family's first cell.
+func LookupCell(kernel, class string) (Cell, bool, error) {
+	if c, known := cellIndex()[cellKey{kernel, class}]; known {
+		if c == nil {
+			return Cell{}, false, nil
+		}
+		return *c, true, nil
+	}
+	cells, err := FilterCells([]string{kernel}, []string{class})
+	if err != nil || len(cells) == 0 {
+		return Cell{}, false, err
+	}
+	return cells[0], true, nil
 }
 
 // filterSet validates filter entries against the legal vocabulary (plus

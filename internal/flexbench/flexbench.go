@@ -96,16 +96,13 @@ func (c CellMeasure) scored() bool {
 // column, runnable or not. The unrunnable holes are the point — they are
 // what the coverage fraction measures.
 func Universe() []CellMeasure {
-	runnable := map[string]bool{}
-	for _, c := range conformance.Matrix() {
-		runnable[c.Kernel+"|"+c.Class] = true
-	}
 	kernels := conformance.KernelNames()
 	classes := conformance.ClassNames()
 	out := make([]CellMeasure, 0, len(kernels)*len(classes))
 	for _, k := range kernels {
 		for _, cl := range classes {
-			out = append(out, CellMeasure{Kernel: k, Class: cl, Runnable: runnable[k+"|"+cl]})
+			_, runnable, _ := conformance.LookupCell(k, cl) // names from the vocabulary: no error
+			out = append(out, CellMeasure{Kernel: k, Class: cl, Runnable: runnable})
 		}
 	}
 	return out
@@ -129,12 +126,12 @@ func RunnableCells() []CellMeasure {
 // checked against the pure-Go reference, and reports its statistics.
 func MeasureCell(kernel, class string, p Params) CellMeasure {
 	m := CellMeasure{Kernel: kernel, Class: class}
-	cells, err := conformance.FilterCells([]string{kernel}, []string{class})
+	cell, runnable, err := conformance.LookupCell(kernel, class)
 	if err != nil {
 		m.Err = err.Error()
 		return m
 	}
-	if len(cells) == 0 {
+	if !runnable {
 		return m // architecturally unrunnable: a coverage hole, not an error
 	}
 	m.Runnable = true
@@ -142,7 +139,7 @@ func MeasureCell(kernel, class string, p Params) CellMeasure {
 		m.Err = err.Error()
 		return m
 	}
-	res, want, err := cells[0].Execute(p.conf())
+	res, want, err := cell.Execute(p.conf())
 	if err != nil {
 		m.Err = err.Error()
 		return m

@@ -3,6 +3,7 @@ package machine
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"repro/internal/isa"
 	"repro/internal/obs"
@@ -39,13 +40,15 @@ type CompileOptions struct {
 	BranchPenalty int64
 }
 
-// CPU is the execution state of the compiled uni-processor fast path: a
-// register file and a directly addressed data bank, with the run's Stats
-// accumulated in place.
+// CPU is the execution state of the fused block code: a register file, a
+// directly addressed data bank and the value OpLane loads, with the run's
+// Stats accumulated in place. The uni-processor runs one with Lane 0; a
+// multi-processor core that runs ahead uses its own bank and its index.
 type CPU struct {
 	Regs  Regs
 	Mem   Memory
 	Stats Stats
+	Lane  isa.Word
 }
 
 // haltPC is the NextPC sentinel a terminator returns after HALT. Any
@@ -84,14 +87,22 @@ type block struct {
 	// terminator's). It doubles as the budget-guard margin: a block only
 	// runs fused when the cycle budget cannot expire inside it.
 	cycles int64
+	// private marks a block no other processor can observe: no SEND, RECV,
+	// SYNC or HALT, and every successor inside the program. Its loads and
+	// stores are private too when the DP-DM switch is direct.
+	private bool
 }
 
 // CompiledProgram is the lowered form of one program: the per-op threaded
 // chain (used by every simulator and by traced runs, where per-instruction
 // event emission is part of the contract) and the fused block program the
-// uni-processor fast path executes.
+// untraced uni-processor and the run-ahead of untraced multi-processor
+// cores execute. The blocks are built on first use, once, so a program
+// that only ever runs its chain never pays for them, and one compiled
+// program may be shared by goroutines.
 type CompiledProgram struct {
 	ops           []OpFn
+	blocksOnce    sync.Once
 	blocks        []block
 	blockAt       []int32 // pc of a block leader -> its index in blocks
 	dec           isa.DecodedProgram
@@ -118,16 +129,18 @@ func Compile(dec isa.DecodedProgram, opts CompileOptions) *CompiledProgram {
 		dec:           dec,
 		n:             len(dec),
 		ops:           make([]OpFn, len(dec)),
-		blockAt:       make([]int32, len(dec)),
 		memLatency:    memLat,
 		branchPenalty: opts.BranchPenalty,
 	}
 	for pc := range dec {
 		p.ops[pc] = compileOp(pc, &dec[pc])
 	}
-	p.buildBlocks()
 	return p
 }
+
+// ensureBlocks builds the block program the first time a fused runner
+// needs it.
+func (p *CompiledProgram) ensureBlocks() { p.blocksOnce.Do(p.buildBlocks) }
 
 // buildBlocks lowers each basic block of the shared CFG (isa.BuildCFG owns
 // the leader rules: pc 0, every branch target, every instruction after a
@@ -139,6 +152,7 @@ func (p *CompiledProgram) buildBlocks() {
 		return
 	}
 	cfg := isa.BuildCFG(p.dec)
+	p.blockAt = make([]int32, p.n)
 	for pc := range p.blockAt {
 		p.blockAt[pc] = -1
 	}
@@ -161,9 +175,12 @@ func (p *CompiledProgram) buildBlocks() {
 // lowerBlock lowers the ops in [start, end) into fused units plus a
 // terminator and computes the block's batched accounting.
 func (p *CompiledProgram) lowerBlock(start, end int) block {
-	b := block{start: int32(start), end: int32(end)}
+	b := block{start: int32(start), end: int32(end), private: true}
 	for pc := start; pc < end; pc++ {
 		d := &p.dec[pc]
+		if d.IsComm() || d.Op == isa.OpSync || d.Op == isa.OpHalt {
+			b.private = false
+		}
 		b.nInstr++
 		b.cycles++
 		if d.IsALU() {
@@ -180,6 +197,9 @@ func (p *CompiledProgram) lowerBlock(start, end int) block {
 	}
 
 	last := &p.dec[end-1]
+	if last.IsBranch() && !p.inside(int(last.Target)) || last.Op != isa.OpJmp && !p.inside(end) {
+		b.private = false // a successor leaves the program: the core halts
+	}
 	straight := end // ops [start, straight) become units
 	var pre *preInc
 	if last.IsBranch() || last.Op == isa.OpHalt {
@@ -209,6 +229,9 @@ func (p *CompiledProgram) lowerBlock(start, end int) block {
 	}
 	return b
 }
+
+// inside reports whether pc is an instruction of the program.
+func (p *CompiledProgram) inside(pc int) bool { return pc >= 0 && pc < p.n }
 
 // preInc is an induction increment fused into a branch terminator.
 type preInc struct {
@@ -287,9 +310,11 @@ func (p *CompiledProgram) fuseAt(pc, limit int) (microFn, int32) {
 	return nil, 0
 }
 
-// genMicro builds the direct-memory single-op unit for the uni-processor
-// fast path: same semantics and error text as Step under a
-// uni-processor Env (Lane 0, direct Load/Store, no network, no barrier).
+// genMicro builds the direct-memory single-op unit of the fused code: same
+// semantics and error text as Step under a uni-processor Env (direct
+// Load/Store, no network, no barrier), with OpLane loading CPU.Lane. A
+// multi-processor core only runs private blocks fused and steps a faulting
+// op again through its own chain, so its bank-error texts come from there.
 func (p *CompiledProgram) genMicro(pc int, d *isa.DecodedOp) microFn {
 	if alu := aluKernel(d); alu != nil {
 		return func(c *CPU) (int32, error) {
@@ -354,7 +379,7 @@ func (p *CompiledProgram) genMicro(pc int, d *isa.DecodedOp) microFn {
 		return func(*CPU) (int32, error) { return 0, err }
 	case isa.OpLane:
 		return func(c *CPU) (int32, error) {
-			c.Regs[rd] = 0 // uni-processor: the lane index is 0
+			c.Regs[rd] = c.Lane
 			return 1, nil
 		}
 	default:
@@ -435,29 +460,153 @@ func (p *CompiledProgram) genTerm(pc int, d *isa.DecodedOp, pre *preInc) termFn 
 // the faulting pc for error wrapping; ErrDeadline is returned bare so the
 // caller can format it like the interpreters do.
 func (p *CompiledProgram) Run(c *CPU, budget int64) (failPC int, err error) {
+	p.ensureBlocks()
 	pc := 0
 	for pc >= 0 && pc < p.n {
 		b := &p.blocks[p.blockAt[pc]]
 		if c.Stats.Cycles+b.cycles > budget {
 			return p.runExact(c, pc, budget)
 		}
-		for i := range b.units {
-			u := &b.units[i]
-			k, err := u.fn(c)
-			if err != nil {
-				fpc := int(u.pc) + int(k)
-				p.accountPartial(c, int(b.start), fpc)
-				return fpc, err
-			}
+		if pc, err = p.runBlock(c, b); err != nil {
+			return pc, err
 		}
-		c.Stats.Cycles += b.cycles
-		c.Stats.Instructions += b.nInstr
-		c.Stats.ALUOps += b.nALU
-		c.Stats.MemReads += b.nLoads
-		c.Stats.MemWrites += b.nStores
-		pc = b.term(c)
 	}
 	return 0, nil
+}
+
+// runBlock runs one block's fused units, applies its batched accounting
+// and returns its successor pc. On a guest fault it credits the
+// instructions that retired before it and returns the faulting pc with
+// the error; the faulting instruction has changed nothing.
+func (p *CompiledProgram) runBlock(c *CPU, b *block) (int, error) {
+	for i := range b.units {
+		u := &b.units[i]
+		k, err := u.fn(c)
+		if err != nil {
+			fpc := int(u.pc) + int(k)
+			p.accountPartial(c, int(b.start), fpc)
+			return fpc, err
+		}
+	}
+	c.Stats.Cycles += b.cycles
+	c.Stats.Instructions += b.nInstr
+	c.Stats.ALUOps += b.nALU
+	c.Stats.MemReads += b.nLoads
+	c.Stats.MemWrites += b.nStores
+	return b.term(c), nil
+}
+
+// trailCap bounds how many blocks one RunAhead call runs, so a Trail is a
+// fixed-size record and a core meets the scheduler at least this often.
+const trailCap = 64
+
+// Trail records the blocks one RunAhead call ran, from the cycle it
+// started to the cycle it stopped, so a scheduler whose run ends at an
+// earlier slot can take back the work after it (After).
+type Trail struct {
+	from, to int64 // issue cycle of the first block; issue cycle of stopPC
+	stopPC   int   // the pc the run stopped at
+	n        int
+	blocks   [trailCap]int32
+}
+
+// RunAhead runs c through consecutive private blocks of the fused code,
+// starting at pc at cycle now, with multi-processor accounting (one cycle
+// per instruction plus the DP-DM latency per memory op, the taken-branch
+// penalty). A private block is one no other processor can observe (no
+// SEND, RECV, SYNC or HALT, no successor outside the program); when
+// memLocal is false its loads and stores may reach other banks, so a block
+// with any is not run. RunAhead stops at the first block that is not
+// private, at a pc that does not lead a block, at a block that would not
+// end by budget, after trailCap blocks, or at a guest fault. It returns
+// the pc to resume at and the cycle that pc issues at; c.Stats holds what
+// the call retired, and t records it for After. After a fault the pc is
+// the faulting op and c is as it was before that op: the caller steps the
+// op through its per-op chain at its own slot, which reports the fault
+// with the caller's exact error text. A call that returns now ran nothing.
+func (p *CompiledProgram) RunAhead(c *CPU, pc int, now, budget int64, memLocal bool, t *Trail) (int, int64) {
+	p.ensureBlocks()
+	c.Stats = Stats{}
+	t.from, t.n = now, 0
+	for t.n < trailCap && pc >= 0 && pc < p.n {
+		bi := p.blockAt[pc]
+		if bi < 0 {
+			break
+		}
+		b := &p.blocks[bi]
+		if !b.runsAhead(memLocal) || now+c.Stats.Cycles+b.cycles > budget {
+			break
+		}
+		t.blocks[t.n] = bi
+		t.n++
+		next, err := p.runBlock(c, b)
+		pc = next
+		if err != nil {
+			break
+		}
+	}
+	t.to, t.stopPC = now+c.Stats.Cycles, pc
+	return pc, t.to
+}
+
+// RunsAhead reports whether RunAhead at pc would run the block there,
+// cycle budget permitting: pc leads a private block, with no loads or
+// stores unless memLocal. A scheduler asks once per pc, not per step.
+func (p *CompiledProgram) RunsAhead(pc int, memLocal bool) bool {
+	p.ensureBlocks()
+	if pc < 0 || pc >= p.n {
+		return false
+	}
+	bi := p.blockAt[pc]
+	return bi >= 0 && p.blocks[bi].runsAhead(memLocal)
+}
+
+// runsAhead reports whether a processor may run the block ahead of the
+// scheduler: it is private, and so are its loads and stores, if any.
+func (b *block) runsAhead(memLocal bool) bool {
+	return b.private && (memLocal || b.nLoads+b.nStores == 0)
+}
+
+// After returns the work of the trail's instructions that issue at or
+// after cycle cut: what a processor that ran ahead takes back when the run
+// stops at an earlier slot. Cycles is left zero.
+func (p *CompiledProgram) After(t *Trail, cut int64) Stats {
+	var s Stats
+	if cut >= t.to {
+		return s // every instruction of the trail issued before cut
+	}
+	at := t.from
+	for i := 0; i < t.n && at < t.to; i++ {
+		b := &p.blocks[t.blocks[i]]
+		for pc := b.start; pc < b.end && at < t.to; pc++ {
+			d := &p.dec[pc]
+			issue := at
+			at++
+			if d.IsMemory() {
+				at += p.memLatency
+			}
+			if issue < cut {
+				continue
+			}
+			s.Instructions++
+			if d.IsALU() {
+				s.ALUOps++
+			}
+			if d.Op == isa.OpLd {
+				s.MemReads++
+			} else if d.Op == isa.OpSt {
+				s.MemWrites++
+			}
+		}
+		next := t.stopPC
+		if i+1 < t.n {
+			next = int(p.blocks[t.blocks[i+1]].start)
+		}
+		if p.dec[b.end-1].IsBranch() && next != int(b.end) {
+			at += p.branchPenalty
+		}
+	}
+	return s
 }
 
 // runExact steps the rest of the run one op at a time through the threaded
@@ -480,7 +629,7 @@ func (p *CompiledProgram) runExact(c *CPU, pc int, budget int64) (failPC int, er
 		if d.IsALU() {
 			c.Stats.ALUOps++
 		}
-		if out.Mem {
+		if d.IsMemory() {
 			c.Stats.Cycles += p.memLatency
 			if d.Op == isa.OpLd {
 				c.Stats.MemReads++
@@ -641,7 +790,6 @@ func compileOp(pc int, d *isa.DecodedOp) OpFn {
 				return out, err
 			}
 			regs[rd] = v
-			out.Mem = true
 			if env.Tracer != nil {
 				env.Tracer.Emit(obs.Event{Kind: obs.KindMemRead, Track: env.Track, Cycle: env.Now, Arg: int64(addr)})
 			}
@@ -657,7 +805,6 @@ func compileOp(pc int, d *isa.DecodedOp) OpFn {
 			if err := env.Store(addr, regs[rb]); err != nil {
 				return out, err
 			}
-			out.Mem = true
 			if env.Tracer != nil {
 				env.Tracer.Emit(obs.Event{Kind: obs.KindMemWrite, Track: env.Track, Cycle: env.Now, Arg: int64(addr)})
 			}
@@ -702,7 +849,6 @@ func compileOp(pc int, d *isa.DecodedOp) OpFn {
 			if err := env.SendTo(int(regs[rb]), regs[ra]); err != nil {
 				return out, err
 			}
-			out.Comm = true
 			if env.Tracer != nil {
 				env.Tracer.Emit(obs.Event{Kind: obs.KindSend, Track: env.Track, Cycle: env.Now, Arg: int64(regs[rb])})
 			}
@@ -725,7 +871,6 @@ func compileOp(pc int, d *isa.DecodedOp) OpFn {
 				return out, err
 			}
 			regs[rd] = v
-			out.Comm = true
 			if env.Tracer != nil {
 				env.Tracer.Emit(obs.Event{Kind: obs.KindRecv, Track: env.Track, Cycle: env.Now, Arg: int64(peer)})
 			}

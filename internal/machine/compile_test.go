@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/isa"
@@ -41,7 +42,7 @@ func refRun(prog isa.Program, mem Memory, memLat, branchPenalty, budget int64) (
 		if ins.Op.IsALU() {
 			stats.ALUOps++
 		}
-		if out.Mem {
+		if ins.Op.IsMemory() {
 			stats.Cycles += memLat
 			if ins.Op == isa.OpLd {
 				stats.MemReads++
@@ -101,7 +102,7 @@ func opsRun(prog isa.Program, mem Memory, memLat, branchPenalty, budget int64) (
 		if op.IsALU() {
 			stats.ALUOps++
 		}
-		if out.Mem {
+		if op.IsMemory() {
 			stats.Cycles += memLat
 			if op == isa.OpLd {
 				stats.MemReads++
@@ -375,6 +376,7 @@ func TestCompileBlockProperties(t *testing.T) {
 		prog := randCompileProgram(rng, 1+rng.Intn(60), 32)
 		memLat := int64(rng.Intn(4))
 		p := Compile(isa.Predecode(prog), CompileOptions{MemLatency: memLat})
+		p.ensureBlocks()
 		if memLat == 0 {
 			memLat = 1
 		}
@@ -625,7 +627,9 @@ func TestCompileFusionEdgeCases(t *testing.T) {
 					regsRef, regsCmp, statsRef, statsCmp, memRef, memCmp, errRef, errCmp)
 			}
 			if tc.check != nil {
-				tc.check(t, Compile(isa.Predecode(tc.prog), CompileOptions{}))
+				p := Compile(isa.Predecode(tc.prog), CompileOptions{})
+				p.ensureBlocks()
+				tc.check(t, p)
 			}
 		})
 	}
@@ -645,5 +649,76 @@ func TestCompileZeroLength(t *testing.T) {
 	}
 	if c.Stats != (Stats{}) {
 		t.Fatalf("empty Run produced stats %+v", c.Stats)
+	}
+}
+
+// TestRunAheadTrail checks a run-ahead's Trail against what the run
+// retired: taking back from the first issue cycle returns all of it, from
+// the stop cycle nothing, and a later cut never takes back more.
+func TestRunAheadTrail(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for trial := 0; trial < 500; trial++ {
+		prog := randCompileProgram(rng, 1+rng.Intn(60), 32)
+		p := Compile(isa.Predecode(prog), CompileOptions{MemLatency: int64(rng.Intn(3)), BranchPenalty: int64(rng.Intn(3))})
+		c := CPU{Mem: make(Memory, 32)}
+		var tr Trail
+		const now = 10
+		_, to := p.RunAhead(&c, 0, now, 1<<40, true, &tr)
+		ran := c.Stats
+		ran.Cycles = 0
+		if got := p.After(&tr, now); got != ran {
+			t.Fatalf("trial %d: After(start) = %+v, the run retired %+v\n%s", trial, got, ran, isa.Disassemble(prog))
+		}
+		if got := p.After(&tr, to); got != (Stats{}) {
+			t.Fatalf("trial %d: After(stop) = %+v, want nothing\n%s", trial, got, isa.Disassemble(prog))
+		}
+		prev := ran
+		for cut := int64(now); cut <= to; cut++ {
+			got := p.After(&tr, cut)
+			if got.Instructions > prev.Instructions || got.ALUOps > prev.ALUOps ||
+				got.MemReads > prev.MemReads || got.MemWrites > prev.MemWrites {
+				t.Fatalf("trial %d: After(%d) = %+v grew from %+v", trial, cut, got, prev)
+			}
+			prev = got
+		}
+	}
+}
+
+// TestCompileBuildsBlocksOnFirstRun: Compile builds only the per-op chain;
+// the first fused run builds the blocks, once, and one compiled program
+// runs on several goroutines at once with the same results.
+func TestCompileBuildsBlocksOnFirstRun(t *testing.T) {
+	prog := isa.MustAssemble(`
+        ldi  r1, 50
+        ldi  r2, 0
+loop:   addi r1, r1, -1
+        st   r1, [r2+3]
+        bne  r1, r2, loop
+        halt`)
+	p := Compile(isa.Predecode(prog), CompileOptions{})
+	if p.blocks != nil || p.blockAt != nil || len(p.Ops()) != len(prog) {
+		t.Fatalf("Compile built %d blocks before any fused run", len(p.blocks))
+	}
+	const runs = 8
+	stats := make([]Stats, runs)
+	errs := make([]error, runs)
+	var wg sync.WaitGroup
+	for i := range runs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c := CPU{Mem: make(Memory, 8)}
+			_, errs[i] = p.Run(&c, 1000)
+			stats[i] = c.Stats
+		}()
+	}
+	wg.Wait()
+	for i := range runs {
+		if errs[i] != nil || stats[i] != stats[0] {
+			t.Fatalf("run %d: %+v, %v; run 0: %+v", i, stats[i], errs[i], stats[0])
+		}
+	}
+	if len(p.blocks) == 0 {
+		t.Fatal("no blocks after a fused run")
 	}
 }

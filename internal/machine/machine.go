@@ -165,7 +165,14 @@ type Env struct {
 // simulator keeps the PC on the instruction and retries later.
 var ErrWouldBlock = errors.New("machine: operation would block")
 
-// Outcome is the control-flow result of one executed instruction.
+// Outcome is the control-flow result of one executed instruction. Whether
+// a completed instruction used the DP-DM switch or the DP-DP network is a
+// property of its opcode (isa.DecodedOp.IsMemory and IsComm), so callers
+// read it off the decoded op. Outcome keeps to at most four fields: Go
+// keeps a struct of four or fewer fields in registers across a call, while
+// a larger one is built in memory by byte stores and read back by one wide
+// load, a store-forwarding stall on every op of every chain
+// (TestOutcomeRegisterSized pins the limit).
 type Outcome struct {
 	// NextPC is the program counter after the instruction.
 	NextPC int
@@ -174,10 +181,6 @@ type Outcome struct {
 	// Blocked reports that the instruction could not complete (RECV/SYNC);
 	// the PC did not advance and no work was done.
 	Blocked bool
-	// Mem reports that the instruction used the DP-DM switch.
-	Mem bool
-	// Comm reports that the instruction used the DP-DP network.
-	Comm bool
 }
 
 // Step executes one instruction against a register file and an environment,
@@ -240,7 +243,6 @@ func Step(regs *Regs, pc int, ins isa.Instruction, env Env) (Outcome, error) {
 			return out, err
 		}
 		regs[ins.Rd] = v
-		out.Mem = true
 		if env.Tracer != nil {
 			env.Tracer.Emit(obs.Event{Kind: obs.KindMemRead, Track: env.Track, Cycle: env.Now, Arg: int64(addr)})
 		}
@@ -252,7 +254,6 @@ func Step(regs *Regs, pc int, ins isa.Instruction, env Env) (Outcome, error) {
 		if err := env.Store(addr, regs[ins.Rb]); err != nil {
 			return out, err
 		}
-		out.Mem = true
 		if env.Tracer != nil {
 			env.Tracer.Emit(obs.Event{Kind: obs.KindMemWrite, Track: env.Track, Cycle: env.Now, Arg: int64(addr)})
 		}
@@ -281,7 +282,6 @@ func Step(regs *Regs, pc int, ins isa.Instruction, env Env) (Outcome, error) {
 		if err := env.SendTo(int(regs[ins.Rb]), regs[ins.Ra]); err != nil {
 			return out, err
 		}
-		out.Comm = true
 		if env.Tracer != nil {
 			env.Tracer.Emit(obs.Event{Kind: obs.KindSend, Track: env.Track, Cycle: env.Now, Arg: int64(regs[ins.Rb])})
 		}
@@ -300,7 +300,6 @@ func Step(regs *Regs, pc int, ins isa.Instruction, env Env) (Outcome, error) {
 			return out, err
 		}
 		regs[ins.Rd] = v
-		out.Comm = true
 		if env.Tracer != nil {
 			env.Tracer.Emit(obs.Event{Kind: obs.KindRecv, Track: env.Track, Cycle: env.Now, Arg: int64(peer)})
 		}

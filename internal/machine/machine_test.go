@@ -2,6 +2,7 @@ package machine
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -172,14 +173,14 @@ func TestStep_MemoryOps(t *testing.T) {
 	var regs Regs
 	regs[1], regs[2] = 4, 99
 	out, err := Step(&regs, 0, isa.Instruction{Op: isa.OpSt, Ra: 1, Rb: 2, Imm: 2}, env)
-	if err != nil || !out.Mem {
+	if err != nil || out.NextPC != 1 {
 		t.Fatalf("st: (%+v, %v)", out, err)
 	}
 	if mem[6] != 99 {
 		t.Errorf("mem[6] = %d", mem[6])
 	}
 	out, err = Step(&regs, 0, isa.Instruction{Op: isa.OpLd, Rd: 3, Ra: 1, Imm: 2}, env)
-	if err != nil || !out.Mem || regs[3] != 99 {
+	if err != nil || out.NextPC != 1 || regs[3] != 99 {
 		t.Errorf("ld: r3=%d (%+v, %v)", regs[3], out, err)
 	}
 	// No DP-DM path configured.
@@ -217,11 +218,11 @@ func TestStep_CommOps(t *testing.T) {
 	var regs Regs
 	regs[1], regs[2] = 55, 3
 	out, err := Step(&regs, 0, isa.Instruction{Op: isa.OpSend, Ra: 1, Rb: 2}, env)
-	if err != nil || !out.Comm || sentPeer != 3 || sentVal != 55 {
+	if err != nil || out.Blocked || sentPeer != 3 || sentVal != 55 {
 		t.Errorf("send: peer=%d val=%d (%+v, %v)", sentPeer, sentVal, out, err)
 	}
 	out, err = Step(&regs, 5, isa.Instruction{Op: isa.OpRecv, Rd: 4, Rb: 2}, env)
-	if err != nil || !out.Comm || regs[4] != 103 {
+	if err != nil || out.Blocked || out.NextPC != 6 || regs[4] != 103 {
 		t.Errorf("recv: r4=%d (%+v, %v)", regs[4], out, err)
 	}
 	// Blocking recv keeps the pc.
@@ -299,8 +300,8 @@ func TestIsALU(t *testing.T) {
 	}
 }
 
-// TestStep_Property: ALU ops never touch memory/comm outcome flags and
-// always advance the PC by one.
+// TestStep_Property: ALU ops never halt or block and always advance the PC
+// by one.
 func TestStep_Property(t *testing.T) {
 	ops := []isa.Op{isa.OpAdd, isa.OpSub, isa.OpMul, isa.OpAnd, isa.OpOr, isa.OpXor,
 		isa.OpShl, isa.OpShr, isa.OpSlt, isa.OpSeq, isa.OpMin, isa.OpMax, isa.OpAddi, isa.OpMuli}
@@ -315,7 +316,7 @@ func TestStep_Property(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return out.NextPC == pc+1 && !out.Mem && !out.Comm && !out.Halted && !out.Blocked
+		return out.NextPC == pc+1 && !out.Halted && !out.Blocked
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -382,5 +383,19 @@ func TestPools(t *testing.T) {
 func TestErrWouldBlockIsComparable(t *testing.T) {
 	if !errors.Is(ErrWouldBlock, ErrWouldBlock) {
 		t.Fatal("ErrWouldBlock identity")
+	}
+}
+
+// TestOutcomeRegisterSized pins Outcome to at most four fields. Every op of
+// every chain returns an Outcome. The Go compiler keeps a struct of up to
+// four fields in registers; a fifth field makes it a memory object, which
+// each op builds with byte stores and its caller reads back with one
+// 16-byte load. That load cannot be served from the store buffer, so it
+// waits for the stores to drain: a store-forwarding stall per executed op.
+// Whether an op used the DP-DM switch or the DP-DP network is known from
+// its decoded form, so that belongs on isa.DecodedOp, not here.
+func TestOutcomeRegisterSized(t *testing.T) {
+	if n := reflect.TypeOf(Outcome{}).NumField(); n > 4 {
+		t.Fatalf("Outcome has %d fields; at most 4 keep it in registers", n)
 	}
 }

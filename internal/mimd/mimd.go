@@ -17,10 +17,32 @@
 // IMP-I is more flexible than IAP-I ("IMP-I can act as an array processor
 // if all the processors are executing the same program. However, IAP-I
 // cannot execute n different programs at the same time").
+//
+// The scheduler is one loop over (cycle, core) slots. Between SYNC, a
+// message and a shared-bank access a core's work is its own, and an
+// untraced run of the compiled code uses that: at its slot, a core that
+// stands at the start of a private CFG block runs ahead through as many
+// private blocks as fit in the cycle budget as fused code on its own
+// registers and bank (machine.CompiledProgram.RunAhead), and the loop
+// skips the cycles in which no core is ready. A block is private when it
+// holds no SEND, RECV, SYNC or HALT and cannot leave the program; its
+// loads and stores count as private only under a direct DP-DM switch,
+// where no other core can reach the bank. Every other block steps one op
+// per slot. Run-ahead changes no result: Stats, CoreStats and error texts
+// are those of the op-by-op loop. A fault inside a fused block stops the
+// core in front of the faulting op with its state as it was, and the op
+// is stepped again through the per-op chain at its own slot, so it is
+// reported with the same text and only if no earlier slot failed; a
+// failure at an earlier slot takes back what cores that ran ahead retired
+// after it. HALT never runs fused, so it takes effect at its own cycle.
+// Traced runs and the machine.StepOps reference step every op in slot
+// order instead, because the emission order of their events is part of
+// what the goldens and the differential sweeps compare.
 package mimd
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/isa"
 	"repro/internal/machine"
@@ -113,37 +135,83 @@ func (c Config) validate() error {
 	return nil
 }
 
+// image is one program image in the forms the scheduler runs.
+type image struct {
+	// dec is the pre-decoded program the scheduler dispatches on.
+	dec isa.DecodedProgram
+	// ops is the per-op chain: compiled code, or the StepOps reference
+	// under Config.Interp. The cross-core network and barrier timing keeps
+	// the cycle-by-cycle scheduler either way.
+	ops []machine.OpFn
+	// comp is the compiled program whose fused blocks cores run ahead
+	// through; nil under Config.Interp.
+	comp *machine.CompiledProgram
+	// ahead marks the pcs at which a core may run ahead; nil when no pc
+	// qualifies or the run is traced or interpreted.
+	ahead []bool
+}
+
+// newImage validates, decodes and compiles one program image.
+func newImage(p isa.Program, cfg Config) (*image, error) {
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	img := &image{dec: isa.Predecode(p)}
+	if cfg.Interp {
+		img.ops = machine.StepOps(p)
+		return img, nil
+	}
+	img.comp = machine.Compile(img.dec, machine.CompileOptions{})
+	img.ops = img.comp.Ops()
+	if cfg.Tracer != nil {
+		return img, nil // traced runs step every op in slot order
+	}
+	memLocal := cfg.DPDM == taxonomy.LinkDirect
+	for pc := range img.dec {
+		if img.comp.RunsAhead(pc, memLocal) {
+			if img.ahead == nil {
+				img.ahead = make([]bool, len(img.dec))
+			}
+			img.ahead[pc] = true
+		}
+	}
+	return img, nil
+}
+
 // coreState tracks one core's execution.
 type coreState struct {
-	regs    machine.Regs
+	// cpu holds the core's registers and, for run-ahead, its bank and
+	// lane index.
+	cpu     machine.CPU
 	pc      int
-	prog    int // index into the machine's program images
+	img     *image // the program image the core fetches from
 	halted  bool
 	readyAt int64
 	// inBarrier marks a core waiting at the current SYNC; barrierAt is the
 	// cycle it arrived (for traced wait spans).
 	inBarrier bool
 	barrierAt int64
+	// trail records the core's last run-ahead, whose work past the slot
+	// of a failure the scheduler takes back.
+	trail machine.Trail
 }
 
 // Machine is one multi-processor instance.
 type Machine struct {
-	cfg      Config
-	programs []isa.Program
-	// decoded holds the pre-decoded form of each program image; cores
-	// dispatch on it in the scheduler loop.
-	decoded []isa.DecodedProgram
-	cores   []coreState
+	cfg Config
+	// images holds each program image; images that are the same slice
+	// share one entry.
+	images []*image
+	cores  []coreState
 	// Banks is the cores' data side: banks, DP-DM crossbar, message
 	// network and mailboxes. The scheduler sets its Now/Finish per step.
 	*machine.Banks
 	// perCore accumulates each core's retired instructions and last-active
 	// cycle for load-balance analysis.
 	perCore []CoreStats
-	// ops holds one per-op chain per program image: compiled code, or the
-	// StepOps reference under Config.Interp. The cross-core network and
-	// barrier timing keeps the cycle-by-cycle scheduler either way.
-	ops [][]machine.OpFn
+	// memLocal reports a direct DP-DM switch, under which loads and
+	// stores are private.
+	memLocal bool
 }
 
 // CoreStats summarises one core's activity in a run.
@@ -165,13 +233,27 @@ func New(cfg Config, programs []isa.Program) (*Machine, error) {
 	if len(programs) == 0 {
 		return nil, fmt.Errorf("mimd: no program images")
 	}
+	// SPMD callers pass one program once per core: an image that is the
+	// same slice as an earlier one shares its decoded and compiled forms.
+	images := make([]*image, len(programs))
 	for i, p := range programs {
 		if len(p) == 0 {
 			return nil, fmt.Errorf("mimd: program image %d is empty", i)
 		}
-		if err := p.Validate(); err != nil {
+		for j := range i {
+			if len(programs[j]) == len(p) && &programs[j][0] == &p[0] {
+				images[i] = images[j]
+				break
+			}
+		}
+		if images[i] != nil {
+			continue
+		}
+		img, err := newImage(p, cfg)
+		if err != nil {
 			return nil, fmt.Errorf("mimd: program image %d: %w", i, err)
 		}
+		images[i] = img
 	}
 	if cfg.IPIM == taxonomy.LinkDirect && len(programs) != cfg.Cores {
 		return nil, fmt.Errorf("mimd: IP-IM is direct, need one program image per core (%d), got %d",
@@ -184,25 +266,19 @@ func New(cfg Config, programs []isa.Program) (*Machine, error) {
 	}
 	m := &Machine{
 		cfg:      cfg,
-		programs: programs,
-		decoded:  make([]isa.DecodedProgram, len(programs)),
+		images:   images,
 		cores:    make([]coreState, cfg.Cores),
 		perCore:  make([]CoreStats, cfg.Cores),
-		ops:      make([][]machine.OpFn, len(programs)),
+		memLocal: cfg.DPDM == taxonomy.LinkDirect,
 	}
 	m.Banks = banks
-	for i, p := range programs {
-		m.decoded[i] = isa.Predecode(p)
-		if cfg.Interp {
-			m.ops[i] = machine.StepOps(p)
-		} else {
-			m.ops[i] = machine.Compile(m.decoded[i], machine.CompileOptions{}).Ops()
-		}
-	}
 	for i := range m.cores {
+		m.cores[i].img = images[0]
 		if cfg.IPIM == taxonomy.LinkDirect {
-			m.cores[i].prog = i
+			m.cores[i].img = images[i]
 		}
+		m.cores[i].cpu.Mem = banks.Bank(i)
+		m.cores[i].cpu.Lane = isa.Word(i)
 		// SYNC blocks until tryReleaseBarrier releases every live core.
 		m.Env(i).Barrier = func() error { return machine.ErrWouldBlock }
 	}
@@ -218,10 +294,10 @@ func (m *Machine) Assign(core, image int) error {
 	if core < 0 || core >= m.cfg.Cores {
 		return fmt.Errorf("mimd: core %d out of range [0,%d)", core, m.cfg.Cores)
 	}
-	if image < 0 || image >= len(m.programs) {
-		return fmt.Errorf("mimd: image %d out of range [0,%d)", image, len(m.programs))
+	if image < 0 || image >= len(m.images) {
+		return fmt.Errorf("mimd: image %d out of range [0,%d)", image, len(m.images))
 	}
-	m.cores[core].prog = image
+	m.cores[core].img = m.images[image]
 	return nil
 }
 
@@ -240,7 +316,9 @@ func (m *Machine) CoreStats() []CoreStats {
 
 // Run executes all cores to completion and returns aggregate statistics.
 // The scheduler is deterministic: one simulated cycle at a time, stepping
-// ready cores in index order.
+// ready cores in index order. Untraced compiled runs let a core run ahead
+// through private blocks and skip the cycles in which no core is ready
+// (see the package comment); the results are the same.
 func (m *Machine) Run() (machine.Stats, error) {
 	var stats machine.Stats
 	budget := m.cfg.MaxCycles
@@ -250,7 +328,7 @@ func (m *Machine) Run() (machine.Stats, error) {
 
 	running := 0
 	for i := range m.cores {
-		if m.cores[i].pc < len(m.programs[m.cores[i].prog]) {
+		if m.cores[i].pc < len(m.cores[i].img.dec) {
 			running++
 		} else {
 			m.cores[i].halted = true
@@ -259,12 +337,14 @@ func (m *Machine) Run() (machine.Stats, error) {
 
 	for cycle := int64(0); running > 0; cycle++ {
 		if cycle >= budget {
-			stats.NetConflictCycles += m.ConflictCycles()
-			stats.Cycles = cycle
+			m.stop(&stats, cycle, -1)
 			return stats, fmt.Errorf("mimd: %w after %d cycles", machine.ErrDeadline, cycle)
 		}
 		progress := false
 		anyScheduledLater := false
+		// next is the earliest cycle after this one at which a live core
+		// is ready; the loop jumps there when it is more than a cycle away.
+		next := int64(math.MaxInt64)
 		for i := range m.cores {
 			c := &m.cores[i]
 			if c.halted || c.inBarrier {
@@ -272,24 +352,41 @@ func (m *Machine) Run() (machine.Stats, error) {
 			}
 			if c.readyAt > cycle {
 				anyScheduledLater = true
+				next = min(next, c.readyAt)
 				continue
 			}
-			dec := m.decoded[c.prog]
+			img := c.img
+			dec := img.dec
 			if c.pc < 0 || c.pc >= len(dec) {
 				c.halted = true
 				running--
 				progress = true
 				continue
 			}
+			if img.ahead != nil && img.ahead[c.pc] {
+				pc, at := img.comp.RunAhead(&c.cpu, c.pc, cycle, budget, m.memLocal, &c.trail)
+				if at > cycle {
+					ran := &c.cpu.Stats
+					stats.Instructions += ran.Instructions
+					stats.ALUOps += ran.ALUOps
+					stats.MemReads += ran.MemReads
+					stats.MemWrites += ran.MemWrites
+					m.perCore[i].Instructions += ran.Instructions
+					c.pc, c.readyAt = pc, at
+					stats.Cycles = max(stats.Cycles, at)
+					progress = true
+					next = min(next, at)
+					continue
+				}
+			}
 			d := &dec[c.pc]
 			m.Now, m.Finish = cycle, cycle+1
 			env := m.Env(i)
 			env.Now = cycle
-			out, err := m.ops[c.prog][c.pc](&c.regs, env)
+			out, err := img.ops[c.pc](&c.cpu.Regs, env)
 			finish := m.Finish
 			if err != nil {
-				stats.NetConflictCycles += m.ConflictCycles()
-				stats.Cycles = cycle
+				m.stop(&stats, cycle, i)
 				return stats, fmt.Errorf("mimd: core %d pc %d: %w", i, c.pc, err)
 			}
 			if out.Blocked {
@@ -299,8 +396,10 @@ func (m *Machine) Run() (machine.Stats, error) {
 					progress = true // entering the barrier is progress
 					m.tryReleaseBarrier(cycle+1, &stats)
 				}
-				// Blocked RECV: retry next cycle.
+				// Blocked RECV: retry next cycle. A released barrier also
+				// readies its cores next cycle.
 				c.readyAt = cycle + 1
+				next = cycle + 1
 				continue
 			}
 			progress = true
@@ -318,14 +417,14 @@ func (m *Machine) Run() (machine.Stats, error) {
 				m.cfg.Tracer.Emit(obs.Event{Kind: obs.KindInstr, Flags: flags, Track: int32(i),
 					Cycle: cycle, Dur: finish - cycle, Arg: int64(d.Op)})
 			}
-			if out.Mem {
+			if d.IsMemory() {
 				if d.Op == isa.OpLd {
 					stats.MemReads++
 				} else {
 					stats.MemWrites++
 				}
 			}
-			if out.Comm {
+			if d.IsComm() {
 				stats.Messages++
 			}
 			c.pc = out.NextPC
@@ -334,6 +433,8 @@ func (m *Machine) Run() (machine.Stats, error) {
 				c.halted = true
 				m.perCore[i].FinishedAt = finish
 				running--
+			} else {
+				next = min(next, finish)
 			}
 			if stats.Cycles < finish {
 				stats.Cycles = finish
@@ -342,29 +443,52 @@ func (m *Machine) Run() (machine.Stats, error) {
 		if !progress && !anyScheduledLater {
 			// A core may have halted after the others entered the barrier;
 			// the barrier is then releasable among the remaining live cores.
-			if m.tryReleaseBarrierNow(cycle+1, &stats) {
+			if m.tryReleaseBarrier(cycle+1, &stats) {
 				continue
 			}
 			// Every live core is blocked on RECV or stuck in a barrier that
 			// can never release: deadlock.
-			stats.NetConflictCycles += m.ConflictCycles()
-			stats.Cycles = cycle
+			m.stop(&stats, cycle, -1)
 			return stats, fmt.Errorf("mimd: deadlock at cycle %d: all %d live cores blocked", cycle, running)
+		}
+		if next > cycle+1 && next != math.MaxInt64 {
+			// No core is ready before next: nothing happens in between.
+			cycle = min(next, budget) - 1
 		}
 	}
 	stats.NetConflictCycles += m.ConflictCycles()
 	return stats, nil
 }
 
-// tryReleaseBarrierNow is tryReleaseBarrier reporting whether it released.
-func (m *Machine) tryReleaseBarrierNow(releaseCycle int64, stats *machine.Stats) bool {
-	before := stats.Barriers
-	m.tryReleaseBarrier(releaseCycle, stats)
-	return stats.Barriers > before
+// stop settles the Stats of a run that fails at core's slot of cycle
+// (core -1 for the slot before every core's). A core that ran ahead past
+// that slot takes back the instructions it retired at later slots, so the
+// Stats and CoreStats are those of the op-by-op loop stopping there.
+func (m *Machine) stop(stats *machine.Stats, cycle int64, core int) {
+	for j := range m.cores {
+		c := &m.cores[j]
+		comp := c.img.comp
+		if comp == nil {
+			continue // the reference chain never runs ahead
+		}
+		cut := cycle
+		if j < core {
+			cut++ // core j's slot of this cycle came before the failure
+		}
+		back := comp.After(&c.trail, cut)
+		stats.Instructions -= back.Instructions
+		stats.ALUOps -= back.ALUOps
+		stats.MemReads -= back.MemReads
+		stats.MemWrites -= back.MemWrites
+		m.perCore[j].Instructions -= back.Instructions
+	}
+	stats.NetConflictCycles += m.ConflictCycles()
+	stats.Cycles = cycle
 }
 
-// tryReleaseBarrier releases all cores once every live core waits at SYNC.
-func (m *Machine) tryReleaseBarrier(releaseCycle int64, stats *machine.Stats) {
+// tryReleaseBarrier releases all cores once every live core waits at SYNC,
+// and reports whether it did.
+func (m *Machine) tryReleaseBarrier(releaseCycle int64, stats *machine.Stats) bool {
 	waiting := 0
 	live := 0
 	for i := range m.cores {
@@ -377,7 +501,7 @@ func (m *Machine) tryReleaseBarrier(releaseCycle int64, stats *machine.Stats) {
 		}
 	}
 	if live == 0 || waiting < live {
-		return
+		return false
 	}
 	for i := range m.cores {
 		if m.cores[i].halted || !m.cores[i].inBarrier {
@@ -404,4 +528,5 @@ func (m *Machine) tryReleaseBarrier(releaseCycle int64, stats *machine.Stats) {
 	if stats.Cycles < releaseCycle {
 		stats.Cycles = releaseCycle
 	}
+	return true
 }

@@ -3,11 +3,13 @@ package mimd
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/isa"
 	"repro/internal/machine"
+	"repro/internal/obs"
 	"repro/internal/taxonomy"
 )
 
@@ -311,19 +313,216 @@ spin:   sub r1, r1, r3
 }
 
 func TestBarrier_SurvivesHaltedCore(t *testing.T) {
-	// One core halts immediately; the remaining cores' barrier still
-	// releases among the live cores.
-	cfg := mustConfig(t, 1, 3, 16)
-	m, err := New(cfg, []isa.Program{
-		isa.MustAssemble("halt"),
-		isa.MustAssemble("sync\nhalt"),
-		isa.MustAssemble("sync\nhalt"),
-	})
+	// One core halts; the remaining cores' barrier still releases among
+	// the live cores. In the second and third cases a core runs a long
+	// private loop first, so it runs ahead of the barrier, or halts far
+	// ahead of the other core's SYNC; the barrier must release at the
+	// cycle the op-by-op reference releases it.
+	spin := func(n int, tail string) isa.Program {
+		return isa.MustAssemble(fmt.Sprintf(`
+        ldi  r1, %d
+        ldi  r2, 0
+loop:   addi r1, r1, -1
+        st   r1, [r0+1]
+        bne  r1, r2, loop
+        %s`, n, tail))
+	}
+	cases := []struct {
+		name  string
+		progs []isa.Program
+	}{
+		{"immediate", []isa.Program{
+			isa.MustAssemble("halt"),
+			isa.MustAssemble("sync\nhalt"),
+			isa.MustAssemble("sync\nhalt"),
+		}},
+		{"halts after a long run", []isa.Program{
+			spin(300, "halt"),
+			isa.MustAssemble("sync\nhalt"),
+			isa.MustAssemble("sync\nhalt"),
+		}},
+		{"halts far ahead of a sync", []isa.Program{
+			isa.MustAssemble("halt"),
+			spin(300, "sync\nhalt"),
+			isa.MustAssemble("sync\nhalt"),
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			stats, err := diffAgainstInterp(t, mustConfig(t, 1, 3, 16), tc.progs)
+			if err != nil {
+				t.Errorf("barrier with a halted core: %v", err)
+			}
+			if stats.Barriers != 1 {
+				t.Errorf("barriers = %d, want 1", stats.Barriers)
+			}
+		})
+	}
+}
+
+// diffAgainstInterp runs progs on cfg three ways: untraced compiled code
+// (where cores run ahead through private blocks), traced compiled code and
+// the machine.StepOps reference. All three must agree on the error text,
+// the Stats and the CoreStats. It returns the reference's Stats and error.
+func diffAgainstInterp(t *testing.T, cfg Config, progs []isa.Program) (machine.Stats, error) {
+	t.Helper()
+	run := func(interp bool, tr obs.Tracer) (machine.Stats, []CoreStats, error) {
+		c := cfg
+		c.Interp, c.Tracer = interp, tr
+		m, err := New(c, progs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer m.Release()
+		stats, err := m.Run()
+		return stats, m.CoreStats(), err
+	}
+	refStats, refCores, refErr := run(true, nil)
+	for _, v := range []struct {
+		name string
+		tr   obs.Tracer
+	}{{"compiled", nil}, {"traced", obs.NewTrace()}} {
+		stats, cores, err := run(false, v.tr)
+		if fmt.Sprint(err) != fmt.Sprint(refErr) {
+			t.Errorf("%s: error %v, interp says %v", v.name, err, refErr)
+		}
+		if stats != refStats {
+			t.Errorf("%s: stats %+v, interp says %+v", v.name, stats, refStats)
+		}
+		if !slices.Equal(cores, refCores) {
+			t.Errorf("%s: core stats %+v, interp says %+v", v.name, cores, refCores)
+		}
+	}
+	return refStats, refErr
+}
+
+// TestRunAhead_EarlierFaultOnHigherCore: core 0 runs ahead through a long
+// private loop at its first slot; core 1 faults at cycle 3. The fault
+// must be core 1's, with Stats and CoreStats counting only what core 0
+// retired up to that slot, even when core 0 itself faults later inside its
+// fused run. In the last case the lower core faults inside its fused run
+// while the higher core has run ahead past that slot.
+func TestRunAhead_EarlierFaultOnHigherCore(t *testing.T) {
+	long := func(tail string) isa.Program {
+		return isa.MustAssemble(fmt.Sprintf(`
+        ldi  r1, 200
+        ldi  r2, 0
+loop:   addi r1, r1, -1
+        ld   r3, [r0+2]
+        add  r3, r3, r1
+        st   r3, [r0+2]
+        bne  r1, r2, loop
+        %s
+        jmp  out
+out:    halt`, tail))
+	}
+	fault := isa.MustAssemble(`
+        ldi r1, 5
+        ldi r2, 0
+        nop
+        div r3, r1, r2
+        halt`)
+	late := isa.MustAssemble(`
+        ldi r1, 40
+        ldi r2, 0
+loop:   addi r1, r1, -1
+        bne  r1, r2, loop
+        ldi  r4, 99
+        ld   r3, [r4+0]
+        jmp  out
+out:    halt`)
+	cases := []struct {
+		name  string
+		progs []isa.Program
+		want  string
+	}{
+		{"core 0 finishes", []isa.Program{long(""), fault}, "mimd: core 1 pc 3: machine: division by zero at pc 3"},
+		{"core 0 faults later", []isa.Program{long("ldi r4, 99\nld r5, [r4+0]"), fault}, "mimd: core 1 pc 3"},
+		{"lower core faults first", []isa.Program{late, long("")}, "mimd: core 0 pc 5: mimd: core 0 address 99 outside its bank"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := diffAgainstInterp(t, mustConfig(t, 1, 2, 16), tc.progs)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("error %v, want %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// TestRunAhead_BudgetSweep sets MaxCycles to every cycle of a matmul run
+// whose inner loop is one fused private block, so the budget expires at
+// every offset inside a run-ahead, and requires the deadline's Stats and
+// CoreStats of the op-by-op reference at each.
+func TestRunAhead_BudgetSweep(t *testing.T) {
+	// Core-local C = A x B with A at 0 (rows x 3), B at 12 (3 x 2), C at 20.
+	matmul := func(rows int) isa.Program {
+		return isa.MustAssemble(fmt.Sprintf(`
+        ldi  r1, 0
+        ldi  r2, %d
+rowl:   beq  r1, r2, done
+        ldi  r3, 0
+        ldi  r4, 2
+coll:   beq  r3, r4, rowe
+        ldi  r8, 0
+        ldi  r5, 0
+        ldi  r6, 3
+kl:     beq  r5, r6, ke
+        muli r9, r1, 3
+        add  r9, r9, r5
+        ld   r10, [r9+0]
+        muli r11, r5, 2
+        add  r11, r11, r3
+        ld   r12, [r11+12]
+        mul  r13, r10, r12
+        add  r8, r8, r13
+        addi r5, r5, 1
+        jmp  kl
+ke:     muli r9, r1, 2
+        add  r9, r9, r3
+        st   r8, [r9+20]
+        addi r3, r3, 1
+        jmp  coll
+rowe:   addi r1, r1, 1
+        jmp  rowl
+done:   halt`, rows))
+	}
+	progs := []isa.Program{matmul(4), matmul(3)}
+	cfg := mustConfig(t, 1, 2, 32)
+	full, err := diffAgainstInterp(t, cfg, progs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Run(); err != nil {
-		t.Errorf("barrier with a halted core: %v", err)
+	for budget := int64(1); budget <= full.Cycles; budget++ {
+		cfg.MaxCycles = budget
+		stats, err := diffAgainstInterp(t, cfg, progs)
+		if budget < full.Cycles && !errors.Is(err, machine.ErrDeadline) {
+			t.Fatalf("budget %d of %d: %v, want the deadline", budget, full.Cycles, err)
+		}
+		if t.Failed() {
+			t.Fatalf("budget %d of %d diverged (stats %+v)", budget, full.Cycles, stats)
+		}
+	}
+}
+
+// TestRunAhead_RecvDeadlock: both cores run ahead through private loops of
+// different lengths, then wait on each other's RECV. The deadlock must be
+// found at the reference's cycle, with its Stats and CoreStats.
+func TestRunAhead_RecvDeadlock(t *testing.T) {
+	loopThenRecv := func(n, peer int) isa.Program {
+		return isa.MustAssemble(fmt.Sprintf(`
+        ldi  r1, %d
+        ldi  r2, 0
+loop:   addi r1, r1, -1
+        st   r1, [r0+0]
+        bne  r1, r2, loop
+        ldi  r3, %d
+        recv r4, r3
+        halt`, n, peer))
+	}
+	_, err := diffAgainstInterp(t, mustConfig(t, 2, 2, 16), []isa.Program{loopThenRecv(100, 1), loopThenRecv(30, 0)})
+	if err == nil || !strings.Contains(err.Error(), "deadlock") {
+		t.Errorf("mutual recv after run-ahead: %v, want deadlock", err)
 	}
 }
 
@@ -509,5 +708,32 @@ func TestBankAccessors_Reject(t *testing.T) {
 	}
 	if _, err := m.ReadBank(-1, 0, 1); err == nil {
 		t.Error("ReadBank(-1) accepted")
+	}
+}
+
+// TestNew_SharesSameSliceImages: the images SPMD callers pass once per core
+// are one slice, decoded and compiled once; an equal program in another
+// slice is still an image of its own.
+func TestNew_SharesSameSliceImages(t *testing.T) {
+	prog := privateProg(3)
+	same := []isa.Program{prog, prog, prog, privateProg(3)}
+	m, err := New(mustConfig(t, 1, 4, 16), same)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Release()
+	if m.images[0] != m.images[1] || m.images[0] != m.images[2] {
+		t.Error("cores running one slice got separate images")
+	}
+	if m.images[3] == m.images[0] {
+		t.Error("a separate slice shares an image")
+	}
+	if _, err := m.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for core := range 4 {
+		if out, _ := m.ReadBank(core, 0, 1); out[0] != 9 {
+			t.Errorf("core %d = %d, want 9", core, out[0])
+		}
 	}
 }

@@ -239,7 +239,8 @@ func TestHeadTraceMatchesTrace(t *testing.T) {
 		if head.Len() != n {
 			t.Errorf("n=%d: Len %d", n, head.Len())
 		}
-		kept, total := head.head()
+		enc, nKept, total := head.head()
+		kept := decodeEvents(enc, nKept)
 		wantKept := min(n, MaxSimEvents)
 		if total != n || len(kept) != wantKept || len(head.events) != wantKept {
 			t.Errorf("n=%d: kept %d (buffer %d) of %d, want %d of %d", n, len(kept), len(head.events), total, wantKept, n)

@@ -44,13 +44,14 @@ type spanData struct {
 // the simulation started, and the snapshot still reports the full count.
 const MaxSimEvents = 4096
 
-// simData is one simulator event stream attached under a span. events is
+// simData is one simulator event stream attached under a span. head is
 // immutable once attached, so snapshots share it.
 type simData struct {
-	span   int32
-	label  string
-	events []Event // at most MaxSimEvents
-	total  int     // events the stream held before the cap
+	span  int32
+	label string
+	head  []byte // the first kept events, encoded by appendEvents
+	kept  int    // at most MaxSimEvents
+	total int    // events the stream held before the cap
 }
 
 // ReqTrace records one request's span tree. It is safe for concurrent use:
@@ -166,44 +167,46 @@ func (s *Span) Duration() time.Duration {
 // SimStream is a recorder whose event stream a span can attach: *Trace or
 // *HeadTrace.
 type SimStream interface {
-	// head copies the first MaxSimEvents recorded events, under the
-	// recorder's lock, and returns them with the number of events recorded.
-	head() ([]Event, int)
+	// head encodes the first MaxSimEvents recorded events, under the
+	// recorder's lock, and returns the encoding with the number of events
+	// it holds and the number of events recorded.
+	head() (enc []byte, kept, total int)
 }
 
-func (t *Trace) head() ([]Event, int) {
+func (t *Trace) head() ([]byte, int, int) {
 	if t == nil {
-		return nil, 0
+		return nil, 0, 0
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return append([]Event(nil), t.events[:min(len(t.events), MaxSimEvents)]...), len(t.events)
+	kept := min(len(t.events), MaxSimEvents)
+	return encodeHead(t.events[:kept]), kept, len(t.events)
 }
 
-func (t *HeadTrace) head() ([]Event, int) {
+func (t *HeadTrace) head() ([]byte, int, int) {
 	if t == nil {
-		return nil, 0
+		return nil, 0, 0
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return append([]Event(nil), t.events...), len(t.events) + t.dropped
+	return encodeHead(t.events), len(t.events), len(t.events) + t.dropped
 }
 
 // AttachSim links a simulator event stream under the span: the guest-cycle
 // events export as their own process rows in the request's Chrome trace,
 // aligned to the span's start. Only the first MaxSimEvents events are
-// copied out of src, under its lock; callers may release a pooled recorder
-// afterwards.
+// kept, encoded out of src under its lock; callers may release a pooled
+// recorder afterwards.
 func (s *Span) AttachSim(label string, src SimStream) {
 	if s == nil || src == nil {
 		return
 	}
-	head, total := src.head()
+	head, kept, total := src.head()
 	if total == 0 {
 		return
 	}
 	s.rt.mu.Lock()
-	s.rt.sims = append(s.rt.sims, simData{span: s.id, label: label, events: head, total: total})
+	s.rt.sims = append(s.rt.sims, simData{span: s.id, label: label, head: head, kept: kept, total: total})
 	s.rt.mu.Unlock()
 }
 
@@ -268,17 +271,22 @@ type SpanSnapshot struct {
 }
 
 // SimSnapshot is one attached simulator stream. The retained events ride
-// along for the Chrome export but stay out of the JSON body (EventCount
-// stands in): a conformance item can carry hundreds of thousands of them.
-// EventCount is the stream's full length; Truncated marks a stream that
-// held more than the MaxSimEvents retained in Events.
+// along, encoded, for the Chrome export but stay out of the JSON body
+// (EventCount stands in): a conformance item can carry hundreds of
+// thousands of them. EventCount is the stream's full length; Truncated
+// marks a stream that held more than the MaxSimEvents retained.
 type SimSnapshot struct {
-	Span       int32   `json:"span"`
-	Label      string  `json:"label"`
-	EventCount int     `json:"event_count"`
-	Truncated  bool    `json:"truncated,omitempty"`
-	Events     []Event `json:"-"`
+	Span       int32  `json:"span"`
+	Label      string `json:"label"`
+	EventCount int    `json:"event_count"`
+	Truncated  bool   `json:"truncated,omitempty"`
+	head       []byte // the retained events, encoded by appendEvents
+	kept       int
 }
+
+// Events decodes the retained events: the stream's first events, at most
+// MaxSimEvents of them, in emission order.
+func (s SimSnapshot) Events() []Event { return decodeEvents(s.head, s.kept) }
 
 // TraceSnapshot is one request's immutable exported trace.
 type TraceSnapshot struct {
@@ -326,8 +334,9 @@ func (rt *ReqTrace) Snapshot() *TraceSnapshot {
 			Span:       sim.span,
 			Label:      sim.label,
 			EventCount: sim.total,
-			Truncated:  len(sim.events) < sim.total,
-			Events:     sim.events, // immutable once attached
+			Truncated:  sim.kept < sim.total,
+			head:       sim.head, // immutable once attached
+			kept:       sim.kept,
 		})
 	}
 	return snap
@@ -407,13 +416,13 @@ func (snap *TraceSnapshot) WriteChrome(w io.Writer) error {
 		if sim.Truncated {
 			args["truncated"] = true
 			args["event_count"] = sim.EventCount
-			args["events_kept"] = len(sim.Events)
+			args["events_kept"] = sim.kept
 		}
 		out = append(out, chromeEvent{
 			Name: "process_name", Ph: "M", Pid: pid, Tid: 0,
 			Args: args,
 		})
-		out = appendSimChrome(out, sim.Events, pid, snap.spanStart(sim.Span), nil)
+		out = appendSimChrome(out, sim.Events(), pid, snap.spanStart(sim.Span), nil)
 	}
 
 	enc := json.NewEncoder(w)

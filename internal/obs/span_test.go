@@ -203,7 +203,7 @@ func TestAttachSimCopies(t *testing.T) {
 	obs.ReleaseTrace(tr)
 	sp.End()
 	snap := rt.Snapshot()
-	if len(snap.Sims) != 1 || snap.Sims[0].Events[0].Cycle != 7 {
+	if len(snap.Sims) != 1 || snap.Sims[0].Events()[0].Cycle != 7 {
 		t.Fatalf("attached events were not copied: %+v", snap.Sims)
 	}
 }
@@ -296,17 +296,18 @@ func TestAttachSimCap(t *testing.T) {
 		sim   obs.SimSnapshot
 		total int
 	}{{snap.Sims[0], total}, {snap.Sims[1], obs.MaxSimEvents + 10}} {
-		if len(c.sim.Events) != obs.MaxSimEvents || c.sim.EventCount != c.total || !c.sim.Truncated {
+		events := c.sim.Events()
+		if len(events) != obs.MaxSimEvents || c.sim.EventCount != c.total || !c.sim.Truncated {
 			t.Errorf("%s: kept %d of %d events (truncated %v), want %d of %d",
-				c.sim.Label, len(c.sim.Events), c.sim.EventCount, c.sim.Truncated, obs.MaxSimEvents, c.total)
+				c.sim.Label, len(events), c.sim.EventCount, c.sim.Truncated, obs.MaxSimEvents, c.total)
 		}
-		if c.sim.Events[obs.MaxSimEvents-1].Cycle != obs.MaxSimEvents-1 {
+		if events[obs.MaxSimEvents-1].Cycle != obs.MaxSimEvents-1 {
 			t.Errorf("%s: retained events are not the stream's prefix", c.sim.Label)
 		}
 	}
 
-	// Snapshots share the immutable attached slice instead of copying it.
-	if again := rt.Snapshot(); &again.Sims[0].Events[0] != &snap.Sims[0].Events[0] {
+	// Snapshots share the immutable attached encoding instead of copying it.
+	if again := rt.Snapshot(); &obs.SimHead(again.Sims[0])[0] != &obs.SimHead(snap.Sims[0])[0] {
 		t.Error("a second snapshot copied the attached events")
 	}
 
@@ -355,10 +356,11 @@ func TestAttachSimHeadTrace(t *testing.T) {
 		t.Fatalf("got %d attached streams, want 1", len(snap.Sims))
 	}
 	sim := snap.Sims[0]
-	if len(sim.Events) != obs.MaxSimEvents || sim.EventCount != total || !sim.Truncated {
-		t.Errorf("kept %d of %d events (truncated %v), want %d of %d", len(sim.Events), sim.EventCount, sim.Truncated, obs.MaxSimEvents, total)
+	events := sim.Events()
+	if len(events) != obs.MaxSimEvents || sim.EventCount != total || !sim.Truncated {
+		t.Errorf("kept %d of %d events (truncated %v), want %d of %d", len(events), sim.EventCount, sim.Truncated, obs.MaxSimEvents, total)
 	}
-	if e := sim.Events[0]; e.Kind != obs.KindInstr || e.Cycle != 0 {
+	if e := events[0]; e.Kind != obs.KindInstr || e.Cycle != 0 {
 		t.Errorf("first attached event %+v was overwritten after release", e)
 	}
 }

@@ -247,14 +247,14 @@ func (m *Machine) Run() (machine.Stats, error) {
 			if isALU {
 				stats.ALUOps++
 			}
-			if out.Mem {
+			if d.IsMemory() {
 				if d.Op == isa.OpLd {
 					stats.MemReads++
 				} else {
 					stats.MemWrites++
 				}
 			}
-			if out.Comm {
+			if d.IsComm() {
 				stats.Messages++
 			}
 		}

@@ -387,14 +387,14 @@ func (m *Machine) stepGroup(g *group, d *isa.DecodedOp, cycle int64, stats *mach
 			stats.ALUOps++
 		}
 		m.emitInstr(int32(cell), execAt, memberFinish-execAt, d.Op)
-		if out.Mem {
+		if d.IsMemory() {
 			if d.Op == isa.OpLd {
 				stats.MemReads++
 			} else {
 				stats.MemWrites++
 			}
 		}
-		if out.Comm {
+		if d.IsComm() {
 			stats.Messages++
 		}
 		if memberFinish > finish {

@@ -166,7 +166,7 @@ func (m *Machine) Run() (machine.Stats, error) {
 		if isALU {
 			stats.ALUOps++
 		}
-		if out.Mem {
+		if d.IsMemory() {
 			memLat := m.cfg.MemLatency
 			if memLat == 0 {
 				memLat = 1 // default DP-DM direct-switch traversal
