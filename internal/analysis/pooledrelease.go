@@ -35,7 +35,6 @@ var DefaultPoolConfig = PoolConfig{
 		{"repro/internal/machine", "GetRegs"},
 		{"repro/internal/machine", "NewBanks"},
 		{"repro/internal/obs", "AcquireTrace"},
-		{"repro/internal/obs", "AcquireHeadTrace"},
 		{"repro/internal/simd", "New"},
 		{"repro/internal/mimd", "New"},
 		{"repro/internal/spatial", "New"},
@@ -46,7 +45,6 @@ var DefaultPoolConfig = PoolConfig{
 		{"repro/internal/machine", "PutMemory"},
 		{"repro/internal/machine", "PutRegs"},
 		{"repro/internal/obs", "ReleaseTrace"},
-		{"repro/internal/obs", "ReleaseHeadTrace"},
 	},
 	ReleaseMethods: []string{"Release"},
 }
@@ -477,7 +475,7 @@ func isReleaseLike(fn *types.Func) bool {
 		return false // indirect call: assume it takes ownership
 	}
 	switch fn.Name() {
-	case "PutMemory", "PutRegs", "ReleaseTrace", "ReleaseHeadTrace", "Release", "Put":
+	case "PutMemory", "PutRegs", "ReleaseTrace", "Release", "Put":
 		return true
 	}
 	return false

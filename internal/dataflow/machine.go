@@ -2,6 +2,7 @@ package dataflow
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/interconnect"
 	"repro/internal/machine"
@@ -195,10 +196,9 @@ func (m *Machine) Run() (Result, error) {
 	// the producing PE and charge the edge cost at the consumer.
 	doneAt := make([]int64, n)
 	// peBusy tracks which cycles each PE has already fired in.
-	peBusy := make([]map[int64]bool, m.cfg.PEs)
-	for i := range peBusy {
-		peBusy[i] = map[int64]bool{}
-	}
+	peBusy := make([]busySet, m.cfg.PEs)
+	// inputs is reused across nodes: fire does not retain it.
+	var inputs []int64
 
 	for id := 0; id < n; id++ {
 		node, _ := m.graph.Node(id)
@@ -206,9 +206,9 @@ func (m *Machine) Run() (Result, error) {
 
 		// Earliest cycle all inputs are present at this PE.
 		var ready int64
-		inputs := make([]int64, len(node.Inputs))
-		for i, in := range node.Inputs {
-			inputs[i] = values[in]
+		inputs = inputs[:0]
+		for _, in := range node.Inputs {
+			inputs = append(inputs, values[in])
 			arrive := doneAt[in]
 			if src := m.mapping[in]; src != pe {
 				var err error
@@ -228,11 +228,7 @@ func (m *Machine) Run() (Result, error) {
 		}
 
 		// First free firing cycle at this PE.
-		fire := ready
-		for peBusy[pe][fire] {
-			fire++
-		}
-		peBusy[pe][fire] = true
+		fire := peBusy[pe].claim(ready)
 		if m.cfg.Tracer != nil && fire > ready {
 			// The node's inputs were ready but the PE was backlogged: the
 			// dataflow queue-depth signal the wait histogram aggregates.
@@ -277,6 +273,30 @@ func (m *Machine) Run() (Result, error) {
 		res.Stats.NetConflictCycles += m.tokNet.Stats().ConflictCycles
 	}
 	return res, nil
+}
+
+// busySet marks the cycles one PE has fired in, one bit per cycle. A node
+// may fire in a gap an earlier-scheduled node left on its PE, so the first
+// free cycle is searched for, not kept as a counter.
+type busySet []uint64
+
+// claim marks and returns the first free cycle at or after from (>= 0).
+func (b *busySet) claim(from int64) int64 {
+	set := *b
+	w, mask := int(from>>6), ^uint64(0)<<(from&63)
+	for ; w < len(set); w, mask = w+1, ^uint64(0) {
+		if free := ^set[w] & mask; free != 0 {
+			set[w] |= free & -free
+			return int64(w)<<6 + int64(bits.TrailingZeros64(free))
+		}
+	}
+	c := max(from, int64(len(set))<<6)
+	if need := int(c>>6) + 1; need > len(set) {
+		set = append(set, make([]uint64, need-len(set))...)
+	}
+	set[c>>6] |= 1 << (c & 63)
+	*b = set
+	return c
 }
 
 // routeToken carries a token from PE src to PE dst, departing no earlier

@@ -225,7 +225,7 @@ func TestTraceCheckNamesMismatch(t *testing.T) {
 func TestHeadTraceMatchesTrace(t *testing.T) {
 	for _, n := range []int{0, 300, MaxSimEvents, 3*MaxSimEvents + 7} {
 		events := randomEvents(int64(n), n)
-		full, head := NewTrace(), AcquireHeadTrace()
+		full, head := NewTrace(), &HeadTrace{}
 		for _, e := range events {
 			full.Emit(e)
 			head.Emit(e)
@@ -239,27 +239,21 @@ func TestHeadTraceMatchesTrace(t *testing.T) {
 		if head.Len() != n {
 			t.Errorf("n=%d: Len %d", n, head.Len())
 		}
-		enc, nKept, total := head.head()
-		kept := decodeEvents(enc, nKept)
-		wantKept := min(n, MaxSimEvents)
-		if total != n || len(kept) != wantKept || len(head.events) != wantKept {
-			t.Errorf("n=%d: kept %d (buffer %d) of %d, want %d of %d", n, len(kept), len(head.events), total, wantKept, n)
+		if wantKept := min(n, MaxSimEvents); len(head.events) != wantKept {
+			t.Errorf("n=%d: kept %d, want %d", n, len(head.events), wantKept)
 		}
-		for i := range kept {
-			if kept[i] != events[i] {
+		for i := range head.events {
+			if head.events[i] != events[i] {
 				t.Fatalf("n=%d: retained event %d is not the stream's", n, i)
 			}
 		}
-		ReleaseHeadTrace(head)
 	}
-	ReleaseHeadTrace(nil) // must not panic
 }
 
 // TestHeadTraceCheck: a matching cross-check allocates nothing, a failed
-// one names the mismatched metric, and Reset starts a fresh run.
+// one names the mismatched metric, and the zero recorder is an empty run.
 func TestHeadTraceCheck(t *testing.T) {
-	tr := AcquireHeadTrace()
-	defer ReleaseHeadTrace(tr)
+	tr := &HeadTrace{}
 	for _, e := range randomEvents(3, 10000) {
 		tr.Emit(e)
 	}
@@ -275,9 +269,9 @@ func TestHeadTraceCheck(t *testing.T) {
 	if err := tr.Check(want); err == nil || !strings.Contains(err.Error(), MetricMemWrites) || strings.Contains(err.Error(), MetricMemReads) {
 		t.Errorf("drifted totals: error %v, want only %s named", err, MetricMemWrites)
 	}
-	tr.Reset()
-	if err := tr.Check(Totals{}); err != nil || tr.Len() != 0 {
-		t.Errorf("after Reset: Len %d, %v", tr.Len(), err)
+	var empty HeadTrace
+	if err := empty.Check(Totals{}); err != nil || empty.Len() != 0 {
+		t.Errorf("zero recorder: Len %d, %v", empty.Len(), err)
 	}
 }
 
@@ -293,9 +287,9 @@ func everyKindEvents() []Event {
 	return events
 }
 
-// TestTallyMatchesTrace: a tally folds a stream exactly as a full trace
-// does, so both accept the same totals and reject a mismatch with the same
-// error text.
+// TestTallyMatchesTrace: a tally folds and counts a stream exactly as a
+// full trace does, so both accept the same totals and reject a mismatch
+// with the same error text.
 func TestTallyMatchesTrace(t *testing.T) {
 	events := append(everyKindEvents(), randomEvents(4, 500)...)
 	full, tally := NewTrace(), &Tally{}
@@ -306,6 +300,9 @@ func TestTallyMatchesTrace(t *testing.T) {
 	want := full.totals()
 	if tally.tot != want {
 		t.Fatalf("tally folded %+v, trace %+v", tally.tot, want)
+	}
+	if tally.Len() != full.Len() {
+		t.Errorf("tally counted %d events, trace %d", tally.Len(), full.Len())
 	}
 	if err := tally.Check(want); err != nil {
 		t.Errorf("matching totals: %v", err)

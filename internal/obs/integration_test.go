@@ -396,7 +396,7 @@ func BenchmarkRecorderEmit(b *testing.B) {
 		reset func()
 	}{
 		{"trace", trace, trace.Reset},
-		{"headtrace", head, head.Reset},
+		{"headtrace", head, func() { *head = obs.HeadTrace{} }},
 		{"tally", tally, func() { *tally = obs.Tally{} }},
 	} {
 		b.Run(r.name, func(b *testing.B) {

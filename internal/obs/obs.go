@@ -114,8 +114,8 @@ type Event struct {
 
 // Tracer receives events from the simulators. A run emits from the
 // goroutine that calls its Run: no simulator starts goroutines of its own.
-// Trace and HeadTrace lock, so one of them may be shared by runs on
-// several goroutines; a Tally belongs to one run and is never shared.
+// Trace locks, so one may be shared by runs on several goroutines; a
+// HeadTrace or a Tally belongs to one run and is never shared.
 type Tracer interface {
 	Emit(Event)
 }

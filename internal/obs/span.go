@@ -14,11 +14,11 @@ import (
 // trace.go records what a *simulation* did in guest cycles, a ReqTrace
 // records where a *request* spent its wall time — a tree of named spans
 // (decode, cache lookup, exec queue wait, per-item execution, encode)
-// propagated through context.Context, with the simulator-side Event
-// streams attachable under the span that ran them. The merged view
-// exports as one Chrome trace-event document per request, so a slow
-// /v1/conformance call and the machine steps it triggered land in a
-// single Perfetto timeline.
+// propagated through context.Context, with the simulator runs attachable
+// under the span that ran them, as recipes the export replays. The merged
+// view exports as one Chrome trace-event document per request, so a slow
+// /v1/simulate call and the machine steps it triggered land in a single
+// Perfetto timeline.
 //
 // Like the Tracer, tracing is strictly opt-in and the disabled path is
 // free: StartSpan on a context without a ReqTrace returns the context
@@ -38,21 +38,12 @@ type spanData struct {
 	end    time.Duration // < 0 while the span is open
 }
 
-// MaxSimEvents is how many events an attached simulator stream retains.
-// A request's recorder is kept alive by the flight recorder, so a stream's
-// memory must not grow with the length of the run: the prefix shows how
-// the simulation started, and the snapshot still reports the full count.
+// MaxSimEvents is how many events the export of an attached simulator run
+// keeps. A request's trace is kept alive by the flight recorder, so it
+// holds a replay recipe rather than events, and the export keeps only the
+// replayed run's prefix: it shows how the simulation started, and the
+// snapshot still reports the full count.
 const MaxSimEvents = 4096
-
-// simData is one simulator event stream attached under a span. head is
-// immutable once attached, so snapshots share it.
-type simData struct {
-	span  int32
-	label string
-	head  []byte // the first kept events, encoded by appendEvents
-	kept  int    // at most MaxSimEvents
-	total int    // events the stream held before the cap
-}
 
 // ReqTrace records one request's span tree. It is safe for concurrent use:
 // the exec pool starts and ends item spans from many goroutines at once.
@@ -65,7 +56,7 @@ type ReqTrace struct {
 	mu     sync.Mutex
 	status int
 	spans  []spanData
-	sims   []simData
+	sims   []SimSnapshot // immutable once attached
 }
 
 // NewReqTrace starts an empty request trace. id is the request's unique
@@ -164,49 +155,22 @@ func (s *Span) Duration() time.Duration {
 	return s.rt.now().Sub(s.rt.start) - sd.start
 }
 
-// SimStream is a recorder whose event stream a span can attach: *Trace or
-// *HeadTrace.
-type SimStream interface {
-	// head encodes the first MaxSimEvents recorded events, under the
-	// recorder's lock, and returns the encoding with the number of events
-	// it holds and the number of events recorded.
-	head() (enc []byte, kept, total int)
-}
-
-func (t *Trace) head() ([]byte, int, int) {
-	if t == nil {
-		return nil, 0, 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	kept := min(len(t.events), MaxSimEvents)
-	return encodeHead(t.events[:kept]), kept, len(t.events)
-}
-
-func (t *HeadTrace) head() ([]byte, int, int) {
-	if t == nil {
-		return nil, 0, 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return encodeHead(t.events), len(t.events), len(t.events) + t.dropped
-}
-
-// AttachSim links a simulator event stream under the span: the guest-cycle
+// AttachSim links a finished simulator run under the span: its guest-cycle
 // events export as their own process rows in the request's Chrome trace,
-// aligned to the span's start. Only the first MaxSimEvents events are
-// kept, encoded out of src under its lock; callers may release a pooled
-// recorder afterwards.
-func (s *Span) AttachSim(label string, src SimStream) {
-	if s == nil || src == nil {
-		return
-	}
-	head, kept, total := src.head()
-	if total == 0 {
+// aligned to the span's start. The span keeps no events. It keeps what run
+// recorded, the event count and the folded totals, and replay, which must
+// run the same deterministic simulation again into the Tracer it is given;
+// the export replays it and checks the replay against what run recorded.
+// A run that emitted no events attaches nothing.
+func (s *Span) AttachSim(label string, run *Tally, replay func(Tracer) error) {
+	if s == nil || run == nil || run.n == 0 {
 		return
 	}
 	s.rt.mu.Lock()
-	s.rt.sims = append(s.rt.sims, simData{span: s.id, label: label, head: head, kept: kept, total: total})
+	s.rt.sims = append(s.rt.sims, SimSnapshot{
+		Span: s.id, Label: label, EventCount: run.n, Truncated: run.n > MaxSimEvents,
+		tot: run.tot, replay: replay,
+	})
 	s.rt.mu.Unlock()
 }
 
@@ -270,23 +234,34 @@ type SpanSnapshot struct {
 	Open bool `json:"open,omitempty"`
 }
 
-// SimSnapshot is one attached simulator stream. The retained events ride
-// along, encoded, for the Chrome export but stay out of the JSON body
-// (EventCount stands in): a conformance item can carry hundreds of
-// thousands of them. EventCount is the stream's full length; Truncated
-// marks a stream that held more than the MaxSimEvents retained.
+// SimSnapshot is one attached simulator run. EventCount is the run's full
+// length; Truncated marks a run longer than the MaxSimEvents its export
+// keeps. The events themselves are not held: Events replays the run.
 type SimSnapshot struct {
 	Span       int32  `json:"span"`
 	Label      string `json:"label"`
 	EventCount int    `json:"event_count"`
 	Truncated  bool   `json:"truncated,omitempty"`
-	head       []byte // the retained events, encoded by appendEvents
-	kept       int
+	tot        Totals
+	replay     func(Tracer) error
 }
 
-// Events decodes the retained events: the stream's first events, at most
-// MaxSimEvents of them, in emission order.
-func (s SimSnapshot) Events() []Event { return decodeEvents(s.head, s.kept) }
+// Events replays the run into a HeadTrace and returns its first events, at
+// most MaxSimEvents of them, in emission order. It fails unless the replay
+// emits exactly EventCount events folding to the recorded totals.
+func (s SimSnapshot) Events() ([]Event, error) {
+	var head HeadTrace
+	if err := s.replay(&head); err != nil {
+		return nil, fmt.Errorf("obs: replaying %q: %w", s.Label, err)
+	}
+	if head.Len() != s.EventCount {
+		return nil, fmt.Errorf("obs: replaying %q emitted %d events, the run %d", s.Label, head.Len(), s.EventCount)
+	}
+	if err := head.Check(s.tot); err != nil {
+		return nil, fmt.Errorf("obs: replaying %q diverged from the run: %w", s.Label, err)
+	}
+	return head.events, nil
+}
 
 // TraceSnapshot is one request's immutable exported trace.
 type TraceSnapshot struct {
@@ -301,7 +276,7 @@ type TraceSnapshot struct {
 
 // Snapshot exports the trace's current state. Open spans are clamped to
 // the snapshot instant and flagged. The snapshot shares no mutable state
-// with the trace: attached event streams are immutable and shared.
+// with the trace: attached runs are immutable and copied by value.
 func (rt *ReqTrace) Snapshot() *TraceSnapshot {
 	nowOff := rt.now().Sub(rt.start)
 	rt.mu.Lock()
@@ -329,16 +304,7 @@ func (rt *ReqTrace) Snapshot() *TraceSnapshot {
 			Open:    open,
 		}
 	}
-	for _, sim := range rt.sims {
-		snap.Sims = append(snap.Sims, SimSnapshot{
-			Span:       sim.span,
-			Label:      sim.label,
-			EventCount: sim.total,
-			Truncated:  sim.kept < sim.total,
-			head:       sim.head, // immutable once attached
-			kept:       sim.kept,
-		})
-	}
+	snap.Sims = append(snap.Sims, rt.sims...)
 	return snap
 }
 
@@ -367,6 +333,17 @@ func (snap *TraceSnapshot) spanStart(id int32) int64 {
 // chrome://tracing to see a request end to end — decode, queue wait, every
 // item's machine steps, encode — on one timeline.
 func (snap *TraceSnapshot) WriteChrome(w io.Writer) error {
+	// Replay every attached run before writing a byte, so a replay that
+	// fails or diverges writes nothing.
+	simEvents := make([][]Event, len(snap.Sims))
+	for i, sim := range snap.Sims {
+		events, err := sim.Events()
+		if err != nil {
+			return err
+		}
+		simEvents[i] = events
+	}
+
 	tracks := map[int32]bool{}
 	for _, sp := range snap.Spans {
 		tracks[sp.Track] = true
@@ -416,13 +393,13 @@ func (snap *TraceSnapshot) WriteChrome(w io.Writer) error {
 		if sim.Truncated {
 			args["truncated"] = true
 			args["event_count"] = sim.EventCount
-			args["events_kept"] = sim.kept
+			args["events_kept"] = len(simEvents[i])
 		}
 		out = append(out, chromeEvent{
 			Name: "process_name", Ph: "M", Pid: pid, Tid: 0,
 			Args: args,
 		})
-		out = appendSimChrome(out, sim.Events(), pid, snap.spanStart(sim.Span), nil)
+		out = appendSimChrome(out, simEvents[i], pid, snap.spanStart(sim.Span), nil)
 	}
 
 	enc := json.NewEncoder(w)

@@ -8,8 +8,12 @@ package obs_test
 import (
 	"bytes"
 	"context"
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -55,10 +59,10 @@ func buildFixedTrace() *obs.ReqTrace {
 	_, inner := obs.StartSpan(ictx1, "kernel")
 	clk.advance(3 * time.Millisecond)
 	inner.End()
-	sim := obs.NewTrace()
-	sim.Emit(obs.Event{Kind: obs.KindInstr, Track: 0, Cycle: 0, Arg: 1, Flags: obs.FlagHasOp})
-	sim.Emit(obs.Event{Kind: obs.KindBarrier, Track: obs.TrackMachine, Cycle: 1})
-	item1.AttachSim("IAP-I vecadd n=4", sim)
+	attach(item1, "IAP-I vecadd n=4", []obs.Event{
+		{Kind: obs.KindInstr, Track: 0, Cycle: 0, Arg: 1, Flags: obs.FlagHasOp},
+		{Kind: obs.KindBarrier, Track: obs.TrackMachine, Cycle: 1},
+	})
 	item1.End()
 
 	_, item2 := obs.StartSpan(ectx, "item")
@@ -74,6 +78,26 @@ func buildFixedTrace() *obs.ReqTrace {
 	root.End()
 	rt.SetStatus(200)
 	return rt
+}
+
+// replayOf is a replay recipe that emits events, the stand-in for a
+// deterministic simulation.
+func replayOf(events []obs.Event) func(obs.Tracer) error {
+	return func(tr obs.Tracer) error {
+		for _, e := range events {
+			tr.Emit(e)
+		}
+		return nil
+	}
+}
+
+// attach records events as a run would, into a Tally, and attaches the run
+// under sp with a recipe that replays them.
+func attach(sp *obs.Span, label string, events []obs.Event) {
+	var run obs.Tally
+	replay := replayOf(events)
+	_ = replay(&run)
+	sp.AttachSim(label, &run, replay)
 }
 
 // TestSpanTree checks parents, tracks and durations of the fixed trace.
@@ -168,7 +192,7 @@ func TestDisabledSpanZeroAllocs(t *testing.T) {
 		sctx, sp := obs.StartSpan(ctx, "decode")
 		sp.SetTrack(3)
 		obs.RecordSpan(sctx, "queue-wait", 1, start, time.Millisecond)
-		obs.CurrentSpan(sctx).AttachSim("stream", nil)
+		obs.CurrentSpan(sctx).AttachSim("stream", nil, nil)
 		sp.End()
 	})
 	if allocs != 0 {
@@ -190,21 +214,26 @@ func TestSpanEndIdempotent(t *testing.T) {
 	}
 }
 
-// TestAttachSimCopies checks the attached stream is isolated from later
-// reuse of the caller's recorder (the pooled Trace is released after).
+// TestAttachSimCopies checks the attached run is isolated from later
+// reuse of the caller's Tally: the span copies the count and totals.
 func TestAttachSimCopies(t *testing.T) {
 	rt := obs.NewReqTrace("r", "n")
 	_, sp := obs.StartSpan(obs.WithReqTrace(context.Background(), rt), "item")
-	tr := obs.AcquireTrace()
-	tr.Emit(obs.Event{Kind: obs.KindInstr, Cycle: 7})
-	sp.AttachSim("s", tr)
-	tr.Reset()
-	tr.Emit(obs.Event{Kind: obs.KindInstr, Cycle: 99})
-	obs.ReleaseTrace(tr)
+	events := []obs.Event{{Kind: obs.KindInstr, Cycle: 7}}
+	var run obs.Tally
+	run.Emit(events[0])
+	sp.AttachSim("s", &run, replayOf(events))
+	run = obs.Tally{}
+	run.Emit(obs.Event{Kind: obs.KindMemRead, Cycle: 99})
+	run.Emit(obs.Event{Kind: obs.KindMemRead, Cycle: 99})
 	sp.End()
 	snap := rt.Snapshot()
-	if len(snap.Sims) != 1 || snap.Sims[0].Events()[0].Cycle != 7 {
-		t.Fatalf("attached events were not copied: %+v", snap.Sims)
+	if len(snap.Sims) != 1 || snap.Sims[0].EventCount != 1 {
+		t.Fatalf("attached run was not copied: %+v", snap.Sims)
+	}
+	got, err := snap.Sims[0].Events()
+	if err != nil || len(got) != 1 || got[0].Cycle != 7 {
+		t.Fatalf("replayed %+v, %v; want the one attached event", got, err)
 	}
 }
 
@@ -223,9 +252,7 @@ func TestConcurrentSpans(t *testing.T) {
 			_, inner := obs.StartSpan(ictx, "kernel")
 			inner.End()
 			obs.RecordSpan(ictx, "queue-wait", int32(i+1), time.Now(), time.Microsecond)
-			tr := obs.NewTrace()
-			tr.Emit(obs.Event{Kind: obs.KindInstr})
-			sp.AttachSim("s", tr)
+			attach(sp, "s", []obs.Event{{Kind: obs.KindInstr}})
 			sp.End()
 		}(i)
 	}
@@ -267,48 +294,54 @@ func BenchmarkStartSpanEnabled(b *testing.B) {
 	}
 }
 
-// TestAttachSimCap: an attached stream retains at most MaxSimEvents events
-// however long the run, while the snapshot, the flight-recorder summary
-// and the Chrome export still report the full length.
+// countingReplay emits total instruction events, one per cycle: a long
+// run's recipe that holds no events.
+func countingReplay(total int) func(obs.Tracer) error {
+	return func(tr obs.Tracer) error {
+		for i := 0; i < total; i++ {
+			tr.Emit(obs.Event{Kind: obs.KindInstr, Cycle: int64(i), Dur: 1})
+		}
+		return nil
+	}
+}
+
+// TestAttachSimCap: an attached run exports at most MaxSimEvents events
+// however long it was, while the snapshot, the flight-recorder summary and
+// the Chrome export still report the full length.
 func TestAttachSimCap(t *testing.T) {
 	const total = 1 << 20
-	long, short := obs.NewTrace(), obs.NewTrace()
-	for i := 0; i < total; i++ {
-		e := obs.Event{Kind: obs.KindInstr, Cycle: int64(i), Dur: 1}
-		long.Emit(e)
-		if i < obs.MaxSimEvents+10 {
-			short.Emit(e)
-		}
-	}
-
 	rt := obs.NewReqTrace("req-cap", "/v1/simulate")
 	_, root := obs.StartSpan(obs.WithReqTrace(context.Background(), rt), "item")
-	root.AttachSim("long", long)
-	root.AttachSim("short", short)
-	root.AttachSim("empty", obs.NewTrace())
+	for _, c := range []struct {
+		label string
+		n     int
+	}{{"long", total}, {"short", obs.MaxSimEvents + 10}, {"empty", 0}} {
+		var run obs.Tally
+		replay := countingReplay(c.n)
+		_ = replay(&run)
+		root.AttachSim(c.label, &run, replay)
+	}
 	root.End()
 
 	snap := rt.Snapshot()
 	if len(snap.Sims) != 2 {
-		t.Fatalf("got %d attached streams, want 2 (an empty recorder attaches nothing)", len(snap.Sims))
+		t.Fatalf("got %d attached runs, want 2 (an empty run attaches nothing)", len(snap.Sims))
 	}
 	for _, c := range []struct {
 		sim   obs.SimSnapshot
 		total int
 	}{{snap.Sims[0], total}, {snap.Sims[1], obs.MaxSimEvents + 10}} {
-		events := c.sim.Events()
+		events, err := c.sim.Events()
+		if err != nil {
+			t.Fatalf("%s: %v", c.sim.Label, err)
+		}
 		if len(events) != obs.MaxSimEvents || c.sim.EventCount != c.total || !c.sim.Truncated {
 			t.Errorf("%s: kept %d of %d events (truncated %v), want %d of %d",
 				c.sim.Label, len(events), c.sim.EventCount, c.sim.Truncated, obs.MaxSimEvents, c.total)
 		}
 		if events[obs.MaxSimEvents-1].Cycle != obs.MaxSimEvents-1 {
-			t.Errorf("%s: retained events are not the stream's prefix", c.sim.Label)
+			t.Errorf("%s: retained events are not the run's prefix", c.sim.Label)
 		}
-	}
-
-	// Snapshots share the immutable attached encoding instead of copying it.
-	if again := rt.Snapshot(); &obs.SimHead(again.Sims[0])[0] != &obs.SimHead(snap.Sims[0])[0] {
-		t.Error("a second snapshot copied the attached events")
 	}
 
 	fr := obs.NewFlightRecorder(4, 4)
@@ -322,45 +355,94 @@ func TestAttachSimCap(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Contains(js.Bytes(), []byte(`"truncated": true`)) {
-		t.Error("snapshot JSON does not mark the truncated stream")
+		t.Error("snapshot JSON does not mark the truncated run")
 	}
 	if err := snap.WriteChrome(&chrome); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Contains(chrome.Bytes(), []byte(`"truncated":true`)) {
-		t.Error("Chrome export does not mark the truncated stream")
+	want := fmt.Sprintf(`"args":{"event_count":%d,"events_kept":%d,"name":"sim: long","truncated":true}`, total, obs.MaxSimEvents)
+	if !bytes.Contains(chrome.Bytes(), []byte(want)) {
+		t.Errorf("Chrome export does not mark the truncated run with %s", want)
 	}
 }
 
-// TestAttachSimHeadTrace: a bounded recorder attaches the same prefix and
-// full count a full Trace would, its released buffer is not shared with
-// the snapshot, and a nil recorder attaches nothing.
+// TestAttachSimHeadTrace: the export replays an attached run into a
+// bounded HeadTrace, so it yields the prefix and count a HeadTrace
+// recorded during the run held, and a nil or empty run attaches nothing.
 func TestAttachSimHeadTrace(t *testing.T) {
-	const total = 1 << 20
-	head := obs.AcquireHeadTrace()
-	for i := 0; i < total; i++ {
-		head.Emit(obs.Event{Kind: obs.KindInstr, Cycle: int64(i), Dur: 1})
+	const total = 3*obs.MaxSimEvents + 5
+	events := make([]obs.Event, total)
+	for i := range events {
+		events[i] = obs.Event{Kind: obs.Kind(i % 4), Track: int32(i % 3), Cycle: int64(i / 2), Dur: int64(i % 2), Arg: int64(i)}
+	}
+	var run obs.Tally
+	during := obs.NewTrace()
+	for _, e := range events {
+		run.Emit(e)
+		during.Emit(e)
 	}
 	rt := obs.NewReqTrace("req-head", "/v1/simulate")
 	_, root := obs.StartSpan(obs.WithReqTrace(context.Background(), rt), "item")
-	root.AttachSim("head", head)
-	root.AttachSim("nil", (*obs.HeadTrace)(nil))
+	root.AttachSim("head", &run, replayOf(events))
+	root.AttachSim("nil", nil, replayOf(events))
+	root.AttachSim("empty", &obs.Tally{}, replayOf(nil))
 	root.End()
-	obs.ReleaseHeadTrace(head)
-	head = obs.AcquireHeadTrace()
-	head.Emit(obs.Event{Kind: obs.KindMemRead, Cycle: -1})
-	obs.ReleaseHeadTrace(head)
 
 	snap := rt.Snapshot()
 	if len(snap.Sims) != 1 {
-		t.Fatalf("got %d attached streams, want 1", len(snap.Sims))
+		t.Fatalf("got %d attached runs, want 1", len(snap.Sims))
 	}
 	sim := snap.Sims[0]
-	events := sim.Events()
-	if len(events) != obs.MaxSimEvents || sim.EventCount != total || !sim.Truncated {
-		t.Errorf("kept %d of %d events (truncated %v), want %d of %d", len(events), sim.EventCount, sim.Truncated, obs.MaxSimEvents, total)
+	got, err := sim.Events()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if e := events[0]; e.Kind != obs.KindInstr || e.Cycle != 0 {
-		t.Errorf("first attached event %+v was overwritten after release", e)
+	if len(got) != obs.MaxSimEvents || sim.EventCount != total || !sim.Truncated {
+		t.Errorf("kept %d of %d events (truncated %v), want %d of %d", len(got), sim.EventCount, sim.Truncated, obs.MaxSimEvents, total)
+	}
+	if !slices.Equal(got, during.Events()[:obs.MaxSimEvents]) {
+		t.Error("replayed prefix differs from the events recorded during the run")
+	}
+}
+
+// TestReplayDivergence: an export whose replay fails, or emits a different
+// number of events, or events folding to different totals than the run
+// recorded, returns an error and writes nothing.
+func TestReplayDivergence(t *testing.T) {
+	events := []obs.Event{
+		{Kind: obs.KindInstr, Flags: obs.FlagALU | obs.FlagHasOp, Cycle: 0, Dur: 1},
+		{Kind: obs.KindMemRead, Track: 1, Cycle: 1, Arg: 4},
+		{Kind: obs.KindSend, Track: 1, Cycle: 2, Arg: 0},
+	}
+	boom := errors.New("boom")
+	for _, c := range []struct {
+		name   string
+		replay func(obs.Tracer) error
+		want   string
+	}{
+		{"fails", func(obs.Tracer) error { return boom }, "boom"},
+		{"count", replayOf(events[:2]), "emitted 2 events, the run 3"},
+		{"totals", replayOf([]obs.Event{events[0], events[1], events[1]}), obs.MetricMessages},
+		{"long", countingReplay(2 * obs.MaxSimEvents), "emitted 8192 events, the run 3"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			rt := obs.NewReqTrace("req-div", "/v1/simulate")
+			_, sp := obs.StartSpan(obs.WithReqTrace(context.Background(), rt), "item")
+			var run obs.Tally
+			_ = replayOf(events)(&run)
+			sp.AttachSim("s", &run, c.replay)
+			sp.End()
+			snap := rt.Snapshot()
+			if _, err := snap.Sims[0].Events(); err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("Events: error %v, want one naming %q", err, c.want)
+			}
+			var buf bytes.Buffer
+			if err := snap.WriteChrome(&buf); err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("WriteChrome: error %v, want one naming %q", err, c.want)
+			}
+			if buf.Len() != 0 {
+				t.Errorf("a diverging replay wrote %d bytes", buf.Len())
+			}
+		})
 	}
 }

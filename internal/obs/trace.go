@@ -18,14 +18,14 @@ type Trace struct {
 	_      [recorderSize - 32]byte
 }
 
-// recorderSize is the size Trace and HeadTrace are padded to. Objects of
-// 128 bytes are allocated 128-byte aligned, so two recorders never share a
-// cache line, nor the pair of lines the hardware prefetches together.
-// Concurrent runs emit into pooled recorders that were often allocated side
-// by side; when two shared a line, every Emit of one invalidated the
-// other's copy, and Emit cost about four times as much (24 against 100 ns
-// per event with two emitters on a 2-core Xeon virtual machine), for as
-// long as the pool kept handing out that pair.
+// recorderSize is the size Trace is padded to. Objects of 128 bytes are
+// allocated 128-byte aligned, so two recorders never share a cache line,
+// nor the pair of lines the hardware prefetches together. Concurrent runs
+// emit into pooled recorders that were often allocated side by side; when
+// two shared a line, every Emit of one invalidated the other's copy, and
+// Emit cost about four times as much (24 against 100 ns per event with two
+// emitters on a 2-core Xeon virtual machine), for as long as the pool kept
+// handing out that pair.
 const recorderSize = 128
 
 // NewTrace returns an empty recorder.
@@ -83,44 +83,33 @@ func ReleaseTrace(t *Trace) {
 	tracePool.Put(t)
 }
 
-// HeadTrace is a bounded recorder for runs whose full event stream is not
-// exported: it keeps the first MaxSimEvents events, what AttachSim would
-// retain, and folds every later event into the run totals as it arrives.
-// Its memory and the cost of Check do not grow with the length of the run,
-// so a served simulation costs the same however long the runs before it
-// were. It is safe for concurrent Emit calls.
+// HeadTrace is a bounded recorder: it keeps the first MaxSimEvents events
+// and folds every later event into the run totals as it arrives, so its
+// memory and the cost of Check do not grow with the length of the run. The
+// Chrome export replays an attached simulation into one. It belongs to one
+// run and takes no lock; the zero value is ready to use.
 type HeadTrace struct {
-	mu     sync.Mutex
 	events []Event // the first MaxSimEvents events
 	// rest folds the events past the first MaxSimEvents; dropped counts them.
 	rest    Totals
 	dropped int
-	_       [recorderSize - 96]byte
 }
 
 // Emit implements Tracer.
 func (t *HeadTrace) Emit(e Event) {
-	t.mu.Lock()
 	if len(t.events) < MaxSimEvents {
 		t.events = append(t.events, e)
-	} else {
-		t.rest.add(&e)
-		t.dropped++
+		return
 	}
-	t.mu.Unlock()
+	t.rest.add(&e)
+	t.dropped++
 }
 
 // Len reports the number of events emitted, retained or not.
-func (t *HeadTrace) Len() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.events) + t.dropped
-}
+func (t *HeadTrace) Len() int { return len(t.events) + t.dropped }
 
 // totals folds the retained events onto the totals of the dropped ones.
 func (t *HeadTrace) totals() Totals {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	tot := t.rest
 	for i := range t.events {
 		tot.add(&t.events[i])
@@ -132,46 +121,23 @@ func (t *HeadTrace) totals() Totals {
 // run costs no allocation.
 func (t *HeadTrace) Check(want Totals) error { return checkTotals(t.totals(), want) }
 
-// Reset clears the recorder for reuse.
-func (t *HeadTrace) Reset() {
-	t.mu.Lock()
-	t.events, t.rest, t.dropped = t.events[:0], Totals{}, 0
-	t.mu.Unlock()
-}
-
-// headTracePool recycles bounded recorders between served runs. Every
-// pooled buffer is at most MaxSimEvents long, so a recycled recorder never
-// carries a long run's buffer into a short one.
-var headTracePool = sync.Pool{New: func() any { return &HeadTrace{} }}
-
-// AcquireHeadTrace returns an empty bounded recorder, reusing a pooled one
-// when available. Pair with ReleaseHeadTrace.
-func AcquireHeadTrace() *HeadTrace {
-	t := headTracePool.Get().(*HeadTrace)
-	t.Reset()
-	return t
-}
-
-// ReleaseHeadTrace recycles a recorder obtained from AcquireHeadTrace.
-// The caller must not use t afterwards.
-func ReleaseHeadTrace(t *HeadTrace) {
-	if t == nil {
-		return
-	}
-	t.Reset()
-	headTracePool.Put(t)
-}
-
 // Tally is a recorder for runs that only cross-check their event stream:
 // Emit folds each event into the run totals and stores nothing, so its
 // cost and size do not grow with the run. It belongs to one run and takes
 // no lock; the zero value is ready to use.
 type Tally struct {
 	tot Totals
+	n   int
 }
 
 // Emit implements Tracer.
-func (t *Tally) Emit(e Event) { t.tot.add(&e) }
+func (t *Tally) Emit(e Event) {
+	t.tot.add(&e)
+	t.n++
+}
+
+// Len reports the number of events folded.
+func (t *Tally) Len() int { return t.n }
 
 // Check is Trace.Check for the folded stream. It costs no allocation for a
 // matching run.

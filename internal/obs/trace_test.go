@@ -201,13 +201,11 @@ func TestWriteChromeTrace_CustomTrackName(t *testing.T) {
 	}
 }
 
-// TestRecorderPadding: both recorders fill the 128-byte size class exactly,
-// so recorders in use by concurrent runs never share a cache line.
+// TestRecorderPadding: the shareable recorder fills the 128-byte size
+// class exactly, so recorders in use by concurrent runs never share a cache
+// line.
 func TestRecorderPadding(t *testing.T) {
 	if got := reflect.TypeFor[Trace]().Size(); got != recorderSize {
 		t.Errorf("Trace is %d bytes, want %d", got, recorderSize)
-	}
-	if got := reflect.TypeFor[HeadTrace]().Size(); got != recorderSize {
-		t.Errorf("HeadTrace is %d bytes, want %d", got, recorderSize)
 	}
 }

@@ -406,34 +406,35 @@ func checkSimulateProgram(r SimulateRequest) error {
 	return nil
 }
 
-// runSimulate executes one kernel × class cell with a tracer attached and
-// cross-checks the trace against the machine stats, the same invariant the
+// runSimulate executes one kernel × class cell with a tally attached and
+// cross-checks the tally against the machine stats, the same invariant the
 // conformance matrix enforces per cell. When the request is traced, the
-// head of the simulator's event stream (obs.MaxSimEvents) is attached under
-// the item's span, so the request's Chrome trace shows the guest cycles
-// inside the wall time.
+// run is attached under the item's span as a replay recipe: the request's
+// Chrome trace re-runs the same deterministic simulation to show the guest
+// cycles inside the wall time, and checks the replay against this run.
 func runSimulate(ctx context.Context, r SimulateRequest) (SimulateResponse, error) {
 	c, err := taxonomy.LookupString(r.Class)
 	if err != nil {
 		return SimulateResponse{}, err
 	}
-	trace := obs.AcquireHeadTrace()
-	defer obs.ReleaseHeadTrace(trace)
-	res, err := modelzoo.RunKernel(c, r.Kernel, r.N, r.Procs,
-		workload.WithTracer(trace))
+	var tally obs.Tally
+	res, err := modelzoo.RunKernel(c, r.Kernel, r.N, r.Procs, workload.WithTracer(&tally))
 	if err != nil {
 		return SimulateResponse{}, err
 	}
 	if sp := obs.CurrentSpan(ctx); sp != nil {
-		sp.AttachSim(fmt.Sprintf("%s %s n=%d", c, r.Kernel, r.N), trace)
+		sp.AttachSim(fmt.Sprintf("%s %s n=%d", c, r.Kernel, r.N), &tally, func(tr obs.Tracer) error {
+			_, err := modelzoo.RunKernel(c, r.Kernel, r.N, r.Procs, workload.WithTracer(tr))
+			return err
+		})
 	}
-	return simulateResponse(c, r, res, trace)
+	return simulateResponse(c, r, res, &tally)
 }
 
-// simulateResponse renders one finished run and cross-checks the trace's
+// simulateResponse renders one finished run and cross-checks the tally's
 // folded totals against the machine stats. The USP fabric's clock steps
 // are not evented, so USP runs are metrics-exempt.
-func simulateResponse(c taxonomy.Class, r SimulateRequest, res workload.Result, trace *obs.HeadTrace) (SimulateResponse, error) {
+func simulateResponse(c taxonomy.Class, r SimulateRequest, res workload.Result, tally *obs.Tally) (SimulateResponse, error) {
 	resp := SimulateResponse{
 		Class:             c.String(),
 		Kernel:            r.Kernel,
@@ -453,7 +454,7 @@ func simulateResponse(c taxonomy.Class, r SimulateRequest, res workload.Result, 
 		resp.OutputHead = append(resp.OutputHead, int64(res.Output[i]))
 	}
 	if c.Name.Machine != taxonomy.UniversalFlow {
-		if err := trace.Check(res.Stats.Totals()); err != nil {
+		if err := tally.Check(res.Stats.Totals()); err != nil {
 			return SimulateResponse{}, err
 		}
 		resp.MetricsChecked = true

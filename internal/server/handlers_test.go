@@ -458,17 +458,17 @@ func TestSimulateCrossCheckNamesMetric(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := SimulateRequest{Class: "IMP-II", Kernel: "dot", N: 16, Procs: 4}
-	trace := &obs.HeadTrace{}
-	res, err := modelzoo.RunKernel(c, r.Kernel, r.N, r.Procs, workload.WithTracer(trace))
+	tally := &obs.Tally{}
+	res, err := modelzoo.RunKernel(c, r.Kernel, r.N, r.Procs, workload.WithTracer(tally))
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := simulateResponse(c, r, res, trace)
+	resp, err := simulateResponse(c, r, res, tally)
 	if err != nil || !resp.MetricsChecked {
 		t.Fatalf("matching run: checked=%v err=%v", resp.MetricsChecked, err)
 	}
 	res.Stats.Messages++
-	if _, err := simulateResponse(c, r, res, trace); err == nil || !strings.Contains(err.Error(), obs.MetricMessages) {
+	if _, err := simulateResponse(c, r, res, tally); err == nil || !strings.Contains(err.Error(), obs.MetricMessages) {
 		t.Fatalf("drifted run: error %v does not name %s", err, obs.MetricMessages)
 	}
 }

@@ -137,6 +137,9 @@ func (s *Server) handleDebugRequests(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		w.Header().Set("Content-Disposition", fmt.Sprintf("attachment; filename=%q", "trace-"+id+".json"))
 		if err := snap.WriteChrome(w); err != nil {
+			// A replay that fails or diverges writes no byte, so the
+			// attachment header can still be taken back.
+			w.Header().Del("Content-Disposition")
 			writeError(w, http.StatusInternalServerError, APIError{Code: CodeInternal, Message: err.Error()})
 		}
 		return
