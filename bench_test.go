@@ -455,10 +455,7 @@ func BenchmarkDataflow_Mapping(b *testing.B) {
 		}
 		return g
 	}
-	cfg, err := dataflow.ForSubtype(2, 8, 64)
-	if err != nil {
-		b.Fatal(err)
-	}
+	cfg := dataflow.Config{PEs: 8, BankWords: 64, Class: benchClass("DMP-II")}
 	cases := []struct {
 		name    string
 		mapping func(g *dataflow.Graph) ([]int, error)

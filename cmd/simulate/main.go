@@ -122,10 +122,7 @@ func runGantt(className string, procs int, tracePath string) error {
 		layer = next
 	}
 	g.MarkOutput(layer[0])
-	cfg, err := dataflow.ForSubtype(c.Name.Sub, procs, 64)
-	if err != nil {
-		return err
-	}
+	cfg := dataflow.Config{PEs: procs, BankWords: 64, Class: c}
 	var tr *obs.Trace
 	if tracePath != "" {
 		tr = obs.NewTrace()

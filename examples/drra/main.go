@@ -45,8 +45,9 @@ func main() {
 	}
 	fmt.Printf("%s: Eq 1 area %.0f GE, Eq 2 configuration %d bits\n\n", inst.Name, est.Area, est.ConfigBits)
 
-	// Build the fabric: 8 cells, ISP-IV semantics, 3-hop IP-IP window.
-	m, err := spatial.New(spatial.Config{Cores: 8, BankWords: 32, Sub: 4, Window: 3})
+	// Build the fabric from the class just derived: 8 cells, 3-hop IP-IP
+	// window.
+	m, err := spatial.New(spatial.Config{Cores: 8, BankWords: 32, Class: class, Window: 3})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -119,7 +120,7 @@ done:   addi r4, r9, 8
 		stats.Cycles, stats.Messages)
 
 	// The window constraint: leader 0 cannot enslave cell 5 (5 hops).
-	m2, err := spatial.New(spatial.Config{Cores: 8, BankWords: 32, Sub: 4, Window: 3})
+	m2, err := spatial.New(spatial.Config{Cores: 8, BankWords: 32, Class: class, Window: 3})
 	if err != nil {
 		log.Fatal(err)
 	}

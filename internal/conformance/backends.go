@@ -215,13 +215,8 @@ func runUniBackend(prog isa.Program, img []isa.Word, bank int, interp bool, tr o
 }
 
 func runSIMDBackend(prog isa.Program, img []isa.Word, bank int, interp bool, tr obs.Tracer) (backendOutcome, error) {
-	cfg, err := simd.ForSubtype(1, lockstepProcs, bank)
-	if err != nil {
-		return backendOutcome{}, err
-	}
-	cfg.Interp = interp
-	cfg.Tracer = tr
-	arr, err := simd.New(cfg, prog)
+	arr, err := simd.New(simd.Config{Lanes: lockstepProcs, BankWords: bank, Class: lockstepIAP,
+		Tracer: tr, Interp: interp}, prog)
 	if err != nil {
 		return backendOutcome{}, err
 	}
@@ -251,18 +246,12 @@ func runSIMDBackend(prog isa.Program, img []isa.Word, bank int, interp bool, tr 
 // banks, core i's loaded with banks[i], under a cycle budget (0 for the
 // default).
 func runMIMDBackend(prog isa.Program, banks [][]isa.Word, bankWords int, budget int64, interp bool, tr obs.Tracer) (backendOutcome, error) {
-	cfg, err := mimd.ForSubtype(1, lockstepProcs, bankWords)
-	if err != nil {
-		return backendOutcome{}, err
-	}
-	cfg.Interp = interp
-	cfg.Tracer = tr
-	cfg.MaxCycles = budget
 	images := make([]isa.Program, lockstepProcs)
 	for i := range images {
 		images[i] = prog
 	}
-	mp, err := mimd.New(cfg, images)
+	mp, err := mimd.New(mimd.Config{Cores: lockstepProcs, BankWords: bankWords, Class: lockstepIMP,
+		MaxCycles: budget, Tracer: tr, Interp: interp}, images)
 	if err != nil {
 		return backendOutcome{}, err
 	}

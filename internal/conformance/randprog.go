@@ -12,6 +12,7 @@ import (
 	"repro/internal/progcheck"
 	"repro/internal/report"
 	"repro/internal/simd"
+	"repro/internal/taxonomy"
 	"repro/internal/uniproc"
 )
 
@@ -151,6 +152,20 @@ type LockstepResult struct {
 // every extra unit repeats identical work, so two is also the fastest.
 const lockstepProcs = 2
 
+// lockstepIAP and lockstepIMP are the classes of the parallel machines in
+// the differential run: their direct DP-DM switches give every lane and
+// core a bank of its own, loaded with the uni-processor's image.
+var lockstepIAP, lockstepIMP = mustClass("IAP-I"), mustClass("IMP-I")
+
+// mustClass looks up a Table I class the differential run names.
+func mustClass(name string) taxonomy.Class {
+	c, err := taxonomy.LookupString(name)
+	if err != nil {
+		panic(err)
+	}
+	return c
+}
+
 // LockstepCheck generates the program for one seed, runs it on the three
 // machines and diffs the outcomes: every lane and core bank must equal the
 // uni-processor's final memory word-for-word (the register dump makes
@@ -205,11 +220,7 @@ func lockstepCheck(seed int64, cfg GenConfig) LockstepResult {
 	}
 
 	// 2-lane IAP-I: the broadcast program over identical banks.
-	simdCfg, err := simd.ForSubtype(1, lockstepProcs, bank)
-	if err != nil {
-		return fail(err, prog)
-	}
-	arr, err := simd.New(simdCfg, prog)
+	arr, err := simd.New(simd.Config{Lanes: lockstepProcs, BankWords: bank, Class: lockstepIAP}, prog)
 	if err != nil {
 		return fail(err, prog)
 	}
@@ -234,15 +245,11 @@ func lockstepCheck(seed int64, cfg GenConfig) LockstepResult {
 	}
 
 	// 2-core IMP-I: private program copies over identical banks.
-	mimdCfg, err := mimd.ForSubtype(1, lockstepProcs, bank)
-	if err != nil {
-		return fail(err, prog)
-	}
 	images := make([]isa.Program, lockstepProcs)
 	for i := range images {
 		images[i] = prog
 	}
-	mp, err := mimd.New(mimdCfg, images)
+	mp, err := mimd.New(mimd.Config{Cores: lockstepProcs, BankWords: bank, Class: lockstepIMP}, images)
 	if err != nil {
 		return fail(err, prog)
 	}

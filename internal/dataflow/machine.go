@@ -16,10 +16,10 @@ type Config struct {
 	PEs int
 	// BankWords is each PE's data-memory bank size.
 	BankWords int
-	// DPDM selects local (direct) or global crossbar memory addressing.
-	DPDM taxonomy.Link
-	// DPDP selects the token network: none or crossbar.
-	DPDP taxonomy.Link
+	// Class is the DMP row of Table I the machine realizes. Its DP-DM
+	// switch selects local (direct) or global crossbar memory addressing,
+	// its DP-DP switch the token network, none or a crossbar.
+	Class taxonomy.Class
 	// MeshCols, when positive, realizes the DP-DP 'x' switch as a
 	// packet-switched 2D mesh NoC with that many columns (PEs must fill
 	// the grid exactly) instead of a crossbar — REDEFINE's actual
@@ -32,35 +32,6 @@ type Config struct {
 	Tracer obs.Tracer
 }
 
-// ForSubtype returns the configuration of DMP sub-type 1..4: the DP-DM
-// and DP-DP switch kinds of Table I's DMP row with that sub-type.
-func ForSubtype(sub, pes, bankWords int) (Config, error) {
-	if sub < 1 || sub > 4 {
-		return Config{}, fmt.Errorf("dataflow: data-flow multi-processors have sub-types I..IV, got %d", sub)
-	}
-	class, err := taxonomy.Lookup(taxonomy.Name{Machine: taxonomy.DataFlow, Proc: taxonomy.MultiProcessor, Sub: sub})
-	if err != nil {
-		return Config{}, err
-	}
-	return Config{
-		PEs:       pes,
-		BankWords: bankWords,
-		DPDM:      class.Links[taxonomy.SiteDPDM],
-		DPDP:      class.Links[taxonomy.SiteDPDP],
-	}, nil
-}
-
-// Class returns the taxonomy class this configuration realizes.
-func (c Config) Class() (taxonomy.Class, error) {
-	count := taxonomy.CountN
-	links := taxonomy.Links{taxonomy.SiteDPDM: c.DPDM, taxonomy.SiteDPDP: c.DPDP}
-	if c.PEs == 1 {
-		count = taxonomy.CountOne
-		links = taxonomy.Links{taxonomy.SiteDPDM: taxonomy.LinkDirect}
-	}
-	return taxonomy.Classify(taxonomy.CountZero, count, links)
-}
-
 func (c Config) validate() error {
 	if c.PEs < 1 {
 		return fmt.Errorf("dataflow: need at least one PE, got %d", c.PEs)
@@ -68,11 +39,8 @@ func (c Config) validate() error {
 	if c.BankWords < 1 {
 		return fmt.Errorf("dataflow: bank size must be >= 1 word, got %d", c.BankWords)
 	}
-	if c.DPDM != taxonomy.LinkDirect && c.DPDM != taxonomy.LinkCrossbar {
-		return fmt.Errorf("dataflow: DP-DM must be direct or crossbar, got %v", c.DPDM)
-	}
-	if c.DPDP != taxonomy.LinkNone && c.DPDP != taxonomy.LinkCrossbar {
-		return fmt.Errorf("dataflow: DP-DP must be none or crossbar, got %v", c.DPDP)
+	if err := c.Class.Require(taxonomy.DataFlow, taxonomy.MultiProcessor); err != nil {
+		return fmt.Errorf("dataflow: %w", err)
 	}
 	return nil
 }
@@ -111,7 +79,8 @@ func New(cfg Config, graph *Graph, mapping []int) (*Machine, error) {
 			return nil, fmt.Errorf("dataflow: node %d mapped to PE %d, machine has %d PEs", id, pe, cfg.PEs)
 		}
 	}
-	if cfg.DPDP == taxonomy.LinkNone && cfg.DPDM == taxonomy.LinkDirect {
+	dpdm, dpdp := cfg.Class.Links[taxonomy.SiteDPDM], cfg.Class.Links[taxonomy.SiteDPDP]
+	if dpdp == taxonomy.LinkNone && dpdm == taxonomy.LinkDirect {
 		// DMP-I (or DUP): tokens cannot leave a PE.
 		for id := 0; id < graph.Nodes(); id++ {
 			n, _ := graph.Node(id)
@@ -125,7 +94,7 @@ func New(cfg Config, graph *Graph, mapping []int) (*Machine, error) {
 		}
 	}
 	var tokNet interconnect.Network
-	if cfg.DPDP == taxonomy.LinkCrossbar {
+	if dpdp == taxonomy.LinkCrossbar {
 		var net interconnect.Network
 		var err error
 		if cfg.MeshCols > 0 {
@@ -143,7 +112,7 @@ func New(cfg Config, graph *Graph, mapping []int) (*Machine, error) {
 	}
 	// Tokens travel on tokNet, so the shared data side has no DP-DP switch.
 	banks, err := machine.NewBanks(machine.BankConfig{Pkg: "dataflow", Noun: "PE", Procs: cfg.PEs,
-		BankWords: cfg.BankWords, DPDM: cfg.DPDM, DPDP: taxonomy.LinkNone, Tracer: cfg.Tracer})
+		BankWords: cfg.BankWords, DPDM: dpdm, DPDP: taxonomy.LinkNone, Tracer: cfg.Tracer})
 	if err != nil {
 		return nil, err
 	}

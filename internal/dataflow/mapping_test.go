@@ -90,10 +90,7 @@ func TestGreedyLocalityMapping_RunsFasterOrEqual(t *testing.T) {
 	// Fewer cross edges means fewer token transfers: on DMP-II the greedy
 	// mapping must not be slower than round-robin for the chain graph.
 	build := func() *Graph { return buildChains(4, 16) }
-	cfg, err := ForSubtype(2, 4, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := mustConfig(t, 2, 4)
 	gGreedy := build()
 	greedy, err := GreedyLocalityMapping(gGreedy, 4)
 	if err != nil {

@@ -21,10 +21,7 @@ func TestMeshNoC_SameResultsSlowerTokens(t *testing.T) {
 		g.MarkOutput(cur)
 		return g
 	}
-	base, err := ForSubtype(2, 16, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
+	base := mustConfig(t, 2, 16)
 
 	gX := build()
 	mX, err := New(base, gX, RoundRobinMapping(gX.Nodes(), 16))
@@ -55,21 +52,10 @@ func TestMeshNoC_SameResultsSlowerTokens(t *testing.T) {
 		t.Errorf("mesh (%d cycles) not slower than crossbar (%d cycles) on scattered mapping",
 			rM.Stats.Cycles, rX.Stats.Cycles)
 	}
-	// Class unchanged: a mesh is still an 'x' switch.
-	c, err := meshCfg.Class()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.String() != "DMP-II" {
-		t.Errorf("mesh machine classifies as %s", c)
-	}
 }
 
 func TestMeshNoC_RejectsRaggedGrid(t *testing.T) {
-	cfg, err := ForSubtype(2, 6, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := mustConfig(t, 2, 6)
 	cfg.MeshCols = 4 // 6 PEs do not fill a 4-column grid
 	g := NewGraph()
 	g.MarkOutput(g.Const(1))
@@ -82,10 +68,7 @@ func TestMeshNoC_LocalityMappingHelpsMore(t *testing.T) {
 	// On a mesh the greedy locality mapping saves even more than on a
 	// crossbar, because cross-PE hops cost distance.
 	build := func() *Graph { return buildChains(4, 12) }
-	cfg, err := ForSubtype(2, 16, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := mustConfig(t, 2, 16)
 	cfg.MeshCols = 4
 	gRR := build()
 	mRR, err := New(cfg, gRR, RoundRobinMapping(gRR.Nodes(), 16))
@@ -121,12 +104,9 @@ func TestMeshNoC_LocalityMappingHelpsMore(t *testing.T) {
 // TestMeshNoC_NotUsedWithoutDPDP: MeshCols is meaningless when the class
 // has no DP-DP switch; the machine simply never builds the network.
 func TestMeshNoC_NotUsedWithoutDPDP(t *testing.T) {
-	cfg, err := ForSubtype(1, 4, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := mustConfig(t, 1, 4)
 	cfg.MeshCols = 2
-	if cfg.DPDP != taxonomy.LinkNone {
+	if cfg.Class.Links[taxonomy.SiteDPDP] != taxonomy.LinkNone {
 		t.Fatal("sub-type I should have no DP-DP switch")
 	}
 	g := NewGraph()

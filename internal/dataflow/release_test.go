@@ -11,10 +11,7 @@ func TestRelease(t *testing.T) {
 		a := g.Const(20)
 		b := g.Const(22)
 		g.MarkOutput(g.Binary(OpAdd, a, b))
-		cfg, err := ForSubtype(4, 2, 64)
-		if err != nil {
-			return nil, err
-		}
+		cfg := mustConfig(t, 4, 2)
 		return New(cfg, g, RoundRobinMapping(g.Nodes(), 2))
 	}
 	m, err := build()

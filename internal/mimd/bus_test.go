@@ -37,10 +37,7 @@ done:   st   r1, [r0+0]
 func TestBusDPDP_SerializesRelativeToCrossbar(t *testing.T) {
 	const cores, rounds = 8, 16
 	run := func(bus bool) (cycles, conflicts int64) {
-		cfg, err := ForSubtype(2, cores, 16)
-		if err != nil {
-			t.Fatal(err)
-		}
+		cfg := mustConfig(t, 2, cores, 16)
 		cfg.BusDPDP = bus
 		m, err := New(cfg, ringProgs(cores, rounds))
 		if err != nil {
@@ -78,19 +75,26 @@ func TestBusDPDP_SerializesRelativeToCrossbar(t *testing.T) {
 	}
 }
 
-// TestBusDPDP_ClassUnchanged: the bus is still an 'x' switch to the
-// taxonomy — the class and flexibility do not move.
+// TestBusDPDP_ClassUnchanged: the bus is still the class's 'x' switch to
+// the taxonomy, a timing realization only. It adds no DP-DP network to a
+// class without one, and carries the messages of a class with one.
 func TestBusDPDP_ClassUnchanged(t *testing.T) {
-	cfg, err := ForSubtype(2, 4, 16)
-	if err != nil {
-		t.Fatal(err)
+	run := func(sub int, bus bool) error {
+		cfg := mustConfig(t, sub, 4, 16)
+		cfg.BusDPDP = bus
+		m, err := New(cfg, ringProgs(4, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer m.Release()
+		_, err = m.Run()
+		return err
 	}
-	cfg.BusDPDP = true
-	c, err := cfg.Class()
-	if err != nil {
-		t.Fatal(err)
+	plain, bus := run(1, false), run(1, true)
+	if plain == nil || bus == nil || bus.Error() != plain.Error() {
+		t.Errorf("IMP-I ring without / with the bus flag: %v / %v, want the same missing-network error", plain, bus)
 	}
-	if c.String() != "IMP-II" {
-		t.Errorf("bus-based machine classifies as %s, want IMP-II", c)
+	if err := run(2, true); err != nil {
+		t.Errorf("IMP-II ring on the bus: %v", err)
 	}
 }

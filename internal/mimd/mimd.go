@@ -56,15 +56,12 @@ type Config struct {
 	Cores int
 	// BankWords is each core's data-memory bank size.
 	BankWords int
-	// IPDP is kept for classification completeness (direct in all IMP
-	// sub-types I..VIII, crossbar in IX..XVI); it does not change timing.
-	IPDP taxonomy.Link
-	// IPIM selects private program images (direct) or an image crossbar.
-	IPIM taxonomy.Link
-	// DPDM selects local (direct) or global crossbar memory addressing.
-	DPDM taxonomy.Link
-	// DPDP selects the message network: none or crossbar.
-	DPDP taxonomy.Link
+	// Class is the IMP row of Table I the machine realizes. Its IP-IM
+	// switch selects private program images (direct) or an image
+	// crossbar, its DP-DM switch local (direct) or global crossbar memory
+	// addressing, and its DP-DP switch the message network, none or a
+	// crossbar. Its IP-DP switch does not change timing.
+	Class taxonomy.Class
 	// BusDPDP realizes the DP-DP 'x' switch as a single shared bus instead
 	// of a full crossbar: the cheap implementation RaPiD's row buses use,
 	// whose serialization is the paper's §IV scalability complaint. The
@@ -82,37 +79,6 @@ type Config struct {
 	Interp bool
 }
 
-// ForSubtype returns the configuration of IMP sub-type 1..16: the switch
-// kinds of Table I's IMP row with that sub-type.
-func ForSubtype(sub, cores, bankWords int) (Config, error) {
-	if sub < 1 || sub > 16 {
-		return Config{}, fmt.Errorf("mimd: multi-processors have sub-types I..XVI, got %d", sub)
-	}
-	class, err := taxonomy.Lookup(taxonomy.Name{Machine: taxonomy.InstructionFlow, Proc: taxonomy.MultiProcessor, Sub: sub})
-	if err != nil {
-		return Config{}, err
-	}
-	return Config{
-		Cores:     cores,
-		BankWords: bankWords,
-		IPDP:      class.Links[taxonomy.SiteIPDP],
-		IPIM:      class.Links[taxonomy.SiteIPIM],
-		DPDM:      class.Links[taxonomy.SiteDPDM],
-		DPDP:      class.Links[taxonomy.SiteDPDP],
-	}, nil
-}
-
-// Class returns the taxonomy class this configuration realizes.
-func (c Config) Class() (taxonomy.Class, error) {
-	links := taxonomy.Links{
-		taxonomy.SiteIPDP: c.IPDP,
-		taxonomy.SiteIPIM: c.IPIM,
-		taxonomy.SiteDPDM: c.DPDM,
-		taxonomy.SiteDPDP: c.DPDP,
-	}
-	return taxonomy.Classify(taxonomy.CountN, taxonomy.CountN, links)
-}
-
 func (c Config) validate() error {
 	if c.Cores < 2 {
 		return fmt.Errorf("mimd: a multi-processor needs n >= 2 cores, got %d (use uniproc for 1)", c.Cores)
@@ -120,17 +86,8 @@ func (c Config) validate() error {
 	if c.BankWords < 1 {
 		return fmt.Errorf("mimd: bank size must be >= 1 word, got %d", c.BankWords)
 	}
-	if c.IPDP != taxonomy.LinkDirect && c.IPDP != taxonomy.LinkCrossbar {
-		return fmt.Errorf("mimd: IP-DP must be direct or crossbar, got %v", c.IPDP)
-	}
-	if c.IPIM != taxonomy.LinkDirect && c.IPIM != taxonomy.LinkCrossbar {
-		return fmt.Errorf("mimd: IP-IM must be direct or crossbar, got %v", c.IPIM)
-	}
-	if c.DPDM != taxonomy.LinkDirect && c.DPDM != taxonomy.LinkCrossbar {
-		return fmt.Errorf("mimd: DP-DM must be direct or crossbar, got %v", c.DPDM)
-	}
-	if c.DPDP != taxonomy.LinkNone && c.DPDP != taxonomy.LinkCrossbar {
-		return fmt.Errorf("mimd: DP-DP must be none or crossbar, got %v", c.DPDP)
+	if err := c.Class.Require(taxonomy.InstructionFlow, taxonomy.MultiProcessor); err != nil {
+		return fmt.Errorf("mimd: %w", err)
 	}
 	return nil
 }
@@ -166,7 +123,7 @@ func newImage(p isa.Program, cfg Config) (*image, error) {
 	if cfg.Tracer != nil {
 		return img, nil // traced runs step every op in slot order
 	}
-	memLocal := cfg.DPDM == taxonomy.LinkDirect
+	memLocal := cfg.Class.Links[taxonomy.SiteDPDM] == taxonomy.LinkDirect
 	for pc := range img.dec {
 		if img.comp.RunsAhead(pc, memLocal) {
 			if img.ahead == nil {
@@ -255,12 +212,14 @@ func New(cfg Config, programs []isa.Program) (*Machine, error) {
 		}
 		images[i] = img
 	}
-	if cfg.IPIM == taxonomy.LinkDirect && len(programs) != cfg.Cores {
+	ipimDirect := cfg.Class.Links[taxonomy.SiteIPIM] == taxonomy.LinkDirect
+	if ipimDirect && len(programs) != cfg.Cores {
 		return nil, fmt.Errorf("mimd: IP-IM is direct, need one program image per core (%d), got %d",
 			cfg.Cores, len(programs))
 	}
 	banks, err := machine.NewBanks(machine.BankConfig{Pkg: "mimd", Noun: "core", Procs: cfg.Cores,
-		BankWords: cfg.BankWords, DPDM: cfg.DPDM, DPDP: cfg.DPDP, BusDPDP: cfg.BusDPDP, Tracer: cfg.Tracer})
+		BankWords: cfg.BankWords, DPDM: cfg.Class.Links[taxonomy.SiteDPDM], DPDP: cfg.Class.Links[taxonomy.SiteDPDP],
+		BusDPDP: cfg.BusDPDP, Tracer: cfg.Tracer})
 	if err != nil {
 		return nil, err
 	}
@@ -269,12 +228,12 @@ func New(cfg Config, programs []isa.Program) (*Machine, error) {
 		images:   images,
 		cores:    make([]coreState, cfg.Cores),
 		perCore:  make([]CoreStats, cfg.Cores),
-		memLocal: cfg.DPDM == taxonomy.LinkDirect,
+		memLocal: cfg.Class.Links[taxonomy.SiteDPDM] == taxonomy.LinkDirect,
 	}
 	m.Banks = banks
 	for i := range m.cores {
 		m.cores[i].img = images[0]
-		if cfg.IPIM == taxonomy.LinkDirect {
+		if ipimDirect {
 			m.cores[i].img = images[i]
 		}
 		m.cores[i].cpu.Mem = banks.Bank(i)
@@ -288,7 +247,7 @@ func New(cfg Config, programs []isa.Program) (*Machine, error) {
 // Assign points core at program image. It requires the IP-IM crossbar: on
 // direct wiring each instruction processor can only see its own image.
 func (m *Machine) Assign(core, image int) error {
-	if m.cfg.IPIM != taxonomy.LinkCrossbar {
+	if m.cfg.Class.Links[taxonomy.SiteIPIM] != taxonomy.LinkCrossbar {
 		return fmt.Errorf("mimd: IP-IM is direct; core %d cannot be re-pointed at image %d", core, image)
 	}
 	if core < 0 || core >= m.cfg.Cores {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/dataflow"
+	"repro/internal/taxonomy"
 )
 
 func TestGantt_RealSchedule(t *testing.T) {
@@ -14,10 +15,11 @@ func TestGantt_RealSchedule(t *testing.T) {
 	sum := g.Binary(dataflow.OpAdd, a, b)
 	prod := g.Binary(dataflow.OpMul, sum, a)
 	g.MarkOutput(prod)
-	cfg, err := dataflow.ForSubtype(2, 2, 16)
+	dmp2, err := taxonomy.LookupString("DMP-II")
 	if err != nil {
 		t.Fatal(err)
 	}
+	cfg := dataflow.Config{PEs: 2, BankWords: 16, Class: dmp2}
 	m, err := dataflow.New(cfg, g, dataflow.RoundRobinMapping(g.Nodes(), 2))
 	if err != nil {
 		t.Fatal(err)

@@ -31,11 +31,11 @@ type Config struct {
 	Lanes int
 	// BankWords is the size of each lane's data-memory bank.
 	BankWords int
-	// DPDM is the memory switch kind: LinkDirect (own bank only, local
-	// addressing) or LinkCrossbar (global addressing across all banks).
-	DPDM taxonomy.Link
-	// DPDP is the lane network kind: LinkNone or LinkCrossbar.
-	DPDP taxonomy.Link
+	// Class is the IAP row of Table I the machine realizes. Its DP-DM
+	// switch is direct (own bank only, local addressing) or a crossbar
+	// (global addressing across all banks); its DP-DP lane network is
+	// none or a crossbar.
+	Class taxonomy.Class
 	// MaxCycles bounds the run; 0 means machine.DefaultMaxCycles.
 	MaxCycles int64
 	// Tracer, when non-nil, receives run events: one track per lane, plus
@@ -46,35 +46,6 @@ type Config struct {
 	Interp bool
 }
 
-// ForSubtype returns the configuration of IAP sub-type 1..4: the DP-DM
-// and DP-DP switch kinds of Table I's IAP row with that sub-type.
-func ForSubtype(sub, lanes, bankWords int) (Config, error) {
-	if sub < 1 || sub > 4 {
-		return Config{}, fmt.Errorf("simd: array processors have sub-types I..IV, got %d", sub)
-	}
-	class, err := taxonomy.Lookup(taxonomy.Name{Machine: taxonomy.InstructionFlow, Proc: taxonomy.ArrayProcessor, Sub: sub})
-	if err != nil {
-		return Config{}, err
-	}
-	return Config{
-		Lanes:     lanes,
-		BankWords: bankWords,
-		DPDM:      class.Links[taxonomy.SiteDPDM],
-		DPDP:      class.Links[taxonomy.SiteDPDP],
-	}, nil
-}
-
-// Class returns the taxonomy class this configuration realizes.
-func (c Config) Class() (taxonomy.Class, error) {
-	links := taxonomy.Links{
-		taxonomy.SiteIPDP: taxonomy.LinkDirect,
-		taxonomy.SiteIPIM: taxonomy.LinkDirect,
-		taxonomy.SiteDPDM: c.DPDM,
-		taxonomy.SiteDPDP: c.DPDP,
-	}
-	return taxonomy.Classify(taxonomy.CountOne, taxonomy.CountN, links)
-}
-
 // validate checks the configuration.
 func (c Config) validate() error {
 	if c.Lanes < 2 {
@@ -83,11 +54,8 @@ func (c Config) validate() error {
 	if c.BankWords < 1 {
 		return fmt.Errorf("simd: bank size must be >= 1 word, got %d", c.BankWords)
 	}
-	if c.DPDM != taxonomy.LinkDirect && c.DPDM != taxonomy.LinkCrossbar {
-		return fmt.Errorf("simd: DP-DM must be direct or crossbar, got %v", c.DPDM)
-	}
-	if c.DPDP != taxonomy.LinkNone && c.DPDP != taxonomy.LinkCrossbar {
-		return fmt.Errorf("simd: DP-DP must be none or crossbar, got %v", c.DPDP)
+	if err := c.Class.Require(taxonomy.InstructionFlow, taxonomy.ArrayProcessor); err != nil {
+		return fmt.Errorf("simd: %w", err)
 	}
 	return nil
 }
@@ -122,7 +90,8 @@ func New(cfg Config, prog isa.Program) (*Machine, error) {
 		return nil, fmt.Errorf("simd: %w", err)
 	}
 	banks, err := machine.NewBanks(machine.BankConfig{Pkg: "simd", Noun: "lane", Procs: cfg.Lanes,
-		BankWords: cfg.BankWords, DPDM: cfg.DPDM, DPDP: cfg.DPDP, Tracer: cfg.Tracer})
+		BankWords: cfg.BankWords, DPDM: cfg.Class.Links[taxonomy.SiteDPDM], DPDP: cfg.Class.Links[taxonomy.SiteDPDP],
+		Tracer: cfg.Tracer})
 	if err != nil {
 		return nil, err
 	}

@@ -25,7 +25,7 @@ type vecFn func(m *Machine, stats *machine.Stats) (lane int, err error)
 // stay nil where the per-lane path must run.
 func (m *Machine) compileVec() []vecFn {
 	vec := make([]vecFn, len(m.dec))
-	directMem := m.cfg.DPDM == taxonomy.LinkDirect
+	directMem := m.cfg.Class.Links[taxonomy.SiteDPDM] == taxonomy.LinkDirect
 	for pc := range m.dec {
 		vec[pc] = compileVecOp(&m.dec[pc], directMem)
 	}

@@ -15,7 +15,7 @@ func TestRelease(t *testing.T) {
         st   r1, [r0+0]
         halt
 `)
-	m, err := New(Config{Cores: 4, BankWords: 16, Sub: 2})
+	m, err := New(Config{Cores: 4, BankWords: 16, Class: isp(2)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +30,7 @@ func TestRelease(t *testing.T) {
 	m.Release()
 	m.Release()
 
-	m2, err := New(Config{Cores: 4, BankWords: 16, Sub: 2})
+	m2, err := New(Config{Cores: 4, BankWords: 16, Class: isp(2)})
 	if err != nil {
 		t.Fatal(err)
 	}

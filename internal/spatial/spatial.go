@@ -38,10 +38,10 @@ type Config struct {
 	Cores int
 	// BankWords is each cell's data-memory bank size.
 	BankWords int
-	// Sub is the IMP-style sub-type 1..16 selecting the IP-DP, IP-IM,
-	// DP-DM and DP-DP switch kinds (the ISP classes share the sub-type
-	// semantics with IMP).
-	Sub int
+	// Class is the ISP row of Table I the machine realizes: its IP-DP,
+	// IP-IM, DP-DM and DP-DP switch kinds are those of the IMP row with
+	// the same sub-type.
+	Class taxonomy.Class
 	// Window limits the IP-IP switch to leaders reaching members within
 	// |leader-member| <= Window; 0 means a full IP-IP crossbar.
 	Window int
@@ -56,15 +56,6 @@ type Config struct {
 	Interp bool
 }
 
-// Class returns the taxonomy class this configuration realizes: Table I's
-// ISP row with the configured sub-type.
-func (c Config) Class() (taxonomy.Class, error) {
-	if c.Sub < 1 || c.Sub > 16 {
-		return taxonomy.Class{}, fmt.Errorf("spatial: sub-type must be 1..16, got %d", c.Sub)
-	}
-	return taxonomy.Lookup(taxonomy.Name{Machine: taxonomy.InstructionFlow, Proc: taxonomy.SpatialProcessor, Sub: c.Sub})
-}
-
 func (c Config) validate() error {
 	if c.Cores < 2 {
 		return fmt.Errorf("spatial: a spatial processor needs n >= 2 cells, got %d", c.Cores)
@@ -75,8 +66,10 @@ func (c Config) validate() error {
 	if c.Window < 0 {
 		return fmt.Errorf("spatial: window must be >= 0, got %d", c.Window)
 	}
-	_, err := c.Class()
-	return err
+	if err := c.Class.Require(taxonomy.InstructionFlow, taxonomy.SpatialProcessor); err != nil {
+		return fmt.Errorf("spatial: %w", err)
+	}
+	return nil
 }
 
 // group is one composed instruction processor.
@@ -101,7 +94,6 @@ type group struct {
 // Machine is one spatial-processor instance.
 type Machine struct {
 	cfg      Config
-	links    taxonomy.Links
 	groups   []*group
 	assigned []bool
 	ipip     interconnect.Network
@@ -117,11 +109,8 @@ func New(cfg Config) (*Machine, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	class, err := cfg.Class()
-	if err != nil {
-		return nil, err
-	}
 	var ipip interconnect.Network
+	var err error
 	if cfg.Window > 0 {
 		ipip, err = interconnect.NewLimited(cfg.Cores, cfg.Window)
 	} else {
@@ -131,14 +120,13 @@ func New(cfg Config) (*Machine, error) {
 		return nil, err
 	}
 	banks, err := machine.NewBanks(machine.BankConfig{Pkg: "spatial", Noun: "cell", Procs: cfg.Cores,
-		BankWords: cfg.BankWords, DPDM: class.Links[taxonomy.SiteDPDM], DPDP: class.Links[taxonomy.SiteDPDP],
+		BankWords: cfg.BankWords, DPDM: cfg.Class.Links[taxonomy.SiteDPDM], DPDP: cfg.Class.Links[taxonomy.SiteDPDP],
 		Tracer: cfg.Tracer})
 	if err != nil {
 		return nil, err
 	}
 	m := &Machine{
 		cfg:      cfg,
-		links:    class.Links,
 		assigned: make([]bool, cfg.Cores),
 		ipip:     obs.ObserveNetwork(ipip, cfg.Tracer),
 	}
@@ -337,7 +325,7 @@ func (m *Machine) stepGroup(g *group, d *isa.DecodedOp, cycle int64, stats *mach
 
 	// Pre-check RECVs so a blocked member never leaves partial effects.
 	if d.Op == isa.OpRecv {
-		if m.links[taxonomy.SiteDPDP] != taxonomy.LinkCrossbar {
+		if m.cfg.Class.Links[taxonomy.SiteDPDP] != taxonomy.LinkCrossbar {
 			return 0, fmt.Errorf("spatial: group of leader %d pc %d: no DP-DP network for recv", g.leader, g.pc)
 		}
 		for mi, cell := range g.members {

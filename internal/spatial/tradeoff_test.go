@@ -25,7 +25,7 @@ func TestCompositionTradeoff(t *testing.T) {
 `)
 
 	// Organisation A: one composed IP spanning all cells.
-	composed, err := New(Config{Cores: cells, BankWords: 16, Sub: 2})
+	composed, err := New(Config{Cores: cells, BankWords: 16, Class: isp(2)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestCompositionTradeoff(t *testing.T) {
 	}
 
 	// Organisation B: singleton groups (the IMP morph).
-	split, err := New(Config{Cores: cells, BankWords: 16, Sub: 2})
+	split, err := New(Config{Cores: cells, BankWords: 16, Class: isp(2)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/dataflow"
 	"repro/internal/fabric"
+	"repro/internal/taxonomy"
 )
 
 // wrapTo sign-wraps an int64 to `width` bits, matching the fabric's
@@ -20,10 +21,11 @@ func wrapTo(v int64, width int) int64 {
 // returns (dataflow outputs wrapped, fabric outputs).
 func runBoth(t *testing.T, g *dataflow.Graph, width int) ([]int64, []int64) {
 	t.Helper()
-	cfg, err := dataflow.ForSubtype(1, 1, 16)
+	dmp1, err := taxonomy.LookupString("DMP-I")
 	if err != nil {
 		t.Fatal(err)
 	}
+	cfg := dataflow.Config{PEs: 1, BankWords: 16, Class: dmp1}
 	dm, err := dataflow.New(cfg, g, dataflow.SinglePEMapping(g.Nodes()))
 	if err != nil {
 		t.Fatal(err)

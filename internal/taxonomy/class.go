@@ -263,3 +263,17 @@ func ByIndex(i int) (Class, error) {
 	}
 	return table[i-1], nil
 }
+
+// Require returns an error unless c is Table I's own row at c.Index and of
+// machine type m and processing type p: the check each sharded simulator's
+// constructor runs on the class it is built from, so a zero or hand-edited
+// Class is rejected. It allocates nothing when c passes.
+func (c Class) Require(m MachineType, p ProcessingType) error {
+	if row, err := ByIndex(c.Index); err != nil || c != row {
+		return fmt.Errorf("class %s (index %d) is not a Table I row", c, c.Index)
+	}
+	if !c.Implementable || c.Name.Machine != m || c.Name.Proc != p {
+		return fmt.Errorf("class %s (index %d) is not of type %s", c, c.Index, Name{Machine: m, Proc: p})
+	}
+	return nil
+}

@@ -214,6 +214,22 @@ func TestByIndex(t *testing.T) {
 	}
 }
 
+// TestRequireZeroAllocs: the check every simulator constructor runs costs
+// no allocation when the class passes.
+func TestRequireZeroAllocs(t *testing.T) {
+	c, err := LookupString("IMP-XIV")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if err := c.Require(InstructionFlow, MultiProcessor); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("Require allocated %v times per call, want 0", allocs)
+	}
+}
+
 func TestGranularityString(t *testing.T) {
 	if GrainIPDP.String() != "IP/DP" || GrainLUT.String() != "LUTs" {
 		t.Errorf("granularity labels wrong: %q, %q", GrainIPDP, GrainLUT)

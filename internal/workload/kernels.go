@@ -141,12 +141,8 @@ func VecAddDataflow(c taxonomy.Class, pes int, a, b []isa.Word, opts ...Option) 
 			}
 		}
 	}
-	cfg, err := dataflow.ForSubtype(c.Name.Sub, pes, 3*m+16)
-	if err != nil {
-		return Result{}, err
-	}
-	cfg.Tracer = applyOpts(opts).tracer
-	mach, err := dataflow.New(cfg, g, mapping)
+	mach, err := dataflow.New(dataflow.Config{PEs: pes, BankWords: 3*m + 16, Class: c,
+		Tracer: applyOpts(opts).tracer}, g, mapping)
 	if err != nil {
 		return Result{}, err
 	}

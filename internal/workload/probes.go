@@ -87,18 +87,13 @@ func probeIAPCannotActAsIMP(opts ...Option) (Probe, error) {
 	claim := Probe{Claim: "IAP cannot act as a multi-processor: one instruction stream cannot follow n divergent control flows (§III.B)"}
 
 	// On the IMP, every core loops its own number of times.
-	cfg, err := mimd.ForSubtype(1, procs, 16)
-	if err != nil {
-		return Probe{}, err
-	}
 	ro := applyOpts(opts)
-	cfg.Tracer = ro.tracer
-	cfg.Interp = ro.interp
 	images := make([]isa.Program, procs)
 	for i := range images {
 		images[i] = divergentProgram()
 	}
-	mm, err := mimd.New(cfg, images)
+	mm, err := mimd.New(mimd.Config{Cores: procs, BankWords: 16, Class: mustClass("IMP-I"),
+		Tracer: ro.tracer, Interp: ro.interp}, images)
 	if err != nil {
 		return Probe{}, err
 	}
@@ -119,13 +114,8 @@ func probeIAPCannotActAsIMP(opts ...Option) (Probe, error) {
 
 	// On the IAP, the lockstep stream follows lane 0's bound: every lane
 	// reports 1 and lanes 1..n-1 are wrong.
-	scfg, err := simd.ForSubtype(1, procs, 16)
-	if err != nil {
-		return Probe{}, err
-	}
-	scfg.Tracer = ro.tracer
-	scfg.Interp = ro.interp
-	sm, err := simd.New(scfg, divergentProgram())
+	sm, err := simd.New(simd.Config{Lanes: procs, BankWords: 16, Class: mustClass("IAP-I"),
+		Tracer: ro.tracer, Interp: ro.interp}, divergentProgram())
 	if err != nil {
 		return Probe{}, err
 	}
@@ -166,14 +156,9 @@ func probeIAPActsAsIUP(opts ...Option) (Probe, error) {
 	if err != nil {
 		return Probe{}, err
 	}
-	cfg, err := simd.ForSubtype(1, 4, 3*n+16)
-	if err != nil {
-		return Probe{}, err
-	}
 	ro := applyOpts(opts)
-	cfg.Tracer = ro.tracer
-	cfg.Interp = ro.interp
-	sm, err := simd.New(cfg, prog)
+	sm, err := simd.New(simd.Config{Lanes: 4, BankWords: 3*n + 16, Class: mustClass("IAP-I"),
+		Tracer: ro.tracer, Interp: ro.interp}, prog)
 	if err != nil {
 		return Probe{}, err
 	}
@@ -395,7 +380,7 @@ func probeISPMorphsBetweenIMPAndIAP(opts ...Option) (Probe, error) {
         halt
 `)
 	build := func() (*spatial.Machine, error) {
-		return spatial.New(spatial.Config{Cores: cells, BankWords: 16, Sub: 2, Tracer: applyOpts(opts).tracer})
+		return spatial.New(spatial.Config{Cores: cells, BankWords: 16, Class: mustClass("ISP-II"), Tracer: applyOpts(opts).tracer})
 	}
 
 	composed, err := build()
@@ -467,12 +452,8 @@ func probeUSPImplementsDataflow(opts ...Option) (Probe, error) {
 	x := g.Binary(dataflow.OpXor, diff, a)
 	g.MarkOutput(x)
 
-	cfg, err := dataflow.ForSubtype(1, 1, 16)
-	if err != nil {
-		return Probe{}, err
-	}
-	cfg.Tracer = applyOpts(opts).tracer
-	dm, err := dataflow.New(cfg, g, dataflow.SinglePEMapping(g.Nodes()))
+	dm, err := dataflow.New(dataflow.Config{PEs: 1, BankWords: 16, Class: mustClass("DMP-I"),
+		Tracer: applyOpts(opts).tracer}, g, dataflow.SinglePEMapping(g.Nodes()))
 	if err != nil {
 		return Probe{}, err
 	}

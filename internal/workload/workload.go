@@ -321,26 +321,22 @@ func concat(a, b []isa.Word) []isa.Word {
 // the ISP composes one control group spanning every cell, whose leader
 // streams the program to the others over the IP-IP switch.
 func newBanked(c taxonomy.Class, procs, bankWords int, prog isa.Program, ro runOpts) (banked, error) {
-	l := c.Links
 	switch c.Name.Proc {
 	case taxonomy.ArrayProcessor:
-		return simd.New(simd.Config{Lanes: procs, BankWords: bankWords,
-			DPDM: l[taxonomy.SiteDPDM], DPDP: l[taxonomy.SiteDPDP],
+		return simd.New(simd.Config{Lanes: procs, BankWords: bankWords, Class: c,
 			Tracer: ro.tracer, Interp: ro.interp}, prog)
 	case taxonomy.MultiProcessor:
 		images := []isa.Program{prog}
-		if !l[taxonomy.SiteIPIM].Switched() {
+		if !c.Links[taxonomy.SiteIPIM].Switched() {
 			images = make([]isa.Program, procs)
 			for i := range images {
 				images[i] = prog
 			}
 		}
-		return mimd.New(mimd.Config{Cores: procs, BankWords: bankWords,
-			IPDP: l[taxonomy.SiteIPDP], IPIM: l[taxonomy.SiteIPIM],
-			DPDM: l[taxonomy.SiteDPDM], DPDP: l[taxonomy.SiteDPDP],
+		return mimd.New(mimd.Config{Cores: procs, BankWords: bankWords, Class: c,
 			Tracer: ro.tracer, Interp: ro.interp}, images)
 	default: // taxonomy.SpatialProcessor, the only other class runSPMD admits
-		m, err := spatial.New(spatial.Config{Cores: procs, BankWords: bankWords, Sub: c.Name.Sub,
+		m, err := spatial.New(spatial.Config{Cores: procs, BankWords: bankWords, Class: c,
 			Tracer: ro.tracer, Interp: ro.interp})
 		if err != nil {
 			return nil, err
