@@ -1,33 +1,28 @@
 package cache
 
 import (
-	"container/list"
 	"sync"
+
+	"repro/internal/memo"
 )
 
 // lruStore is the local half of the distributed cache: an LRU from
-// canonical keys to encoded result bytes, instrumented with eviction and
-// live-entry metrics. Values are immutable by contract — a Get returns the
-// exact bytes a Put stored, which is what the serving layer's byte-identity
-// guarantee rests on.
+// canonical keys to encoded result bytes (a memo.Memo), instrumented with
+// eviction and live-entry metrics. Values are immutable by contract — a
+// Get returns the exact bytes a Put stored, which is what the serving
+// layer's byte-identity guarantee rests on.
 type lruStore struct {
-	mu    sync.Mutex
 	max   int
-	ll    *list.List // front = most recently used
-	items map[string]*list.Element
+	items *memo.Memo[string, []byte]
 	m     *Metrics
-}
-
-// lruEntry is one key -> encoded-value pair.
-type lruEntry struct {
-	key string
-	val []byte
+	// putMu orders puts, so the entries gauge ends at the live count.
+	putMu sync.Mutex
 }
 
 // newLRU builds a store holding up to max entries; max <= 0 disables
 // caching (get always misses, put discards).
 func newLRU(max int, m *Metrics) *lruStore {
-	return &lruStore{max: max, ll: list.New(), items: map[string]*list.Element{}, m: m}
+	return &lruStore{max: max, items: memo.New[string, []byte](max), m: m}
 }
 
 // get returns the bytes for key and promotes the entry. The returned slice
@@ -36,25 +31,12 @@ func (s *lruStore) get(key string) ([]byte, bool) {
 	if s.max <= 0 {
 		return nil, false
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	el, ok := s.items[key]
-	if !ok {
-		return nil, false
-	}
-	s.ll.MoveToFront(el)
-	return el.Value.(*lruEntry).val, true
+	return s.items.Lookup(key)
 }
 
 // has reports whether key is live without promoting it.
 func (s *lruStore) has(key string) bool {
-	if s.max <= 0 {
-		return false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, ok := s.items[key]
-	return ok
+	return s.max > 0 && s.items.Contains(key)
 }
 
 // put stores val under key, evicting least recently used entries past the
@@ -63,26 +45,12 @@ func (s *lruStore) put(key string, val []byte) {
 	if s.max <= 0 {
 		return
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if el, ok := s.items[key]; ok {
-		s.ll.MoveToFront(el)
-		el.Value.(*lruEntry).val = val
-		return
-	}
-	s.items[key] = s.ll.PushFront(&lruEntry{key: key, val: val})
-	for s.ll.Len() > s.max {
-		last := s.ll.Back()
-		s.ll.Remove(last)
-		delete(s.items, last.Value.(*lruEntry).key)
-		s.m.Evictions.Inc()
-	}
-	s.m.Entries.Set(float64(s.ll.Len()))
+	s.putMu.Lock()
+	defer s.putMu.Unlock()
+	evicted, size := s.items.Put(key, val)
+	s.m.Evictions.Add(int64(evicted))
+	s.m.Entries.Set(float64(size))
 }
 
 // len reports the number of live entries.
-func (s *lruStore) len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.ll.Len()
-}
+func (s *lruStore) len() int { return s.items.Len() }

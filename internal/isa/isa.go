@@ -251,6 +251,19 @@ func (ins Instruction) String() string {
 // memory.
 type Program []Instruction
 
+// Key encodes the program's content exactly, eight bytes per instruction
+// (every field in full, unvalidated), so two programs share a key only when
+// they are the same instructions. The staging memos key on it.
+func (p Program) Key() string {
+	b := make([]byte, 0, 8*len(p))
+	for _, ins := range p {
+		imm := uint32(ins.Imm)
+		b = append(b, byte(ins.Op), ins.Rd, ins.Ra, ins.Rb,
+			byte(imm), byte(imm>>8), byte(imm>>16), byte(imm>>24))
+	}
+	return string(b)
+}
+
 // Validate checks every instruction and that branch targets stay inside the
 // program.
 func (p Program) Validate() error {

@@ -283,3 +283,33 @@ func TestMustAssemble_Panics(t *testing.T) {
 	}()
 	MustAssemble("bogus r1")
 }
+
+// TestProgramKey: the key is eight bytes per instruction, equal for equal
+// content whatever slice holds it, and different when any field of any
+// instruction differs, out-of-range registers included.
+func TestProgramKey(t *testing.T) {
+	p := Program{{Op: OpAddi, Rd: 1, Ra: 2, Imm: -3}, {Op: OpSt, Ra: 4, Rb: 5, Imm: 1 << 20}, {Op: OpHalt}}
+	if k := p.Key(); len(k) != 8*len(p) || k != append(Program(nil), p...).Key() {
+		t.Fatalf("key of %d bytes, or unequal for an equal copy", len(k))
+	}
+	if (Program{}).Key() != "" {
+		t.Error("the empty program has a non-empty key")
+	}
+	for _, change := range []func(*Instruction){
+		func(i *Instruction) { i.Op = OpMuli },
+		func(i *Instruction) { i.Rd = 17 },
+		func(i *Instruction) { i.Ra = 3 },
+		func(i *Instruction) { i.Rb = 9 },
+		func(i *Instruction) { i.Imm = -4 },
+		func(i *Instruction) { i.Imm ^= -1 << 31 },
+	} {
+		q := append(Program(nil), p...)
+		change(&q[0])
+		if q.Key() == p.Key() {
+			t.Errorf("changing %+v to %+v kept the key", p[0], q[0])
+		}
+	}
+	if p[:2].Key() == p.Key() {
+		t.Error("a prefix shares the program's key")
+	}
+}

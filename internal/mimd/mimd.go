@@ -94,7 +94,8 @@ func (c Config) validate() error {
 
 // image is one program image in the forms the scheduler runs.
 type image struct {
-	// dec is the pre-decoded program the scheduler dispatches on.
+	// dec is the pre-decoded program the scheduler dispatches on: the
+	// staged program's, shared and read-only, except under Config.Interp.
 	dec isa.DecodedProgram
 	// ops is the per-op chain: compiled code, or the StepOps reference
 	// under Config.Interp. The cross-core network and barrier timing keeps
@@ -108,20 +109,11 @@ type image struct {
 	ahead []bool
 }
 
-// newImage validates, decodes and compiles one program image.
-func newImage(p isa.Program, cfg Config) (*image, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	img := &image{dec: isa.Predecode(p)}
-	if cfg.Interp {
-		img.ops = machine.StepOps(p)
-		return img, nil
-	}
-	img.comp = machine.Compile(img.dec, machine.CompileOptions{})
-	img.ops = img.comp.Ops()
-	if cfg.Tracer != nil {
-		return img, nil // traced runs step every op in slot order
+// newImage builds one program image from its loaded program.
+func newImage(ld machine.Loaded, cfg Config) *image {
+	img := &image{dec: ld.Dec, ops: ld.Ops, comp: ld.Comp}
+	if img.comp == nil || cfg.Tracer != nil {
+		return img // the reference and traced runs step every op in slot order
 	}
 	memLocal := cfg.Class.Links[taxonomy.SiteDPDM] == taxonomy.LinkDirect
 	for pc := range img.dec {
@@ -132,7 +124,7 @@ func newImage(p isa.Program, cfg Config) (*image, error) {
 			img.ahead[pc] = true
 		}
 	}
-	return img, nil
+	return img
 }
 
 // coreState tracks one core's execution.
@@ -156,8 +148,7 @@ type coreState struct {
 // Machine is one multi-processor instance.
 type Machine struct {
 	cfg Config
-	// images holds each program image; images that are the same slice
-	// share one entry.
+	// images holds each program image; equal programs share one entry.
 	images []*image
 	cores  []coreState
 	// Banks is the cores' data side: banks, DP-DM crossbar, message
@@ -190,27 +181,27 @@ func New(cfg Config, programs []isa.Program) (*Machine, error) {
 	if len(programs) == 0 {
 		return nil, fmt.Errorf("mimd: no program images")
 	}
-	// SPMD callers pass one program once per core: an image that is the
-	// same slice as an earlier one shares its decoded and compiled forms.
+	// SPMD callers pass one program once per core: equal programs are one
+	// staged program (machine.Stage), and the cores running it share one
+	// image.
 	images := make([]*image, len(programs))
 	for i, p := range programs {
 		if len(p) == 0 {
 			return nil, fmt.Errorf("mimd: program image %d is empty", i)
 		}
+		ld, err := machine.Load(p, machine.CompileOptions{}, cfg.Interp)
+		if err != nil {
+			return nil, fmt.Errorf("mimd: program image %d: %w", i, err)
+		}
 		for j := range i {
-			if len(programs[j]) == len(p) && &programs[j][0] == &p[0] {
+			if ld.Comp != nil && images[j].comp == ld.Comp {
 				images[i] = images[j]
 				break
 			}
 		}
-		if images[i] != nil {
-			continue
+		if images[i] == nil {
+			images[i] = newImage(ld, cfg)
 		}
-		img, err := newImage(p, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("mimd: program image %d: %w", i, err)
-		}
-		images[i] = img
 	}
 	ipimDirect := cfg.Class.Links[taxonomy.SiteIPIM] == taxonomy.LinkDirect
 	if ipimDirect && len(programs) != cfg.Cores {

@@ -709,29 +709,59 @@ func TestBankAccessors_Reject(t *testing.T) {
 	}
 }
 
-// TestNew_SharesSameSliceImages: the images SPMD callers pass once per core
-// are one slice, decoded and compiled once; an equal program in another
-// slice is still an image of its own.
-func TestNew_SharesSameSliceImages(t *testing.T) {
+// TestNew_SharesEqualPrograms: equal programs are one staged program,
+// whether they are one slice or separate ones and whichever machine runs
+// them: the cores running them share one image, its decoded form and
+// compiled code are machine.Stage's entry, and a different program gets an
+// image of its own. The StepOps reference stages nothing.
+func TestNew_SharesEqualPrograms(t *testing.T) {
 	prog := privateProg(3)
-	same := []isa.Program{prog, prog, prog, privateProg(3)}
-	m, err := New(mustConfig(t, 1, 4, 16), same)
+	progs := []isa.Program{prog, prog, privateProg(3), privateProg(4)}
+	m, err := New(mustConfig(t, 1, 4, 16), progs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer m.Release()
 	if m.images[0] != m.images[1] || m.images[0] != m.images[2] {
-		t.Error("cores running one slice got separate images")
+		t.Error("cores running equal programs got separate images")
 	}
 	if m.images[3] == m.images[0] {
-		t.Error("a separate slice shares an image")
+		t.Error("a different program shares an image")
+	}
+	want, err := machine.Stage(privateProg(3), machine.CompileOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if img := m.images[0]; img.comp != want || &img.dec[0] != &want.Decoded()[0] {
+		t.Error("the image is not the staged program")
+	}
+	other, err := New(mustConfig(t, 1, 4, 16), []isa.Program{privateProg(3), privateProg(3), privateProg(3), privateProg(3)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer other.Release()
+	if other.images[0].comp != want {
+		t.Error("a second machine running an equal program staged its own copy")
 	}
 	if _, err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
-	for core := range 4 {
-		if out, _ := m.ReadBank(core, 0, 1); out[0] != 9 {
-			t.Errorf("core %d = %d, want 9", core, out[0])
+	for core, v := range []isa.Word{9, 9, 9, 16} {
+		if out, _ := m.ReadBank(core, 0, 1); out[0] != v {
+			t.Errorf("core %d = %d, want %d", core, out[0], v)
+		}
+	}
+
+	cfg := mustConfig(t, 1, 4, 16)
+	cfg.Interp = true
+	ref, err := New(cfg, progs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Release()
+	for i, img := range ref.images {
+		if img.comp != nil || &img.dec[0] == &want.Decoded()[0] {
+			t.Errorf("reference image %d took the staged program", i)
 		}
 	}
 }

@@ -1,11 +1,11 @@
 package modelzoo
 
 import (
-	"container/list"
+	"fmt"
 	"slices"
-	"sync"
 
 	"repro/internal/isa"
+	"repro/internal/memo"
 	"repro/internal/progcheck"
 	"repro/internal/taxonomy"
 	"repro/internal/workload"
@@ -45,7 +45,7 @@ func CheckKernel(c taxonomy.Class, kernel string, n, procs int) ([]CheckedProgra
 	}
 	out := make([]CheckedProgram, len(specs))
 	for i, s := range specs {
-		prog, rep := checkMemo.check(s.Program, progcheck.Target{
+		prog, rep := check(checkMemo, s.Program, progcheck.Target{
 			MemWords:   s.MemWords,
 			Procs:      s.Procs,
 			HasNetwork: s.HasNetwork,
@@ -62,81 +62,41 @@ func CheckKernel(c taxonomy.Class, kernel string, n, procs int) ([]CheckedProgra
 const checkMemoSize = 1024
 
 // checkMemo is the process-wide memo of progcheck reports.
-var checkMemo = newReportMemo(checkMemoSize)
+var checkMemo = memo.New[checkKey, checked](checkMemoSize)
 
-// memoKey identifies one check: the program's instructions, eight bytes
-// each, and the target it was checked against.
-type memoKey struct {
+// checkKey identifies one check: the program's instructions
+// (isa.Program.Key) and the target it was checked against.
+type checkKey struct {
 	prog   string
 	target progcheck.Target
 }
 
-// programKey encodes a program's content exactly, so two programs share a
-// key only when they are the same instructions.
-func programKey(p isa.Program) string {
-	b := make([]byte, 0, 8*len(p))
-	for _, ins := range p {
-		imm := uint32(ins.Imm)
-		b = append(b, byte(ins.Op), ins.Rd, ins.Ra, ins.Rb,
-			byte(imm), byte(imm>>8), byte(imm>>16), byte(imm>>24))
-	}
-	return string(b)
-}
-
-// memoEntry is one checked program and its report.
-type memoEntry struct {
-	key    memoKey
+// checked is one checked program and its report.
+type checked struct {
 	prog   isa.Program
 	report *progcheck.Report
 }
 
-// reportMemo is a bounded LRU of progcheck reports.
-type reportMemo struct {
-	mu    sync.Mutex
-	max   int
-	ll    *list.List // front = most recently used
-	items map[memoKey]*list.Element
-}
-
-func newReportMemo(max int) *reportMemo {
-	return &reportMemo{max: max, ll: list.New(), items: map[memoKey]*list.Element{}}
-}
-
-// check returns the program the memo checked under key (p, t) and its
-// report, running progcheck.Check on a miss. The lock is not held while
-// checking, so two callers missing on the same key may both check it; the
-// reports are equal and the first stored stays.
-func (m *reportMemo) check(p isa.Program, t progcheck.Target) (isa.Program, *progcheck.Report) {
-	key := memoKey{prog: programKey(p), target: t}
-	m.mu.Lock()
-	if el, ok := m.items[key]; ok {
-		m.ll.MoveToFront(el)
-		e := el.Value.(*memoEntry)
-		m.mu.Unlock()
-		return e.prog, e.report
-	}
-	m.mu.Unlock()
-
-	e := &memoEntry{key: key, prog: slices.Clone(p), report: progcheck.Check(p, t)}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if el, ok := m.items[key]; ok {
-		m.ll.MoveToFront(el)
-		e = el.Value.(*memoEntry)
-		return e.prog, e.report
-	}
-	m.items[key] = m.ll.PushFront(e)
-	for m.ll.Len() > m.max {
-		last := m.ll.Back()
-		m.ll.Remove(last)
-		delete(m.items, last.Value.(*memoEntry).key)
-	}
+// check returns the program m checked under key (p, t) and its report,
+// running progcheck.Check on a miss; the memo keeps its own copy of p.
+func check(m *memo.Memo[checkKey, checked], p isa.Program, t progcheck.Target) (isa.Program, *progcheck.Report) {
+	e, _ := m.Get(checkKey{prog: p.Key(), target: t}, func() (checked, error) { // a check cannot fail
+		return checked{prog: slices.Clone(p), report: progcheck.Check(p, t)}, nil
+	})
 	return e.prog, e.report
 }
 
-// entries reports the number of memoized checks.
-func (m *reportMemo) entries() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.ll.Len()
+// VerifyChecked checks the check memo's read-only contract: every entry's
+// program must still encode to its key. A caller that writes through a
+// CheckedProgram's Program breaks it; VerifyChecked reports the first such
+// entry.
+func VerifyChecked() error {
+	var err error
+	checkMemo.Each(func(k checkKey, e checked) bool {
+		if e.prog.Key() != k.prog {
+			err = fmt.Errorf("modelzoo: a checked program of %d instructions no longer encodes to its key", len(e.prog))
+		}
+		return err == nil
+	})
+	return err
 }

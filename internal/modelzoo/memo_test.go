@@ -8,6 +8,8 @@ import (
 	"testing"
 
 	"repro/internal/isa"
+	"repro/internal/machine"
+	"repro/internal/memo"
 	"repro/internal/progcheck"
 	"repro/internal/taxonomy"
 	"repro/internal/workload"
@@ -51,7 +53,11 @@ func specTarget(s workload.ProgramSpec) progcheck.Target {
 // {4, 8}, the programs CheckKernel reported on are content-equal, in order
 // and by name, to those the run stages, as its program sink captures them,
 // and every memoized report equals a fresh progcheck.Check of that program
-// against that target.
+// against that target. It also pins that what runs is what was checked:
+// once the checked programs are staged, the run that follows stages
+// nothing afresh, so every simulator executes the compile memo's entry of
+// a checked program (the memo is keyed by content); and the WithInterp
+// reference run takes no memo entry at all.
 func TestCheckedIsWhatRuns(t *testing.T) {
 	programs := 0
 	for _, cell := range servableCells(t) {
@@ -81,6 +87,20 @@ func TestCheckedIsWhatRuns(t *testing.T) {
 					if fresh := progcheck.Check(s.Program, specTarget(s)); !reflect.DeepEqual(p.Report, fresh) {
 						t.Errorf("%s/%s: memoized report differs from a fresh check:\n%s\nfresh:\n%s", label, s.Name, p.Report.Text(), fresh.Text())
 					}
+					if _, err := machine.Stage(p.Program, machine.CompileOptions{}); err != nil {
+						t.Errorf("%s/%s: staging the checked program: %v", label, p.Name, err)
+					}
+				}
+				before := machine.StagedStats()
+				_, runErr := RunKernel(cell.class, cell.kernel, n, procs)
+				ran := machine.StagedStats()
+				if ran.Misses != before.Misses || runErr == nil && len(specs) > 0 && ran.Hits == before.Hits {
+					t.Errorf("%s: the run staged %d programs afresh and took %d staged ones; want 0 and the checked ones",
+						label, ran.Misses-before.Misses, ran.Hits-before.Hits)
+				}
+				_, _ = RunKernel(cell.class, cell.kernel, n, procs, workload.WithInterp())
+				if ref := machine.StagedStats(); ref.Hits != ran.Hits || ref.Misses != ran.Misses {
+					t.Errorf("%s: the WithInterp run looked up the compile memo", label)
 				}
 			}
 		}
@@ -88,8 +108,8 @@ func TestCheckedIsWhatRuns(t *testing.T) {
 	if programs == 0 {
 		t.Fatal("no programs checked: the sweep is vacuous")
 	}
-	t.Logf("%d staged programs, %d distinct (program, target) pairs memoized", programs, checkMemo.entries())
-	if n := checkMemo.entries(); n > checkMemoSize {
+	t.Logf("%d staged programs, %d distinct (program, target) pairs memoized", programs, checkMemo.Len())
+	if n := checkMemo.Len(); n > checkMemoSize {
 		t.Errorf("memo holds %d entries, bound %d", n, checkMemoSize)
 	}
 }
@@ -105,20 +125,20 @@ func memoProgram(i int) isa.Program {
 // TestCheckMemoKeysByTarget: the same program under two targets is two
 // entries with their own reports, and a repeat is a hit.
 func TestCheckMemoKeysByTarget(t *testing.T) {
-	m := newReportMemo(8)
+	m := memo.New[checkKey, checked](8)
 	p := memoProgram(1)
 	small := progcheck.Target{MemWords: 16, Procs: 4, HasNetwork: true}
 	large := progcheck.Target{MemWords: 64, Procs: 4, HasNetwork: true}
-	_, r1 := m.check(p, small)
-	_, r2 := m.check(p, large)
-	if m.entries() != 2 || r1 == r2 {
-		t.Fatalf("two targets: %d entries, shared report %v; want 2 entries, distinct reports", m.entries(), r1 == r2)
+	_, r1 := check(m, p, small)
+	_, r2 := check(m, p, large)
+	if m.Len() != 2 || r1 == r2 {
+		t.Fatalf("two targets: %d entries, shared report %v; want 2 entries, distinct reports", m.Len(), r1 == r2)
 	}
-	if _, again := m.check(slices.Clone(p), small); again != r1 || m.entries() != 2 {
-		t.Errorf("repeated check missed the memo (%d entries)", m.entries())
+	if _, again := check(m, slices.Clone(p), small); again != r1 || m.Len() != 2 {
+		t.Errorf("repeated check missed the memo (%d entries)", m.Len())
 	}
-	if _, other := m.check(memoProgram(2), small); other == r1 || m.entries() != 3 {
-		t.Errorf("a different program hit another's entry (%d entries)", m.entries())
+	if _, other := check(m, memoProgram(2), small); other == r1 || m.Len() != 3 {
+		t.Errorf("a different program hit another's entry (%d entries)", m.Len())
 	}
 }
 
@@ -126,26 +146,26 @@ func TestCheckMemoKeysByTarget(t *testing.T) {
 // evicts the least recently used entry.
 func TestCheckMemoEviction(t *testing.T) {
 	const bound = 4
-	m := newReportMemo(bound)
+	m := memo.New[checkKey, checked](bound)
 	tgt := progcheck.Target{MemWords: 16}
 	reports := make([]*progcheck.Report, 10)
 	for i := range reports {
-		_, reports[i] = m.check(memoProgram(i), tgt)
-		if m.entries() > bound {
-			t.Fatalf("after %d checks the memo holds %d entries, bound %d", i+1, m.entries(), bound)
+		_, reports[i] = check(m, memoProgram(i), tgt)
+		if m.Len() > bound {
+			t.Fatalf("after %d checks the memo holds %d entries, bound %d", i+1, m.Len(), bound)
 		}
 	}
-	if m.entries() != bound {
-		t.Errorf("memo holds %d entries, want %d", m.entries(), bound)
+	if m.Len() != bound {
+		t.Errorf("memo holds %d entries, want %d", m.Len(), bound)
 	}
-	if _, r := m.check(memoProgram(9), tgt); r != reports[9] {
+	if _, r := check(m, memoProgram(9), tgt); r != reports[9] {
 		t.Error("the most recent entry was evicted")
 	}
-	if _, r := m.check(memoProgram(0), tgt); r == reports[0] {
+	if _, r := check(m, memoProgram(0), tgt); r == reports[0] {
 		t.Error("the oldest entry survived past the bound")
 	}
-	if m.entries() != bound {
-		t.Errorf("memo holds %d entries after a refill, want %d", m.entries(), bound)
+	if m.Len() != bound {
+		t.Errorf("memo holds %d entries after a refill, want %d", m.Len(), bound)
 	}
 }
 
@@ -162,7 +182,7 @@ func TestCheckKernelConcurrent(t *testing.T) {
 		want[i], _ = CheckKernel(c.class, c.kernel, 64, 4)
 	}
 	saved := checkMemo
-	checkMemo = newReportMemo(8)
+	checkMemo = memo.New[checkKey, checked](8)
 	defer func() { checkMemo = saved }()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -180,7 +200,7 @@ func TestCheckKernelConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if n := checkMemo.entries(); n > 8 {
+	if n := checkMemo.Len(); n > 8 {
 		t.Errorf("memo holds %d entries, bound 8", n)
 	}
 }

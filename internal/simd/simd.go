@@ -77,8 +77,9 @@ type Machine struct {
 }
 
 // New builds an array processor loaded with one broadcast program. The
-// program is pre-decoded once and the banks and register files come from
-// the shared pools; call Release to recycle them.
+// program's decoded ops and compiled code come from machine.Stage, and the
+// banks and register files from the shared pools; call Release to recycle
+// them.
 func New(cfg Config, prog isa.Program) (*Machine, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -86,7 +87,8 @@ func New(cfg Config, prog isa.Program) (*Machine, error) {
 	if len(prog) == 0 {
 		return nil, fmt.Errorf("simd: empty program")
 	}
-	if err := prog.Validate(); err != nil {
+	ld, err := machine.Load(prog, machine.CompileOptions{}, cfg.Interp)
+	if err != nil {
 		return nil, fmt.Errorf("simd: %w", err)
 	}
 	banks, err := machine.NewBanks(machine.BankConfig{Pkg: "simd", Noun: "lane", Procs: cfg.Lanes,
@@ -95,12 +97,9 @@ func New(cfg Config, prog isa.Program) (*Machine, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := &Machine{cfg: cfg, dec: isa.Predecode(prog), regs: machine.GetRegs(cfg.Lanes)}
+	m := &Machine{cfg: cfg, dec: ld.Dec, ops: ld.Ops, regs: machine.GetRegs(cfg.Lanes)}
 	m.Banks = banks
-	if cfg.Interp {
-		m.ops = machine.StepOps(prog)
-	} else {
-		m.ops = machine.Compile(m.dec, machine.CompileOptions{}).Ops()
+	if !cfg.Interp {
 		m.vec = m.compileVec()
 	}
 	return m, nil

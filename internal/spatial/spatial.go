@@ -148,7 +148,8 @@ func (m *Machine) Compose(leader int, members []int, prog isa.Program) error {
 	if len(prog) == 0 {
 		return fmt.Errorf("spatial: empty program for leader %d", leader)
 	}
-	if err := prog.Validate(); err != nil {
+	ld, err := machine.Load(prog, machine.CompileOptions{}, m.cfg.Interp)
+	if err != nil {
 		return fmt.Errorf("spatial: leader %d: %w", leader, err)
 	}
 	all := append([]int{leader}, members...)
@@ -178,14 +179,7 @@ func (m *Machine) Compose(leader int, members []int, prog isa.Program) error {
 	for _, c := range all {
 		m.assigned[c] = true
 	}
-	dec := isa.Predecode(prog)
-	var ops []machine.OpFn
-	if m.cfg.Interp {
-		ops = machine.StepOps(prog)
-	} else {
-		ops = machine.Compile(dec, machine.CompileOptions{}).Ops()
-	}
-	g := &group{leader: leader, members: all, prog: prog, dec: dec, ops: ops,
+	g := &group{leader: leader, members: all, prog: prog, dec: ld.Dec, ops: ld.Ops,
 		regs: make([]machine.Regs, len(all)),
 		ctrl: machine.Env{Lane: isa.Word(leader)}}
 	m.groups = append(m.groups, g)

@@ -58,10 +58,10 @@ type Machine struct {
 	comp *machine.CompiledProgram
 }
 
-// New builds a uni-processor loaded with the given program. The program is
-// pre-decoded once here so the cycle loop dispatches on lowered ops, and
-// the data bank comes from the shared pool; call Release when done with
-// the machine to recycle it.
+// New builds a uni-processor loaded with the given program. The program's
+// decoded ops and compiled code come from machine.Stage, shared with every
+// machine running the same program, and the data bank comes from the
+// shared pool; call Release when done with the machine to recycle it.
 func New(cfg Config, prog isa.Program) (*Machine, error) {
 	if cfg.MemWords <= 0 {
 		return nil, fmt.Errorf("uniproc: data memory must have at least one word, got %d", cfg.MemWords)
@@ -72,25 +72,18 @@ func New(cfg Config, prog isa.Program) (*Machine, error) {
 	if len(prog) == 0 {
 		return nil, fmt.Errorf("uniproc: empty program")
 	}
-	if err := prog.Validate(); err != nil {
+	ld, err := machine.Load(prog, machine.CompileOptions{
+		MemLatency:    cfg.MemLatency,
+		BranchPenalty: cfg.BranchPenalty,
+	}, cfg.Interp)
+	if err != nil {
 		return nil, fmt.Errorf("uniproc: %w", err)
 	}
 	mem, err := machine.GetMemory(cfg.MemWords)
 	if err != nil {
 		return nil, err
 	}
-	m := &Machine{cfg: cfg, prog: prog, dec: isa.Predecode(prog)}
-	m.mem = mem
-	if cfg.Interp {
-		m.ops = machine.StepOps(prog)
-	} else {
-		m.comp = machine.Compile(m.dec, machine.CompileOptions{
-			MemLatency:    cfg.MemLatency,
-			BranchPenalty: cfg.BranchPenalty,
-		})
-		m.ops = m.comp.Ops()
-	}
-	return m, nil
+	return &Machine{cfg: cfg, prog: prog, dec: ld.Dec, mem: mem, ops: ld.Ops, comp: ld.Comp}, nil
 }
 
 // Release returns the machine's pooled buffers. The machine (including any

@@ -2,8 +2,10 @@ package workload
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/isa"
+	"repro/internal/memo"
 )
 
 // This file generates the ISA programs the kernels run. The generators are
@@ -12,6 +14,39 @@ import (
 // SPMD multi-processor core with its shard — which is itself a taxonomy
 // point (the instruction-flow classes share one execution model and differ
 // only in their switch structure).
+
+// assembleMemoSize bounds the assembly memo. The kernels render a few
+// hundred distinct program texts over every class, cell and served shape.
+const assembleMemoSize = 1024
+
+// assembled memoizes assembly on the program text.
+var assembled = memo.New[string, isa.Program](assembleMemoSize)
+
+// assemble is isa.Assemble memoized on the source text: every builder that
+// renders the same text gets the same Program, so the result is read-only
+// (its capacity is clipped, so even an append copies). Errors are not
+// memoized.
+func assemble(src string) (isa.Program, error) {
+	return assembled.Get(src, func() (isa.Program, error) {
+		p, err := isa.Assemble(src)
+		return slices.Clip(p), err
+	})
+}
+
+// VerifyAssembled checks the assembly memo's read-only contract: every
+// entry must still be what its text assembles to. A caller that writes
+// through a shared program breaks it; VerifyAssembled reports the first
+// such entry.
+func VerifyAssembled() error {
+	var err error
+	assembled.Each(func(src string, p isa.Program) bool {
+		if fresh, aerr := isa.Assemble(src); aerr != nil || fresh.Key() != p.Key() {
+			err = fmt.Errorf("workload: an assembled program of %d instructions no longer matches its text:%s", len(p), src)
+		}
+		return err == nil
+	})
+	return err
+}
 
 // VecAddProgram adds two m-element vectors living at [0,m) and [m,2m) into
 // [2m,3m) of the local address space: the vecadd loop every class with
@@ -34,7 +69,7 @@ loop:   beq  r1, r2, done
         jmp  loop
 done:   halt
 `, m, m, 2*m)
-	return isa.Assemble(src)
+	return assemble(src)
 }
 
 // dotProgram computes the dot product of the m-element vectors at [0,m)
@@ -60,7 +95,7 @@ done:   ldi  r9, %d
         st   r8, [r9+0]
         halt
 `, m, m, 2*m)
-	return isa.Assemble(src)
+	return assemble(src)
 }
 
 // dotButterflyProgram computes a lane/core-local dot partial over the local
@@ -108,7 +143,7 @@ out:    addi r9, r9, %d
         st   r8, [r9+0]
         halt
 `, bankWords, m, m, procs, 2*m)
-	return isa.Assemble(src)
+	return assemble(src)
 }
 
 // dotPartialProgram computes a processor-local dot partial over the local
@@ -143,7 +178,7 @@ done:   addi r9, r9, %d
         st   r8, [r9+0]
         halt
 `, bankWords, m, m, 2*m)
-	return isa.Assemble(src)
+	return assemble(src)
 }
 
 // vecAddProgramGlobal is VecAddProgram for machines whose DP-DM switch is a
@@ -171,7 +206,7 @@ loop:   beq  r1, r2, done
         jmp  loop
 done:   halt
 `, bankWords, m, m, 2*m)
-	return isa.Assemble(src)
+	return assemble(src)
 }
 
 // divergentProgram computes lane+1 by looping lane+1 times and storing the

@@ -61,7 +61,7 @@ tail:   ldi  r14, %d         ; m-2
         st   r10, [r14+0]
         halt
 `, procs, procs-1, m-1, m, m-1, m, m-2, m+1)
-	return isa.Assemble(src)
+	return assemble(src)
 }
 
 // scanProgram computes a distributed inclusive prefix sum over procs cores:
@@ -113,7 +113,7 @@ wl:     beq  r2, r3, fin
         jmp  wl
 fin:    halt
 `, m, m, procs, m)
-	return isa.Assemble(src)
+	return assemble(src)
 }
 
 // matmulProgram computes C = A x B where this core owns `rows` rows of A
@@ -158,7 +158,7 @@ rowe:   addi r1, r1, 1
         jmp  rowl
 done:   halt
 `, rows, n, k, k, n, bBase, n, cBase)
-	return isa.Assemble(src)
+	return assemble(src)
 }
 
 // matmulSharedProgram is matmulProgram for machines with the DP-DM
@@ -207,7 +207,7 @@ rowe:   addi r1, r1, 1
         jmp  rowl
 done:   halt
 `, bankWords, rows, n, k, k, n, bGlobal, n, rows*k)
-	return isa.Assemble(src)
+	return assemble(src)
 }
 
 // firProgram computes the length-T FIR y[i] = sum_t h[t] * x[i+t] over a
@@ -244,5 +244,5 @@ tape:   st   r8, [r1+%d]     ; y[i]
         jmp  outer
 done:   halt
 `, m, taps, hBase, yBase)
-	return isa.Assemble(src)
+	return assemble(src)
 }
