@@ -3,7 +3,7 @@
 // cache.
 //
 // Every cacheable unit of work is identified by a canonical key — the
-// endpoint name plus the SHA-256 of the item's canonical (defaults-applied,
+// SHA-256 of the endpoint name and the item's canonical (defaults-applied,
 // re-marshaled) request encoding — so semantically identical requests hash
 // identically on every replica. Consistent hashing over that key assigns
 // each key one owner replica; a replica that misses locally asks the owner
@@ -27,7 +27,6 @@ import (
 	"bytes"
 	"context"
 	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -146,16 +145,21 @@ func New(cfg Config) (*Cache, error) {
 // hash to the same ring points on every replica.
 func normalizeURL(u string) string { return strings.TrimSuffix(u, "/") }
 
-// Key derives the canonical cache key for one item: the endpoint name plus
-// the SHA-256 of the canonical encoding. Every replica derives the same key
-// for the same canonical item — the ring, the LRU and the singleflight all
-// speak this key.
+// Key derives the canonical cache key for one item: the raw 32-byte
+// SHA-256 of the endpoint name and the canonical encoding. Every replica
+// derives the same key for the same canonical item — the ring, the LRU
+// and the singleflight all speak this key. The digest covers the endpoint,
+// so keys of different endpoints differ without a readable prefix, and it
+// is kept raw rather than hex-encoded because every cached entry holds its
+// key: a key is 32 bytes, not the 77 of "/v1/simulate:" and 64 hex
+// digits. The key is an opaque byte string, not text to print.
 func Key(endpoint string, canonical []byte) string {
 	h := sha256.New()
 	h.Write([]byte(endpoint))
 	h.Write([]byte{0})
 	h.Write(canonical)
-	return endpoint + ":" + hex.EncodeToString(h.Sum(nil))
+	var sum [sha256.Size]byte
+	return string(h.Sum(sum[:0]))
 }
 
 // Owner reports which replica owns key ("" in single-node operation).
@@ -185,13 +189,13 @@ func (c *Cache) Contains(key string) bool { return c.lru.has(key) }
 // Len reports the number of live local entries.
 func (c *Cache) Len() int { return c.lru.len() }
 
-// Fetch resolves one missed item: consistent-hash routing to the owner
-// replica, peer fill over HTTP, local compute when this replica owns the
-// key or the owner is unreachable — all coalesced per key, so concurrent
-// misses for the same key run the loader (or cross the network) once.
-// The returned bytes are cached locally on success.
-func (c *Cache) Fetch(ctx context.Context, endpoint string, canonical []byte) ([]byte, Outcome, error) {
-	key := Key(endpoint, canonical)
+// Fetch resolves one missed item, whose key is Key(endpoint, canonical)
+// as the caller already derived it for its Lookup: consistent-hash routing
+// to the owner replica, peer fill over HTTP, local compute when this
+// replica owns the key or the owner is unreachable — all coalesced per
+// key, so concurrent misses for the same key run the loader (or cross the
+// network) once. The returned bytes are cached locally on success.
+func (c *Cache) Fetch(ctx context.Context, key, endpoint string, canonical []byte) ([]byte, Outcome, error) {
 	outcome := OutcomeCoalesced // overwritten by the leader's closure
 	val, err, shared := c.flight.Do(key, func() ([]byte, error) {
 		// Re-check under the flight: a fill that completed between the

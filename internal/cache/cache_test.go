@@ -46,6 +46,10 @@ func TestKeyCanonical(t *testing.T) {
 	if Key("/v1/x", []byte("other")) == k1 {
 		t.Error("payload must be part of the key")
 	}
+	// The key is the raw digest, whatever the endpoint's length.
+	if k := Key("/v1/simulate", []byte("payload")); len(k) != 32 {
+		t.Errorf("key %q is %d bytes, want a raw 32-byte digest", k, len(k))
+	}
 }
 
 func TestLRUEvictionCounters(t *testing.T) {
@@ -173,7 +177,7 @@ func TestSingleflightCoalesces(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			started <- struct{}{}
-			v, _, err := c.Fetch(context.Background(), "/v1/simulate", canon)
+			v, _, err := c.Fetch(context.Background(), Key("/v1/simulate", canon), "/v1/simulate", canon)
 			if err != nil {
 				t.Error(err)
 			}
@@ -254,14 +258,14 @@ func TestPeerFillByteIdentity(t *testing.T) {
 		ownerIdx, otherIdx := want, 1-want
 		owner, other := caches[ownerIdx], caches[otherIdx]
 
-		vOther, outcome, err := other.Fetch(context.Background(), "/v1/x", canon)
+		vOther, outcome, err := other.Fetch(context.Background(), Key("/v1/x", canon), "/v1/x", canon)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if outcome != OutcomePeerFill {
 			t.Errorf("first non-owner fetch outcome = %s, want %s", outcome, OutcomePeerFill)
 		}
-		vOwner, outcome2, err := owner.Fetch(context.Background(), "/v1/x", canon)
+		vOwner, outcome2, err := owner.Fetch(context.Background(), Key("/v1/x", canon), "/v1/x", canon)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -307,10 +311,10 @@ func TestPeerHitServedFromOwnerCache(t *testing.T) {
 			break
 		}
 	}
-	if _, _, err := caches[0].Fetch(context.Background(), "/v1/y", canon); err != nil {
+	if _, _, err := caches[0].Fetch(context.Background(), Key("/v1/y", canon), "/v1/y", canon); err != nil {
 		t.Fatal(err) // owner computes and caches
 	}
-	v, outcome, err := caches[1].Fetch(context.Background(), "/v1/y", canon)
+	v, outcome, err := caches[1].Fetch(context.Background(), Key("/v1/y", canon), "/v1/y", canon)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,7 +359,7 @@ func TestPeerDownFallsBack(t *testing.T) {
 			break
 		}
 	}
-	v, outcome, err := c.Fetch(context.Background(), "/v1/z", canon)
+	v, outcome, err := c.Fetch(context.Background(), Key("/v1/z", canon), "/v1/z", canon)
 	if err != nil {
 		t.Fatalf("fallback compute failed: %v", err)
 	}
@@ -390,7 +394,7 @@ func TestPeerLoadErrorAdopted(t *testing.T) {
 		}
 	}
 	// a is NOT the owner; its fetch crosses to b, whose loader fails.
-	_, outcome, err := a.Fetch(context.Background(), "/v1/e", canon)
+	_, outcome, err := a.Fetch(context.Background(), Key("/v1/e", canon), "/v1/e", canon)
 	if err == nil {
 		t.Fatal("want the owner's loader error")
 	}
@@ -437,7 +441,7 @@ func TestSingleNodeComputes(t *testing.T) {
 	m := NewMetrics(nil)
 	c := mustCache(t, Config{Metrics: m})
 	canon := []byte(`{"n":1}`)
-	v, outcome, err := c.Fetch(context.Background(), "/v1/s", canon)
+	v, outcome, err := c.Fetch(context.Background(), Key("/v1/s", canon), "/v1/s", canon)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,18 +12,29 @@ import (
 	"repro/internal/mimd"
 	"repro/internal/obs"
 	"repro/internal/simd"
+	"repro/internal/taxonomy"
 	"repro/internal/uniproc"
 )
 
+// crossbarIMP is the executor sweep's DP-DM crossbar multi-processor: one
+// address space over both cores' banks, so the generated program's loads
+// and stores from both cores reach bank 0 through the crossbar.
+var crossbarIMP = mustClass("IMP-III")
+
 // This file is the executor half of the differential harness: the same
 // generated program, on the same machine shape, executed by the compiled
-// code and by the machine.StepOps reference (Config.Interp), untraced and
-// traced, must produce identical final memories, an identical Stats struct
-// (cycle counts included) and an identical obs event stream; a run that
-// fails must fail with the same error text, Stats and per-core CoreStats.
-// Each seed also runs the IMP-I shape into a failure twice, out of cycle
-// budget partway and out of bank with a different image per core, so the
-// sweep pins the failing slot of cores that ran ahead. Where the
+// code and by the machine.StepOps reference (Config.Interp), untraced,
+// traced into an obs.Tally and traced into an obs.Trace, must produce
+// identical final memories, an identical Stats struct (cycle counts
+// included), an identical Tally count and totals and an identical obs
+// event stream; a run that fails must fail with the same error text,
+// Stats and per-core CoreStats. The IMP runs on a direct DP-DM (IMP-I),
+// where cores run ahead through whole blocks, and on a DP-DM crossbar
+// (IMP-III), where the blocks are cut around every load and store and both
+// cores' accesses meet in one bank. Each seed also runs both IMP shapes
+// into a failure twice, out of cycle budget partway and out of bank with
+// a different image per core, so the sweep pins the failing slot of cores
+// that ran ahead, and what a Tally folded for them. Where the
 // lockstep sweep pins the taxonomy property (different organisations, same
 // results), this sweep pins the implementation property the compiled
 // code's fusion and vector paths must preserve: the executor is a host
@@ -46,6 +57,9 @@ type backendOutcome struct {
 	stats  machine.Stats
 	cores  []mimd.CoreStats
 	events []obs.Event
+	// count and totals are what a run traced into an obs.Tally folded.
+	count  int
+	totals obs.Totals
 	err    string
 }
 
@@ -70,6 +84,10 @@ func diffOutcome(who string, got, want backendOutcome) error {
 	if !slices.Equal(got.cores, want.cores) {
 		return fmt.Errorf("conformance: %s core stats %+v, interp says %+v", who, got.cores, want.cores)
 	}
+	if got.count != want.count || got.totals != want.totals {
+		return fmt.Errorf("conformance: %s tallied %d events, %+v; interp tallied %d, %+v",
+			who, got.count, got.totals, want.count, want.totals)
+	}
 	if len(got.events) != len(want.events) {
 		return fmt.Errorf("conformance: %s emitted %d events, interp emitted %d", who, len(got.events), len(want.events))
 	}
@@ -81,12 +99,13 @@ func diffOutcome(who string, got, want backendOutcome) error {
 	return nil
 }
 
-// BackendCheck generates the program for one seed and runs it on the three
-// machine shapes, and twice more into a failure on IMP-I, with both
-// executors, untraced and traced. Within each (shape, tracing) cell the
-// compiled code must match the interp reference exactly: error text,
-// memories of a finished run, the full Stats struct, the IMP's CoreStats
-// and the traced event stream.
+// BackendCheck generates the program for one seed and runs it on the four
+// machine shapes, and twice more into a failure on each IMP, with both
+// executors, untraced, traced into a Tally and traced into a Trace. Within
+// each (shape, tracing) cell the compiled code must match the interp
+// reference exactly: error text, memories of a finished run, the full
+// Stats struct, the IMP's CoreStats, the Tally's count and totals and the
+// traced event stream.
 func BackendCheck(seed int64) BackendResult {
 	return backendCheck(seed, DefaultGenConfig())
 }
@@ -112,9 +131,9 @@ func backendCheck(seed int64, cfg GenConfig) BackendResult {
 		name string
 		run  func(bool, obs.Tracer) (backendOutcome, error)
 	}
-	imp := func(banks [][]isa.Word, bankWords int, budget int64) func(bool, obs.Tracer) (backendOutcome, error) {
+	imp := func(c taxonomy.Class, banks [][]isa.Word, bankWords int, budget int64) func(bool, obs.Tracer) (backendOutcome, error) {
 		return func(interp bool, tr obs.Tracer) (backendOutcome, error) {
-			return runMIMDBackend(prog, banks, bankWords, budget, interp, tr)
+			return runMIMDBackend(prog, c, banks, bankWords, budget, interp, tr)
 		}
 	}
 	same := [][]isa.Word{img, img}
@@ -125,27 +144,36 @@ func backendCheck(seed int64, cfg GenConfig) BackendResult {
 		{"IAP-I", func(interp bool, tr obs.Tracer) (backendOutcome, error) {
 			return runSIMDBackend(prog, img, bank, interp, tr)
 		}},
-		{"IMP-I", imp(same, bank, 0)},
+		{"IMP-I", imp(lockstepIMP, same, bank, 0)},
+		{"IMP-III", imp(crossbarIMP, same, bank, 0)},
 	}
-	var impCycles int64
+	cycles := map[string]int64{}
 	for _, sh := range shapes {
 		ref, err := checkShape(sh.name, sh.run)
 		if err != nil {
 			return fail(err, prog)
 		}
-		impCycles = ref.stats.Cycles // IMP-I runs last
+		cycles[sh.name] = ref.stats.Cycles
 	}
 
-	// The failing runs: IMP-I out of budget at a random cycle of the run,
-	// and IMP-I on banks too small for the register dump (so every run
+	// The failing runs: each IMP out of budget at a random cycle of its
+	// run, and on banks too small for the register dump (so every run
 	// faults) with a second, different image on core 1, so the cores
-	// reach their faults at different cycles.
+	// reach their faults at different cycles. The crossbar's banks form
+	// one address space, so its short banks are half as long.
 	short := 1 + rng.Intn(bank-1)
 	other := randomImage(rng, cfg)
-	budget := 1 + rng.Int63n(max(impCycles, 1))
+	budget := 1 + rng.Int63n(max(cycles["IMP-I"], 1))
+	xshort := max(short/2, 1)
+	xbudget := 1 + rng.Int63n(max(cycles["IMP-III"], 1))
+	shortBanks := func(words int) [][]isa.Word {
+		return [][]isa.Word{img[:min(words, len(img))], other[:min(words, len(other))]}
+	}
 	failing := []shape{
-		{fmt.Sprintf("IMP-I budget=%d", budget), imp(same, bank, budget)},
-		{fmt.Sprintf("IMP-I bank=%d", short), imp([][]isa.Word{img[:min(short, len(img))], other[:min(short, len(other))]}, short, 0)},
+		{fmt.Sprintf("IMP-I budget=%d", budget), imp(lockstepIMP, same, bank, budget)},
+		{fmt.Sprintf("IMP-I bank=%d", short), imp(lockstepIMP, shortBanks(short), short, 0)},
+		{fmt.Sprintf("IMP-III budget=%d", xbudget), imp(crossbarIMP, same, bank, xbudget)},
+		{fmt.Sprintf("IMP-III bank=%d", xshort), imp(crossbarIMP, shortBanks(xshort), xshort, 0)},
 	}
 	for _, sh := range failing {
 		if _, err := checkShape(sh.name, sh.run); err != nil {
@@ -156,12 +184,12 @@ func backendCheck(seed int64, cfg GenConfig) BackendResult {
 	return r
 }
 
-// checkShape runs one shape with both executors, untraced and traced, and
-// diffs each compiled run against the interp run of the same tracing mode.
-// It returns the untraced interp run.
+// checkShape runs one shape with both executors, untraced, traced into a
+// Tally and traced into a Trace, and diffs each compiled run against the
+// interp run of the same tracing mode. It returns the untraced interp run.
 func checkShape(name string, run func(bool, obs.Tracer) (backendOutcome, error)) (backendOutcome, error) {
 	var untraced backendOutcome
-	for _, traced := range []bool{false, true} {
+	for _, mode := range []string{"", "tally", "traced"} {
 		var ref backendOutcome
 		for i, interp := range []bool{true, false} {
 			executor := "compiled"
@@ -169,8 +197,13 @@ func checkShape(name string, run func(bool, obs.Tracer) (backendOutcome, error))
 				executor = "interp"
 			}
 			var tr *obs.Trace
+			var tally *obs.Tally
 			var tracer obs.Tracer
-			if traced {
+			switch mode {
+			case "tally":
+				tally = &obs.Tally{}
+				tracer = tally
+			case "traced":
 				tr = obs.AcquireTrace()
 				tracer = tr
 			}
@@ -179,19 +212,22 @@ func checkShape(name string, run func(bool, obs.Tracer) (backendOutcome, error))
 				out.events = tr.Events()
 				obs.ReleaseTrace(tr)
 			}
+			if tally != nil {
+				out.count, out.totals = tally.Len(), tally.Totals()
+			}
 			if err != nil {
 				return backendOutcome{}, fmt.Errorf("%s/%s: %w", name, executor, err)
 			}
 			if i == 0 {
 				ref = out
-				if !traced {
+				if mode == "" {
 					untraced = out
 				}
 				continue
 			}
 			who := fmt.Sprintf("%s/%s", name, executor)
-			if traced {
-				who += " (traced)"
+			if mode != "" {
+				who += " (" + mode + ")"
 			}
 			if err := diffOutcome(who, out, ref); err != nil {
 				return backendOutcome{}, err
@@ -242,15 +278,15 @@ func runSIMDBackend(prog isa.Program, img []isa.Word, bank int, interp bool, tr 
 	return out, nil
 }
 
-// runMIMDBackend runs prog on a lockstepProcs-core IMP-I with bankWords-word
-// banks, core i's loaded with banks[i], under a cycle budget (0 for the
-// default).
-func runMIMDBackend(prog isa.Program, banks [][]isa.Word, bankWords int, budget int64, interp bool, tr obs.Tracer) (backendOutcome, error) {
+// runMIMDBackend runs prog on a lockstepProcs-core IMP of class c with
+// bankWords-word banks, core i's loaded with banks[i], under a cycle
+// budget (0 for the default).
+func runMIMDBackend(prog isa.Program, c taxonomy.Class, banks [][]isa.Word, bankWords int, budget int64, interp bool, tr obs.Tracer) (backendOutcome, error) {
 	images := make([]isa.Program, lockstepProcs)
 	for i := range images {
 		images[i] = prog
 	}
-	mp, err := mimd.New(mimd.Config{Cores: lockstepProcs, BankWords: bankWords, Class: lockstepIMP,
+	mp, err := mimd.New(mimd.Config{Cores: lockstepProcs, BankWords: bankWords, Class: c,
 		MaxCycles: budget, Tracer: tr, Interp: interp}, images)
 	if err != nil {
 		return backendOutcome{}, err

@@ -5,10 +5,11 @@ import (
 	"testing"
 )
 
-// TestCompiledEquivalence is the PR's flagship differential run: thousands
-// of generated programs, each executed on all three machine shapes by all
-// three backends, untraced and traced, every run diffed against the interp
-// reference down to memories, full Stats structs and obs event streams. A
+// TestCompiledEquivalence is the flagship differential run: thousands of
+// generated programs, each executed on all four machine shapes (and into
+// four failures) by both executors, untraced, traced into a Tally and
+// traced into a Trace, every run diffed against the interp reference down
+// to memories, full Stats structs, Tally totals and obs event streams. A
 // failure prints the offending program's disassembly for reproduction.
 func TestCompiledEquivalence(t *testing.T) {
 	seeds := 5000

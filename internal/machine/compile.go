@@ -94,21 +94,29 @@ type block struct {
 }
 
 // CompiledProgram is the lowered form of one program: the per-op threaded
-// chain (used by every simulator and by traced runs, where per-instruction
-// event emission is part of the contract) and the fused block program the
-// untraced uni-processor and the run-ahead of untraced multi-processor
-// cores execute. The blocks are built on first use, once, so a program
-// that only ever runs its chain never pays for them, and one compiled
-// program may be shared by goroutines.
+// chain (used by every simulator and by runs traced in order, where
+// per-instruction event emission is part of the contract) and the fused
+// block program that uni-processor runs and the run-ahead of
+// multi-processor cores execute when untraced or traced into an
+// obs.Tally. The block program comes in two tables, each built on first
+// use, once, so a program that only ever runs its chain never pays for
+// them, and one compiled program may be shared by goroutines: whole holds
+// the CFG's basic blocks, and cut the same blocks cut around every load
+// and store, for cores whose loads and stores cross a DP-DM crossbar.
 type CompiledProgram struct {
 	ops           []OpFn
-	blocksOnce    sync.Once
-	blocks        []block
-	blockAt       []int32 // pc of a block leader -> its index in blocks
+	whole, cut    blockTable
 	dec           isa.DecodedProgram
 	n             int
 	memLatency    int64
 	branchPenalty int64
+}
+
+// blockTable is one lowering of the program into fused blocks.
+type blockTable struct {
+	once    sync.Once
+	blocks  []block
+	blockAt []int32 // pc of a block leader -> its index in blocks, -1 elsewhere
 }
 
 // Ops returns the threaded per-op chain, indexed by pc.
@@ -138,35 +146,65 @@ func Compile(dec isa.DecodedProgram, opts CompileOptions) *CompiledProgram {
 	return p
 }
 
-// ensureBlocks builds the block program the first time a fused runner
-// needs it.
-func (p *CompiledProgram) ensureBlocks() { p.blocksOnce.Do(p.buildBlocks) }
+// blocksFor returns the block table a processor runs, built the first
+// time it is asked for: the whole CFG blocks when loads and stores reach
+// only the processor's own memory (memLocal), the blocks cut around every
+// load and store otherwise.
+func (p *CompiledProgram) blocksFor(memLocal bool) *blockTable {
+	t := &p.whole
+	if !memLocal {
+		t = &p.cut
+	}
+	t.once.Do(func() { p.buildBlocks(t, !memLocal) })
+	return t
+}
 
 // buildBlocks lowers each basic block of the shared CFG (isa.BuildCFG owns
 // the leader rules: pc 0, every branch target, every instruction after a
-// branch or halt) and asserts the fusion invariant: every fused unit stays
-// inside one CFG block, so a superinstruction can never span a boundary
-// the static checker reasons about.
-func (p *CompiledProgram) buildBlocks() {
+// branch or halt) into t, with cutMem also cutting each block before and
+// after every load and store, so that each memory op is a block of its
+// own. It asserts the fusion invariant: every fused unit stays inside one
+// CFG block, and with cutMem no unit holds a load or store with another
+// op, so a superinstruction can never span a boundary the static checker
+// or the crossbar scheduler reasons about.
+func (p *CompiledProgram) buildBlocks(t *blockTable, cutMem bool) {
 	if p.n == 0 {
 		return
 	}
 	cfg := isa.BuildCFG(p.dec)
-	p.blockAt = make([]int32, p.n)
-	for pc := range p.blockAt {
-		p.blockAt[pc] = -1
+	t.blockAt = make([]int32, p.n)
+	for pc := range t.blockAt {
+		t.blockAt[pc] = -1
+	}
+	lower := func(start, end int) {
+		if start < end {
+			t.blockAt[start] = int32(len(t.blocks))
+			t.blocks = append(t.blocks, p.lowerBlock(start, end))
+		}
 	}
 	for i := range cfg.Blocks {
 		cb := &cfg.Blocks[i]
-		p.blockAt[cb.Start] = int32(len(p.blocks))
-		p.blocks = append(p.blocks, p.lowerBlock(int(cb.Start), int(cb.End)))
+		start := int(cb.Start)
+		if cutMem {
+			for pc := start; pc < int(cb.End); pc++ {
+				if p.dec[pc].IsMemory() {
+					lower(start, pc)
+					lower(pc, pc+1)
+					start = pc + 1
+				}
+			}
+		}
+		lower(start, int(cb.End))
 	}
-	for _, b := range p.blocks {
+	for _, b := range t.blocks {
 		for _, u := range b.units {
 			lastPC := int(u.pc) + int(u.nops) - 1
 			if cfg.BlockAt[u.pc] != cfg.BlockAt[lastPC] {
 				panic(fmt.Sprintf("machine: fused unit [%d,%d] spans CFG blocks %d and %d",
 					u.pc, lastPC, cfg.BlockAt[u.pc], cfg.BlockAt[lastPC]))
+			}
+			if cutMem && u.nops > 1 && b.nLoads+b.nStores > 0 {
+				panic(fmt.Sprintf("machine: fused unit [%d,%d] spans a cut around a load or store", u.pc, lastPC))
 			}
 		}
 	}
@@ -460,10 +498,10 @@ func (p *CompiledProgram) genTerm(pc int, d *isa.DecodedOp, pre *preInc) termFn 
 // the faulting pc for error wrapping; ErrDeadline is returned bare so the
 // caller can format it like the interpreters do.
 func (p *CompiledProgram) Run(c *CPU, budget int64) (failPC int, err error) {
-	p.ensureBlocks()
+	t := p.blocksFor(true)
 	pc := 0
 	for pc >= 0 && pc < p.n {
-		b := &p.blocks[p.blockAt[pc]]
+		b := &t.blocks[t.blockAt[pc]]
 		if c.Stats.Cycles+b.cycles > budget {
 			return p.runExact(c, pc, budget)
 		}
@@ -504,8 +542,9 @@ const trailCap = 64
 // started to the cycle it stopped, so a scheduler whose run ends at an
 // earlier slot can take back the work after it (After).
 type Trail struct {
-	from, to int64 // issue cycle of the first block; issue cycle of stopPC
-	stopPC   int   // the pc the run stopped at
+	from, to int64       // issue cycle of the first block; issue cycle of stopPC
+	stopPC   int         // the pc the run stopped at
+	tab      *blockTable // the table blocks index
 	n        int
 	blocks   [trailCap]int32
 }
@@ -514,9 +553,11 @@ type Trail struct {
 // starting at pc at cycle now, with multi-processor accounting (one cycle
 // per instruction plus the DP-DM latency per memory op, the taken-branch
 // penalty). A private block is one no other processor can observe (no
-// SEND, RECV, SYNC or HALT, no successor outside the program); when
-// memLocal is false its loads and stores may reach other banks, so a block
-// with any is not run. RunAhead stops at the first block that is not
+// SEND, RECV, SYNC or HALT, no successor outside the program). When
+// memLocal is false its loads and stores may reach other banks, so the
+// blocks are cut around every load and store, each of which is left to
+// the caller to step at its own slot: the core runs ahead through the
+// stretches between them. RunAhead stops at the first block that is not
 // private, at a pc that does not lead a block, at a block that would not
 // end by budget, after trailCap blocks, or at a guest fault. It returns
 // the pc to resume at and the cycle that pc issues at; c.Stats holds what
@@ -525,15 +566,15 @@ type Trail struct {
 // op through its per-op chain at its own slot, which reports the fault
 // with the caller's exact error text. A call that returns now ran nothing.
 func (p *CompiledProgram) RunAhead(c *CPU, pc int, now, budget int64, memLocal bool, t *Trail) (int, int64) {
-	p.ensureBlocks()
+	tab := p.blocksFor(memLocal)
 	c.Stats = Stats{}
-	t.from, t.n = now, 0
+	t.from, t.n, t.tab = now, 0, tab
 	for t.n < trailCap && pc >= 0 && pc < p.n {
-		bi := p.blockAt[pc]
+		bi := tab.blockAt[pc]
 		if bi < 0 {
 			break
 		}
-		b := &p.blocks[bi]
+		b := &tab.blocks[bi]
 		if !b.runsAhead(memLocal) || now+c.Stats.Cycles+b.cycles > budget {
 			break
 		}
@@ -551,14 +592,17 @@ func (p *CompiledProgram) RunAhead(c *CPU, pc int, now, budget int64, memLocal b
 
 // RunsAhead reports whether RunAhead at pc would run the block there,
 // cycle budget permitting: pc leads a private block, with no loads or
-// stores unless memLocal. A scheduler asks once per pc, not per step.
+// stores unless memLocal. Under !memLocal the blocks are cut around loads
+// and stores, so it is false at every load and store and true at the op
+// after one in a private block. A scheduler asks once per pc, not per
+// step.
 func (p *CompiledProgram) RunsAhead(pc int, memLocal bool) bool {
-	p.ensureBlocks()
+	tab := p.blocksFor(memLocal)
 	if pc < 0 || pc >= p.n {
 		return false
 	}
-	bi := p.blockAt[pc]
-	return bi >= 0 && p.blocks[bi].runsAhead(memLocal)
+	bi := tab.blockAt[pc]
+	return bi >= 0 && tab.blocks[bi].runsAhead(memLocal)
 }
 
 // runsAhead reports whether a processor may run the block ahead of the
@@ -577,7 +621,7 @@ func (p *CompiledProgram) After(t *Trail, cut int64) Stats {
 	}
 	at := t.from
 	for i := 0; i < t.n && at < t.to; i++ {
-		b := &p.blocks[t.blocks[i]]
+		b := &t.tab.blocks[t.blocks[i]]
 		for pc := b.start; pc < b.end && at < t.to; pc++ {
 			d := &p.dec[pc]
 			issue := at
@@ -600,7 +644,7 @@ func (p *CompiledProgram) After(t *Trail, cut int64) Stats {
 		}
 		next := t.stopPC
 		if i+1 < t.n {
-			next = int(p.blocks[t.blocks[i+1]].start)
+			next = int(t.tab.blocks[t.blocks[i+1]].start)
 		}
 		if p.dec[b.end-1].IsBranch() && next != int(b.end) {
 			at += p.branchPenalty
@@ -901,4 +945,19 @@ func compileOp(pc int, d *isa.DecodedOp) OpFn {
 	return func(*Regs, *Env) (Outcome, error) {
 		return Outcome{NextPC: next}, fmt.Errorf("machine: unimplemented opcode %v at pc %d", op, pc)
 	}
+}
+
+// FoldPrivate credits t with the events the per-op chain emits for the
+// ops a fused run retired, given that run's Stats s: one instruction event
+// per instruction and one memory event per load and per store. Fused code
+// runs only ops no other processor observes (no SEND, RECV or SYNC, no
+// access through a contended switch), so no other event is owed. A sign
+// of -1 takes the events of s back.
+func FoldPrivate(t *obs.Tally, s Stats, sign int64) {
+	t.Fold(sign*(s.Instructions+s.MemReads+s.MemWrites), obs.Totals{
+		Instructions: sign * s.Instructions,
+		ALUOps:       sign * s.ALUOps,
+		MemReads:     sign * s.MemReads,
+		MemWrites:    sign * s.MemWrites,
+	})
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -376,7 +377,7 @@ func TestCompileBlockProperties(t *testing.T) {
 		prog := randCompileProgram(rng, 1+rng.Intn(60), 32)
 		memLat := int64(rng.Intn(4))
 		p := Compile(isa.Predecode(prog), CompileOptions{MemLatency: memLat})
-		p.ensureBlocks()
+		p.blocksFor(true)
 		if memLat == 0 {
 			memLat = 1
 		}
@@ -387,7 +388,7 @@ func TestCompileBlockProperties(t *testing.T) {
 			if !d.IsBranch() {
 				continue
 			}
-			if tgt := int(d.Target); tgt >= 0 && tgt < p.n && p.blockAt[tgt] < 0 {
+			if tgt := int(d.Target); tgt >= 0 && tgt < p.n && p.whole.blockAt[tgt] < 0 {
 				t.Fatalf("trial %d: branch at pc %d targets %d, which does not begin a block\n%s",
 					trial, pc, tgt, isa.Disassemble(prog))
 			}
@@ -395,12 +396,12 @@ func TestCompileBlockProperties(t *testing.T) {
 
 		// Blocks partition [0, n) in order.
 		next := int32(0)
-		for i, b := range p.blocks {
+		for i, b := range p.whole.blocks {
 			if b.start != next || b.end <= b.start {
 				t.Fatalf("trial %d: block %d spans [%d,%d), want start %d", trial, i, b.start, b.end, next)
 			}
-			if p.blockAt[b.start] != int32(i) {
-				t.Fatalf("trial %d: blockAt[%d] = %d, want %d", trial, b.start, p.blockAt[b.start], i)
+			if p.whole.blockAt[b.start] != int32(i) {
+				t.Fatalf("trial %d: blockAt[%d] = %d, want %d", trial, b.start, p.whole.blockAt[b.start], i)
 			}
 			next = b.end
 		}
@@ -410,7 +411,7 @@ func TestCompileBlockProperties(t *testing.T) {
 
 		// Fused accounting equals the per-op sum; fused units cover the
 		// straight-line ops exactly once, in order.
-		for i, b := range p.blocks {
+		for i, b := range p.whole.blocks {
 			var want block
 			for pc := b.start; pc < b.end; pc++ {
 				d := &p.dec[pc]
@@ -473,10 +474,10 @@ func TestCompileFusionEdgeCases(t *testing.T) {
 				{Op: isa.OpHalt},
 			},
 			check: func(t *testing.T, p *CompiledProgram) {
-				if p.blockAt[2] < 0 {
+				if p.whole.blockAt[2] < 0 {
 					t.Fatal("branch target pc 2 does not begin a block")
 				}
-				for _, b := range p.blocks {
+				for _, b := range p.whole.blocks {
 					for _, u := range b.units {
 						if u.nops > 1 {
 							t.Fatalf("block at %d fused %d ops across a leader", b.start, u.nops)
@@ -496,7 +497,7 @@ func TestCompileFusionEdgeCases(t *testing.T) {
 				{Op: isa.OpHalt},
 			},
 			check: func(t *testing.T, p *CompiledProgram) {
-				b := p.blocks[0]
+				b := p.whole.blocks[0]
 				if len(b.units) != 1 || b.units[0].nops != 3 {
 					t.Fatalf("want one fused 3-op unit, got %d units", len(b.units))
 				}
@@ -539,8 +540,8 @@ func TestCompileFusionEdgeCases(t *testing.T) {
 			name: "self-loop jmp",
 			prog: isa.Program{{Op: isa.OpJmp, Imm: -1}},
 			check: func(t *testing.T, p *CompiledProgram) {
-				if len(p.blocks) != 1 || p.blocks[0].end != 1 {
-					t.Fatalf("self-loop: want one 1-op block, got %+v", p.blocks)
+				if len(p.whole.blocks) != 1 || p.whole.blocks[0].end != 1 {
+					t.Fatalf("self-loop: want one 1-op block, got %+v", p.whole.blocks)
 				}
 			},
 		},
@@ -564,7 +565,7 @@ func TestCompileFusionEdgeCases(t *testing.T) {
 				{Op: isa.OpHalt},
 			},
 			check: func(t *testing.T, p *CompiledProgram) {
-				b := p.blocks[p.blockAt[1]]
+				b := p.whole.blocks[p.whole.blockAt[1]]
 				if len(b.units) != 0 {
 					t.Fatalf("induction pair not fused: %d units remain", len(b.units))
 				}
@@ -580,7 +581,7 @@ func TestCompileFusionEdgeCases(t *testing.T) {
 				{Op: isa.OpHalt},
 			},
 			check: func(t *testing.T, p *CompiledProgram) {
-				if b := p.blocks[0]; len(b.units) != 1 {
+				if b := p.whole.blocks[0]; len(b.units) != 1 {
 					t.Fatalf("non-induction addi fused away: %d units", len(b.units))
 				}
 			},
@@ -628,7 +629,7 @@ func TestCompileFusionEdgeCases(t *testing.T) {
 			}
 			if tc.check != nil {
 				p := Compile(isa.Predecode(tc.prog), CompileOptions{})
-				p.ensureBlocks()
+				p.blocksFor(true)
 				tc.check(t, p)
 			}
 		})
@@ -639,8 +640,8 @@ func TestCompileFusionEdgeCases(t *testing.T) {
 // program must yield a chain whose Run halts immediately with zero Stats.
 func TestCompileZeroLength(t *testing.T) {
 	p := Compile(nil, CompileOptions{})
-	if p.Len() != 0 || len(p.Ops()) != 0 || len(p.blocks) != 0 {
-		t.Fatalf("empty program compiled to %d ops, %d blocks", len(p.Ops()), len(p.blocks))
+	if p.Len() != 0 || len(p.Ops()) != 0 || len(p.whole.blocks) != 0 {
+		t.Fatalf("empty program compiled to %d ops, %d blocks", len(p.Ops()), len(p.whole.blocks))
 	}
 	c := CPU{Mem: make(Memory, 4)}
 	failPC, err := p.Run(&c, 100)
@@ -686,7 +687,9 @@ func TestRunAheadTrail(t *testing.T) {
 
 // TestCompileBuildsBlocksOnFirstRun: Compile builds only the per-op chain;
 // the first fused run builds the blocks, once, and one compiled program
-// runs on several goroutines at once with the same results.
+// runs on several goroutines at once with the same results. The same holds
+// for the table cut around loads and stores, which the first crossbar
+// run-ahead builds.
 func TestCompileBuildsBlocksOnFirstRun(t *testing.T) {
 	prog := isa.MustAssemble(`
         ldi  r1, 50
@@ -696,29 +699,124 @@ loop:   addi r1, r1, -1
         bne  r1, r2, loop
         halt`)
 	p := Compile(isa.Predecode(prog), CompileOptions{})
-	if p.blocks != nil || p.blockAt != nil || len(p.Ops()) != len(prog) {
-		t.Fatalf("Compile built %d blocks before any fused run", len(p.blocks))
+	if p.whole.blocks != nil || p.whole.blockAt != nil || p.cut.blocks != nil || len(p.Ops()) != len(prog) {
+		t.Fatalf("Compile built %d blocks before any fused run", len(p.whole.blocks)+len(p.cut.blocks))
+	}
+	type result struct {
+		stats, ahead Stats
+		pc           int
+		at           int64
+		err          error
 	}
 	const runs = 8
-	stats := make([]Stats, runs)
-	errs := make([]error, runs)
+	results := make([]result, runs)
 	var wg sync.WaitGroup
 	for i := range runs {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			r := &results[i]
 			c := CPU{Mem: make(Memory, 8)}
-			_, errs[i] = p.Run(&c, 1000)
-			stats[i] = c.Stats
+			if i%2 == 0 {
+				_, r.err = p.Run(&c, 1000)
+			}
+			r.stats = c.Stats
+			var tr Trail
+			c = CPU{Mem: make(Memory, 8)}
+			r.pc, r.at = p.RunAhead(&c, 2, 0, 1000, false, &tr)
+			r.ahead = c.Stats
+			if i%2 == 1 {
+				_, r.err = p.Run(&c, 1000)
+			}
 		}()
 	}
 	wg.Wait()
 	for i := range runs {
-		if errs[i] != nil || stats[i] != stats[0] {
-			t.Fatalf("run %d: %+v, %v; run 0: %+v", i, stats[i], errs[i], stats[0])
+		if results[i].err != nil || results[i].ahead != results[0].ahead || results[i].pc != results[0].pc ||
+			results[i].at != results[0].at || i%2 == 0 && results[i].stats != results[0].stats {
+			t.Fatalf("run %d: %+v; run 0: %+v", i, results[i], results[0])
 		}
 	}
-	if len(p.blocks) == 0 {
+	if len(p.whole.blocks) == 0 {
 		t.Fatal("no blocks after a fused run")
+	}
+	if len(p.cut.blocks) <= len(p.whole.blocks) {
+		t.Fatalf("the crossbar table has %d blocks, the whole table %d: the store did not cut its block",
+			len(p.cut.blocks), len(p.whole.blocks))
+	}
+	if results[0].pc != 3 || results[0].ahead.Instructions != 1 {
+		t.Fatalf("crossbar run-ahead from the loop's addi stopped at %d after %+v, want the store at 3 after one op",
+			results[0].pc, results[0].ahead)
+	}
+}
+
+// privateProgram is randCompileProgram with every successor kept inside
+// the program: branches that would leave it jump to 0, and the closing
+// HALT becomes a jump back to 0, so every CFG block is private.
+func privateProgram(rng *rand.Rand, n, bank int) isa.Program {
+	prog := randCompileProgram(rng, n, bank)
+	for pc := range prog {
+		ins := &prog[pc]
+		if ins.Op == isa.OpHalt {
+			*ins = isa.Instruction{Op: isa.OpJmp}
+		}
+		if ins.Op.IsBranch() {
+			if tgt := pc + 1 + int(ins.Imm); tgt < 0 || tgt >= len(prog) {
+				ins.Imm = int32(-(pc + 1))
+			}
+		}
+	}
+	return prog
+}
+
+// TestRunsAheadCutAtMemoryOps: under a DP-DM crossbar (memLocal false) the
+// block table is cut around every load and store. In programs whose CFG
+// blocks are all private, RunsAhead is then false at every load and store
+// and true exactly at the first op of each stretch between them: a CFG
+// leader or the op after a load or store in the same CFG block. Direct
+// DP-DM (memLocal true) keeps the whole blocks, so there it is true
+// exactly at the CFG leaders. RunAhead from any pc that runs ahead
+// retires no load or store and leaves memory untouched.
+func TestRunsAheadCutAtMemoryOps(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for trial := 0; trial < 300; trial++ {
+		prog := privateProgram(rng, 1+rng.Intn(40), 16)
+		if err := prog.Validate(); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		dec := isa.Predecode(prog)
+		cfg := isa.BuildCFG(dec)
+		p := Compile(dec, CompileOptions{})
+		for pc := range dec {
+			leader := cfg.Blocks[cfg.BlockAt[pc]].Start == int32(pc)
+			afterMem := pc > 0 && dec[pc-1].IsMemory() && cfg.BlockAt[pc-1] == cfg.BlockAt[pc]
+			want := !dec[pc].IsMemory() && (leader || afterMem)
+			if got := p.RunsAhead(pc, false); got != want {
+				t.Fatalf("trial %d: crossbar RunsAhead(%d) = %v, want %v (%v)\n%s",
+					trial, pc, got, want, prog[pc].Op, isa.Disassemble(prog))
+			}
+			if got := p.RunsAhead(pc, true); got != leader {
+				t.Fatalf("trial %d: direct RunsAhead(%d) = %v, want %v\n%s", trial, pc, got, leader, isa.Disassemble(prog))
+			}
+			if !want {
+				continue
+			}
+			mem := make(Memory, 16)
+			c := CPU{Mem: mem}
+			for r := range c.Regs {
+				c.Regs[r] = isa.Word(rng.Intn(16))
+			}
+			var tr Trail
+			stop, _ := p.RunAhead(&c, pc, 0, 1<<20, false, &tr)
+			if c.Stats.MemReads != 0 || c.Stats.MemWrites != 0 || slices.ContainsFunc(mem, func(w isa.Word) bool { return w != 0 }) {
+				t.Fatalf("trial %d: crossbar RunAhead from %d ran a load or store (stats %+v)\n%s",
+					trial, pc, c.Stats, isa.Disassemble(prog))
+			}
+			faulted := stop >= 0 && stop < len(dec) && (prog[stop].Op == isa.OpDiv || prog[stop].Op == isa.OpRem)
+			if !faulted && stop >= 0 && stop < len(dec) && tr.n < trailCap && p.RunsAhead(stop, false) {
+				t.Fatalf("trial %d: crossbar RunAhead from %d stopped at %d, where it could go on\n%s",
+					trial, pc, stop, isa.Disassemble(prog))
+			}
+		}
 	}
 }

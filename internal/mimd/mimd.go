@@ -19,25 +19,34 @@
 // cannot execute n different programs at the same time").
 //
 // The scheduler is one loop over (cycle, core) slots. Between SYNC, a
-// message and a shared-bank access a core's work is its own, and an
-// untraced run of the compiled code uses that: at its slot, a core that
-// stands at the start of a private CFG block runs ahead through as many
-// private blocks as fit in the cycle budget as fused code on its own
-// registers and bank (machine.CompiledProgram.RunAhead), and the loop
-// skips the cycles in which no core is ready. A block is private when it
-// holds no SEND, RECV, SYNC or HALT and cannot leave the program; its
-// loads and stores count as private only under a direct DP-DM switch,
-// where no other core can reach the bank. Every other block steps one op
-// per slot. Run-ahead changes no result: Stats, CoreStats and error texts
-// are those of the op-by-op loop. A fault inside a fused block stops the
-// core in front of the faulting op with its state as it was, and the op
-// is stepped again through the per-op chain at its own slot, so it is
+// message and a shared-bank access a core's work is its own, and a run of
+// the compiled code uses that: at its slot, a core that stands at the
+// start of a private block runs ahead through as many private blocks as
+// fit in the cycle budget as fused code on its own registers and bank
+// (machine.CompiledProgram.RunAhead), and the loop skips the cycles in
+// which no core is ready. A block is private when it holds no SEND, RECV,
+// SYNC or HALT and cannot leave the program. Under a direct DP-DM switch,
+// where no other core can reach the bank, its loads and stores are
+// private too. Under a DP-DM crossbar the blocks are cut around every load
+// and store: a core runs ahead through the stretches between them and
+// steps each load and store at its own slot, where it meets the other
+// cores' accesses to the crossbar in slot order. Every other block steps
+// one op per slot. Run-ahead changes no result: Stats, CoreStats and error
+// texts are those of the op-by-op loop. A fault inside a fused block stops
+// the core in front of the faulting op with its state as it was, and the
+// op is stepped again through the per-op chain at its own slot, so it is
 // reported with the same text and only if no earlier slot failed; a
 // failure at an earlier slot takes back what cores that ran ahead retired
 // after it. HALT never runs fused, so it takes effect at its own cycle.
-// Traced runs and the machine.StepOps reference step every op in slot
-// order instead, because the emission order of their events is part of
-// what the goldens and the differential sweeps compare.
+//
+// Untraced runs and runs traced into an obs.Tally run ahead. A Tally only
+// counts, so each run-ahead folds the events its ops would have emitted
+// (one per instruction, one more per load and per store) from the call's
+// batched Stats in one step, and a failure takes them back with the
+// instructions. Runs traced by any other Tracer and the machine.StepOps
+// reference step every op in slot order instead, because the emission
+// order of their events is part of what the goldens and the differential
+// sweeps compare.
 package mimd
 
 import (
@@ -72,7 +81,8 @@ type Config struct {
 	MaxCycles int64
 	// Tracer, when non-nil, receives run events: one track per core, barrier
 	// releases on the machine track, network stalls on the sending core's
-	// track. Nil disables tracing.
+	// track. Nil disables tracing; an *obs.Tally takes the events of the
+	// cores' run-ahead folded (see the package comment).
 	Tracer obs.Tracer
 	// Interp runs the machine.StepOps reference chain instead of the
 	// compiled code, for the differential sweeps that pin the two equal.
@@ -105,15 +115,24 @@ type image struct {
 	// through; nil under Config.Interp.
 	comp *machine.CompiledProgram
 	// ahead marks the pcs at which a core may run ahead; nil when no pc
-	// qualifies or the run is traced or interpreted.
+	// qualifies or the run is interpreted or traced by a recorder that
+	// keeps its events.
 	ahead []bool
+}
+
+// tallyOf returns the run's tracer when it is an *obs.Tally, which only
+// counts and so takes a run-ahead's events folded in one call, and nil
+// otherwise.
+func tallyOf(tr obs.Tracer) *obs.Tally {
+	t, _ := tr.(*obs.Tally)
+	return t
 }
 
 // newImage builds one program image from its loaded program.
 func newImage(ld machine.Loaded, cfg Config) *image {
 	img := &image{dec: ld.Dec, ops: ld.Ops, comp: ld.Comp}
-	if img.comp == nil || cfg.Tracer != nil {
-		return img // the reference and traced runs step every op in slot order
+	if img.comp == nil || cfg.Tracer != nil && tallyOf(cfg.Tracer) == nil {
+		return img // the reference and ordered traces step every op in slot order
 	}
 	memLocal := cfg.Class.Links[taxonomy.SiteDPDM] == taxonomy.LinkDirect
 	for pc := range img.dec {
@@ -160,6 +179,9 @@ type Machine struct {
 	// memLocal reports a direct DP-DM switch, under which loads and
 	// stores are private.
 	memLocal bool
+	// tally is Config.Tracer when it is an *obs.Tally: run-ahead folds
+	// its events into it, and stop takes back what it folded too far.
+	tally *obs.Tally
 }
 
 // CoreStats summarises one core's activity in a run.
@@ -220,6 +242,7 @@ func New(cfg Config, programs []isa.Program) (*Machine, error) {
 		cores:    make([]coreState, cfg.Cores),
 		perCore:  make([]CoreStats, cfg.Cores),
 		memLocal: cfg.Class.Links[taxonomy.SiteDPDM] == taxonomy.LinkDirect,
+		tally:    tallyOf(cfg.Tracer),
 	}
 	m.Banks = banks
 	for i := range m.cores {
@@ -266,9 +289,10 @@ func (m *Machine) CoreStats() []CoreStats {
 
 // Run executes all cores to completion and returns aggregate statistics.
 // The scheduler is deterministic: one simulated cycle at a time, stepping
-// ready cores in index order. Untraced compiled runs let a core run ahead
-// through private blocks and skip the cycles in which no core is ready
-// (see the package comment); the results are the same.
+// ready cores in index order. Compiled runs that are untraced or traced
+// into an obs.Tally let a core run ahead through private blocks and skip
+// the cycles in which no core is ready (see the package comment); the
+// results, and the Tally's count and totals, are the same.
 func (m *Machine) Run() (machine.Stats, error) {
 	var stats machine.Stats
 	budget := m.cfg.MaxCycles
@@ -322,6 +346,9 @@ func (m *Machine) Run() (machine.Stats, error) {
 					stats.MemReads += ran.MemReads
 					stats.MemWrites += ran.MemWrites
 					m.perCore[i].Instructions += ran.Instructions
+					if m.tally != nil {
+						machine.FoldPrivate(m.tally, *ran, 1)
+					}
 					c.pc, c.readyAt = pc, at
 					stats.Cycles = max(stats.Cycles, at)
 					progress = true
@@ -412,8 +439,9 @@ func (m *Machine) Run() (machine.Stats, error) {
 
 // stop settles the Stats of a run that fails at core's slot of cycle
 // (core -1 for the slot before every core's). A core that ran ahead past
-// that slot takes back the instructions it retired at later slots, so the
-// Stats and CoreStats are those of the op-by-op loop stopping there.
+// that slot takes back the instructions it retired at later slots, and
+// their folded events, so the Stats, CoreStats and Tally are those of the
+// op-by-op loop stopping there.
 func (m *Machine) stop(stats *machine.Stats, cycle int64, core int) {
 	for j := range m.cores {
 		c := &m.cores[j]
@@ -431,6 +459,9 @@ func (m *Machine) stop(stats *machine.Stats, cycle int64, core int) {
 		stats.MemReads -= back.MemReads
 		stats.MemWrites -= back.MemWrites
 		m.perCore[j].Instructions -= back.Instructions
+		if m.tally != nil {
+			machine.FoldPrivate(m.tally, back, -1)
+		}
 	}
 	stats.NetConflictCycles += m.ConflictCycles()
 	stats.Cycles = cycle

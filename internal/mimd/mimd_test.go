@@ -378,10 +378,14 @@ loop:   addi r1, r1, -1
 	}
 }
 
-// diffAgainstInterp runs progs on cfg three ways: untraced compiled code
-// (where cores run ahead through private blocks), traced compiled code and
-// the machine.StepOps reference. All three must agree on the error text,
-// the Stats and the CoreStats. It returns the reference's Stats and error.
+// diffAgainstInterp runs progs on cfg four ways: untraced compiled code
+// (where cores run ahead through private blocks), compiled code traced
+// into an obs.Tally (where they run ahead too, folding their events),
+// compiled code traced into an obs.Trace (which steps every op) and the
+// machine.StepOps reference traced into a Tally. All must agree on the
+// error text, the Stats and the CoreStats, and the compiled run's Tally
+// must hold the reference's event count and totals. It returns the
+// reference's Stats and error.
 func diffAgainstInterp(t *testing.T, cfg Config, progs []isa.Program) (machine.Stats, error) {
 	t.Helper()
 	run := func(interp bool, tr obs.Tracer) (machine.Stats, []CoreStats, error) {
@@ -395,11 +399,12 @@ func diffAgainstInterp(t *testing.T, cfg Config, progs []isa.Program) (machine.S
 		stats, err := m.Run()
 		return stats, m.CoreStats(), err
 	}
-	refStats, refCores, refErr := run(true, nil)
+	var refTally, tally obs.Tally
+	refStats, refCores, refErr := run(true, &refTally)
 	for _, v := range []struct {
 		name string
 		tr   obs.Tracer
-	}{{"compiled", nil}, {"traced", obs.NewTrace()}} {
+	}{{"compiled", nil}, {"tally", &tally}, {"traced", obs.NewTrace()}} {
 		stats, cores, err := run(false, v.tr)
 		if fmt.Sprint(err) != fmt.Sprint(refErr) {
 			t.Errorf("%s: error %v, interp says %v", v.name, err, refErr)
@@ -410,6 +415,10 @@ func diffAgainstInterp(t *testing.T, cfg Config, progs []isa.Program) (machine.S
 		if !slices.Equal(cores, refCores) {
 			t.Errorf("%s: core stats %+v, interp says %+v", v.name, cores, refCores)
 		}
+	}
+	if tally.Len() != refTally.Len() || tally.Totals() != refTally.Totals() {
+		t.Errorf("tally: %d events, totals %+v; interp says %d, %+v",
+			tally.Len(), tally.Totals(), refTally.Len(), refTally.Totals())
 	}
 	return refStats, refErr
 }
@@ -470,8 +479,11 @@ out:    halt`)
 
 // TestRunAhead_BudgetSweep sets MaxCycles to every cycle of a matmul run
 // whose inner loop is one fused private block, so the budget expires at
-// every offset inside a run-ahead, and requires the deadline's Stats and
-// CoreStats of the op-by-op reference at each.
+// every offset inside a run-ahead, and requires the deadline's Stats,
+// CoreStats and Tally of the op-by-op reference at each. It sweeps a
+// direct DP-DM class, where the whole loop runs ahead, and a DP-DM
+// crossbar class, where the loop is cut around its loads and stores and
+// both cores' accesses meet in bank 0.
 func TestRunAhead_BudgetSweep(t *testing.T) {
 	// Core-local C = A x B with A at 0 (rows x 3), B at 12 (3 x 2), C at 20.
 	matmul := func(rows int) isa.Program {
@@ -506,20 +518,24 @@ rowe:   addi r1, r1, 1
 done:   halt`, rows))
 	}
 	progs := []isa.Program{matmul(4), matmul(3)}
-	cfg := mustConfig(t, 1, 2, 32)
-	full, err := diffAgainstInterp(t, cfg, progs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for budget := int64(1); budget <= full.Cycles; budget++ {
-		cfg.MaxCycles = budget
-		stats, err := diffAgainstInterp(t, cfg, progs)
-		if budget < full.Cycles && !errors.Is(err, machine.ErrDeadline) {
-			t.Fatalf("budget %d of %d: %v, want the deadline", budget, full.Cycles, err)
-		}
-		if t.Failed() {
-			t.Fatalf("budget %d of %d diverged (stats %+v)", budget, full.Cycles, stats)
-		}
+	for _, sub := range []int{1, 3} {
+		cfg := mustConfig(t, sub, 2, 32)
+		t.Run(cfg.Class.String(), func(t *testing.T) {
+			full, err := diffAgainstInterp(t, cfg, progs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for budget := int64(1); budget <= full.Cycles; budget++ {
+				cfg.MaxCycles = budget
+				stats, err := diffAgainstInterp(t, cfg, progs)
+				if budget < full.Cycles && !errors.Is(err, machine.ErrDeadline) {
+					t.Fatalf("budget %d of %d: %v, want the deadline", budget, full.Cycles, err)
+				}
+				if t.Failed() {
+					t.Fatalf("budget %d of %d diverged (stats %+v)", budget, full.Cycles, stats)
+				}
+			}
+		})
 	}
 }
 

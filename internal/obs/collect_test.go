@@ -330,6 +330,44 @@ func TestTallyMatchesTrace(t *testing.T) {
 	}
 }
 
+// TestTallyFold: folding a stretch of events in one call leaves the tally
+// as emitting them one by one does, and folding the negated count and
+// totals takes them back.
+func TestTallyFold(t *testing.T) {
+	events := append(everyKindEvents(), randomEvents(6, 300)...)
+	head, tail := events[:len(events)/2], events[len(events)/2:]
+	var emitted, folded Tally
+	for _, e := range events {
+		emitted.Emit(e)
+	}
+	for _, e := range head {
+		folded.Emit(e)
+	}
+	var stretch Totals
+	for i := range tail {
+		stretch.add(&tail[i])
+	}
+	folded.Fold(int64(len(tail)), stretch)
+	if folded.Len() != emitted.Len() || folded.Totals() != emitted.Totals() {
+		t.Fatalf("folded %d events, %+v; emitted %d, %+v", folded.Len(), folded.Totals(), emitted.Len(), emitted.Totals())
+	}
+	if err := folded.Check(emitted.Totals()); err != nil {
+		t.Error(err)
+	}
+	var before Tally
+	for _, e := range head {
+		before.Emit(e)
+	}
+	folded.Fold(-int64(len(tail)), Totals{
+		Instructions: -stretch.Instructions, ALUOps: -stretch.ALUOps, MemReads: -stretch.MemReads,
+		MemWrites: -stretch.MemWrites, Messages: -stretch.Messages, Barriers: -stretch.Barriers,
+		NetConflictCycles: -stretch.NetConflictCycles,
+	})
+	if folded != before {
+		t.Errorf("after the take-back the tally is %+v, want %+v", folded, before)
+	}
+}
+
 // TestTallyZeroAllocs: emitting into a tally and cross-checking a matching
 // run allocate nothing, the guarantee Trace.Check gives.
 func TestTallyZeroAllocs(t *testing.T) {

@@ -125,6 +125,14 @@ func (t *HeadTrace) Check(want Totals) error { return checkTotals(t.totals(), wa
 // Emit folds each event into the run totals and stores nothing, so its
 // cost and size do not grow with the run. It belongs to one run and takes
 // no lock; the zero value is ready to use.
+//
+// Because a Tally only counts, it does not need the events one by one: a
+// simulator that runs a stretch of private instructions as fused code
+// (uniproc's block program, a mimd core's run-ahead) folds the events
+// that stretch stands for in one Fold call instead of stepping each op to
+// emit them, and Fold with negated counts takes them back. Recorders that
+// keep the events or their order (Trace, HeadTrace, any other Tracer) see
+// every op stepped and emitted in order.
 type Tally struct {
 	tot Totals
 	n   int
@@ -136,8 +144,25 @@ func (t *Tally) Emit(e Event) {
 	t.n++
 }
 
+// Fold adds events to the count and tot to the totals, as if the events
+// that sum to tot had been emitted one by one. Negative values take
+// events folded earlier back.
+func (t *Tally) Fold(events int64, tot Totals) {
+	t.n += int(events)
+	t.tot.Instructions += tot.Instructions
+	t.tot.ALUOps += tot.ALUOps
+	t.tot.MemReads += tot.MemReads
+	t.tot.MemWrites += tot.MemWrites
+	t.tot.Messages += tot.Messages
+	t.tot.Barriers += tot.Barriers
+	t.tot.NetConflictCycles += tot.NetConflictCycles
+}
+
 // Len reports the number of events folded.
 func (t *Tally) Len() int { return t.n }
+
+// Totals returns the folded run totals.
+func (t *Tally) Totals() Totals { return t.tot }
 
 // Check is Trace.Check for the folded stream. It costs no allocation for a
 // matching run.

@@ -583,7 +583,7 @@ func serveBatch[Req, Resp any](s *Server, w http.ResponseWriter, r *http.Request
 		// replica owns the key, a (singleflight-coalesced) local compute
 		// through this endpoint's loader otherwise. Successful bytes land
 		// in the local LRU inside Fetch.
-		v, _, err := s.dcache.Fetch(ictx, ep.path, canons[i])
+		v, _, err := s.dcache.Fetch(ictx, keys[i], ep.path, canons[i])
 		if err != nil {
 			return nil, err
 		}

@@ -34,7 +34,8 @@ type Config struct {
 	// file. Use it for debugging guest programs; it does not affect timing.
 	Trace func(pc int, ins isa.Instruction, regs machine.Regs)
 	// Tracer, when non-nil, receives run events (instruction retirements,
-	// memory traffic) on track 0. Nil disables tracing at zero cost.
+	// memory traffic) on track 0. Nil disables tracing at zero cost; an
+	// *obs.Tally takes the run's events folded (see Run).
 	Tracer obs.Tracer
 	// Interp runs the machine.StepOps reference chain instead of the
 	// compiled code, for the differential sweeps that pin the two equal.
@@ -106,18 +107,24 @@ func (m *Machine) Program() isa.Program { return m.prog }
 //
 // The compiled code runs fused basic blocks with batched accounting when
 // nothing observes individual instructions, and its threaded per-op chain
-// when a Tracer or Trace callback does; Config.Interp steps every run
-// through machine.Step. Results, Stats and traced events are identical
-// across all three.
+// when a Trace callback or a Tracer that keeps events does. A Tracer that
+// is an *obs.Tally only counts, so the fused run folds the events its
+// Stats stand for into it once, at the end. Config.Interp steps every run
+// through machine.Step. Results, Stats, traced events and the Tally's
+// count and totals are identical across all of them.
 func (m *Machine) Run() (machine.Stats, error) {
 	var stats machine.Stats
 	budget := m.cfg.MaxCycles
 	if budget <= 0 {
 		budget = machine.DefaultMaxCycles
 	}
-	if m.comp != nil && m.cfg.Tracer == nil && m.cfg.Trace == nil {
+	tally, _ := m.cfg.Tracer.(*obs.Tally)
+	if m.comp != nil && (m.cfg.Tracer == nil || tally != nil) && m.cfg.Trace == nil {
 		cpu := machine.CPU{Mem: m.mem}
 		failPC, err := m.comp.Run(&cpu, budget)
+		if tally != nil {
+			machine.FoldPrivate(tally, cpu.Stats, 1)
+		}
 		if err != nil {
 			if errors.Is(err, machine.ErrDeadline) {
 				return cpu.Stats, fmt.Errorf("uniproc: %w after %d cycles", machine.ErrDeadline, cpu.Stats.Cycles)

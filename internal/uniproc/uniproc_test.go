@@ -2,11 +2,13 @@ package uniproc
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
 	"repro/internal/isa"
 	"repro/internal/machine"
+	"repro/internal/obs"
 )
 
 func TestRun_SumLoop(t *testing.T) {
@@ -161,5 +163,54 @@ func TestProgramAccessor(t *testing.T) {
 	}
 	if len(m.Program()) != 1 || m.Program()[0].Op != isa.OpHalt {
 		t.Error("Program() accessor wrong")
+	}
+}
+
+// TestRun_FoldsIntoTally: a run traced into an obs.Tally takes the fused
+// block path and folds its events once; its Stats, error text and the
+// Tally's count and totals must equal the op-by-op reference traced into a
+// Tally. The programs finish, fault mid-block and run out of budget at
+// every cycle of a loop.
+func TestRun_FoldsIntoTally(t *testing.T) {
+	loop := isa.MustAssemble(`
+        ldi  r1, 6
+        ldi  r2, 0
+loop:   ld   r3, [r1+4]
+        add  r3, r3, r1
+        st   r3, [r1+4]
+        addi r1, r1, -1
+        bne  r1, r2, loop
+        halt`)
+	fault := isa.MustAssemble(`
+        ldi r1, 3
+        st  r1, [r0+1]
+        ldi r2, 0
+        div r3, r1, r2
+        halt`)
+	run := func(prog isa.Program, budget int64, interp bool) (machine.Stats, obs.Tally, error) {
+		var tally obs.Tally
+		m, err := New(Config{MemWords: 16, MaxCycles: budget, Tracer: &tally, Interp: interp}, prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer m.Release()
+		stats, err := m.Run()
+		return stats, tally, err
+	}
+	check := func(name string, prog isa.Program, budget int64) {
+		t.Helper()
+		stats, tally, err := run(prog, budget, false)
+		refStats, refTally, refErr := run(prog, budget, true)
+		if fmt.Sprint(err) != fmt.Sprint(refErr) || stats != refStats {
+			t.Errorf("%s: %+v, %v; interp says %+v, %v", name, stats, err, refStats, refErr)
+		}
+		if tally.Len() != refTally.Len() || tally.Totals() != refTally.Totals() || tally.Len() == 0 {
+			t.Errorf("%s: tally %d events, %+v; interp %d, %+v", name, tally.Len(), tally.Totals(), refTally.Len(), refTally.Totals())
+		}
+	}
+	check("fault", fault, 0)
+	full, _, _ := run(loop, 0, false)
+	for budget := int64(1); budget <= full.Cycles; budget++ {
+		check(fmt.Sprintf("budget %d", budget), loop, budget)
 	}
 }

@@ -11,8 +11,7 @@ import (
 
 // VecAddUni runs c = a + b on the instruction-flow uni-processor.
 func VecAddUni(a, b []isa.Word, opts ...Option) (Result, error) {
-	want, err := RefVecAdd(a, b)
-	if err != nil {
+	if err := sameLength(a, b); err != nil {
 		return Result{}, err
 	}
 	n := len(a)
@@ -20,7 +19,7 @@ func VecAddUni(a, b []isa.Word, opts ...Option) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	return runUni("vecadd", prog, 3*n+16, concat(a, b), 2*n, n, want, opts)
+	return runUni("vecadd", prog, 3*n+16, a, b, 2*n, n, func() ([]isa.Word, error) { return RefVecAdd(a, b) }, opts)
 }
 
 // VecAdd runs c = a + b on an IAP, IMP or ISP class, splitting the
@@ -28,8 +27,7 @@ func VecAddUni(a, b []isa.Word, opts ...Option) (Result, error) {
 // A DP-DM crossbar class runs the global-addressing program, every other
 // class the local program the uni-processor runs too.
 func VecAdd(c taxonomy.Class, procs int, a, b []isa.Word, opts ...Option) (Result, error) {
-	want, err := RefVecAdd(a, b)
-	if err != nil {
+	if err := sameLength(a, b); err != nil {
 		return Result{}, err
 	}
 	m, err := shard(len(a), procs, 2, "elements")
@@ -43,13 +41,12 @@ func VecAdd(c taxonomy.Class, procs int, a, b []isa.Word, opts ...Option) (Resul
 			}
 			return vecAddProgramGlobal(m, global)
 		},
-		load: chunks(m, a, b), outBase: 2 * m, outLen: m}, want, opts)
+		load: chunks(m, a, b), outBase: 2 * m, outLen: m}, func() ([]isa.Word, error) { return RefVecAdd(a, b) }, opts)
 }
 
 // DotUni computes the dot product on the uni-processor.
 func DotUni(a, b []isa.Word, opts ...Option) (Result, error) {
-	want, err := RefDot(a, b)
-	if err != nil {
+	if err := sameLength(a, b); err != nil {
 		return Result{}, err
 	}
 	n := len(a)
@@ -57,7 +54,7 @@ func DotUni(a, b []isa.Word, opts ...Option) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	return runUni("dot", prog, 2*n+16, concat(a, b), 2*n, 1, []isa.Word{want}, opts)
+	return runUni("dot", prog, 2*n+16, a, b, 2*n, 1, refDot(a, b), opts)
 }
 
 // Dot computes the dot product on an IAP, IMP or ISP class with a
@@ -84,8 +81,7 @@ func DotPartial(c taxonomy.Class, procs int, a, b []isa.Word, opts ...Option) (R
 // address 2m of its bank.
 func dot(c taxonomy.Class, procs int, a, b []isa.Word, name string, g gather,
 	program func(m, global int) (isa.Program, error), opts []Option) (Result, error) {
-	want, err := RefDot(a, b)
-	if err != nil {
+	if err := sameLength(a, b); err != nil {
 		return Result{}, err
 	}
 	m, err := shard(len(a), procs, 2, "elements")
@@ -94,7 +90,7 @@ func dot(c taxonomy.Class, procs int, a, b []isa.Word, name string, g gather,
 	}
 	return runSPMD(c, spmd{name: name, procs: procs, bankWords: 2*m + 16,
 		program: func(global int) (isa.Program, error) { return program(m, global) },
-		load:    chunks(m, a, b), outBase: 2 * m, outLen: 1, gather: g}, []isa.Word{want}, opts)
+		load:    chunks(m, a, b), outBase: 2 * m, outLen: 1, gather: g}, refDot(a, b), opts)
 }
 
 // VecAddDataflow runs c = a + b as a static dataflow graph on a DMP
@@ -102,8 +98,7 @@ func dot(c taxonomy.Class, procs int, a, b []isa.Word, name string, g gather,
 // each chain is kept PE-local (so even DMP-I can run it) and the banks are
 // sharded like the SIMD layout.
 func VecAddDataflow(c taxonomy.Class, pes int, a, b []isa.Word, opts ...Option) (Result, error) {
-	want, err := RefVecAdd(a, b)
-	if err != nil {
+	if err := sameLength(a, b); err != nil {
 		return Result{}, err
 	}
 	n := len(a)
@@ -112,6 +107,10 @@ func VecAddDataflow(c taxonomy.Class, pes int, a, b []isa.Word, opts ...Option) 
 	}
 	if applyOpts(opts).sinkOnly() {
 		return Result{}, nil // token graph, no guest ISA program to record
+	}
+	want, err := RefVecAdd(a, b)
+	if err != nil {
+		return Result{}, err
 	}
 	m := n / pes
 	g := dataflow.NewGraph()
@@ -174,12 +173,15 @@ func VecAddDataflow(c taxonomy.Class, pes int, a, b []isa.Word, opts ...Option) 
 // VecAddFabric runs c = a + b serially through an adder overlay on the
 // universal-flow fabric: the USP acting as a pure data processor.
 func VecAddFabric(width int, a, b []isa.Word, opts ...Option) (Result, error) {
-	want, err := RefVecAdd(a, b)
-	if err != nil {
+	if err := sameLength(a, b); err != nil {
 		return Result{}, err
 	}
 	if applyOpts(opts).sinkOnly() {
 		return Result{}, nil // LUT bitstream, no guest ISA program to record
+	}
+	want, err := RefVecAdd(a, b)
+	if err != nil {
+		return Result{}, err
 	}
 	f, err := fabric.New(2*width, 2*width)
 	if err != nil {

@@ -28,11 +28,19 @@ func RefScan(a []isa.Word) []isa.Word {
 	return out
 }
 
+// matmulShape checks that A is rows x k and B is k x n.
+func matmulShape(a, b []isa.Word, rows, k, n int) error {
+	if len(a) != rows*k || len(b) != k*n {
+		return fmt.Errorf("workload: matmul operands %dx%d and %dx%d sized %d and %d",
+			rows, k, k, n, len(a), len(b))
+	}
+	return nil
+}
+
 // RefMatMul is the reference C = A (rows x k) x B (k x n), row-major.
 func RefMatMul(a, b []isa.Word, rows, k, n int) ([]isa.Word, error) {
-	if len(a) != rows*k || len(b) != k*n {
-		return nil, fmt.Errorf("workload: matmul operands %dx%d and %dx%d sized %d and %d",
-			rows, k, k, n, len(a), len(b))
+	if err := matmulShape(a, b, rows, k, n); err != nil {
+		return nil, err
 	}
 	c := make([]isa.Word, rows*n)
 	for i := 0; i < rows; i++ {
@@ -47,13 +55,23 @@ func RefMatMul(a, b []isa.Word, rows, k, n int) ([]isa.Word, error) {
 	return c, nil
 }
 
+// firOutputs checks the FIR operands and returns the output length,
+// len(x) - len(h) + 1.
+func firOutputs(x, h []isa.Word) (int, error) {
+	if len(h) == 0 || len(x) < len(h) {
+		return 0, fmt.Errorf("workload: FIR needs len(x) >= len(h) >= 1, got %d and %d", len(x), len(h))
+	}
+	return len(x) - len(h) + 1, nil
+}
+
 // RefFIR is the reference y[i] = sum_t h[t] * x[i+t] for i in [0, len(x) -
 // len(h) + 1).
 func RefFIR(x, h []isa.Word) ([]isa.Word, error) {
-	if len(h) == 0 || len(x) < len(h) {
-		return nil, fmt.Errorf("workload: FIR needs len(x) >= len(h) >= 1, got %d and %d", len(x), len(h))
+	m, err := firOutputs(x, h)
+	if err != nil {
+		return nil, err
 	}
-	out := make([]isa.Word, len(x)-len(h)+1)
+	out := make([]isa.Word, m)
 	for i := range out {
 		var acc isa.Word
 		for t := range h {
@@ -74,7 +92,7 @@ func Stencil3(c taxonomy.Class, procs int, a []isa.Word, opts ...Option) (Result
 	}
 	return runSPMD(c, spmd{name: "stencil3", procs: procs, bankWords: 2*m + 16, local: true,
 		program: func(int) (isa.Program, error) { return stencilProgram(m, procs) },
-		load:    chunks(m, a), outBase: m, outLen: m}, RefStencil3Periodic(a), opts)
+		load:    chunks(m, a), outBase: m, outLen: m}, func() ([]isa.Word, error) { return RefStencil3Periodic(a), nil }, opts)
 }
 
 // Scan runs the distributed inclusive prefix sum on a class with a DP-DP
@@ -88,7 +106,7 @@ func Scan(c taxonomy.Class, procs int, a []isa.Word, opts ...Option) (Result, er
 	}
 	return runSPMD(c, spmd{name: "scan", procs: procs, bankWords: 2*m + 16, local: true,
 		program: func(int) (isa.Program, error) { return scanProgram(m, procs) },
-		load:    chunks(m, a), outBase: m, outLen: m}, RefScan(a), opts)
+		load:    chunks(m, a), outBase: m, outLen: m}, func() ([]isa.Word, error) { return RefScan(a), nil }, opts)
 }
 
 // MatMul runs C = A x B with the rows of A sharded over the processors.
@@ -98,8 +116,7 @@ func Scan(c taxonomy.Class, procs int, a []isa.Word, opts ...Option) (Result, er
 // compare the two layouts' NetConflictCycles for the storage/traffic trade
 // they make.
 func MatMul(c taxonomy.Class, procs int, a, b []isa.Word, rows, k, n int, opts ...Option) (Result, error) {
-	want, err := RefMatMul(a, b, rows, k, n)
-	if err != nil {
+	if err := matmulShape(a, b, rows, k, n); err != nil {
 		return Result{}, err
 	}
 	mr, err := shard(rows, procs, 2, "rows")
@@ -127,22 +144,21 @@ func MatMul(c taxonomy.Class, procs int, a, b []isa.Word, rows, k, n int, opts .
 			}
 			return segs
 		},
-		outBase: cBase, outLen: mr * n}, want, opts)
+		outBase: cBase, outLen: mr * n}, func() ([]isa.Word, error) { return RefMatMul(a, b, rows, k, n) }, opts)
 }
 
 // FIRUni runs the FIR filter on the uni-processor. x includes len(h)-1
 // trailing ghost samples relative to the output length.
 func FIRUni(x, h []isa.Word, opts ...Option) (Result, error) {
-	want, err := RefFIR(x, h)
+	m, err := firOutputs(x, h)
 	if err != nil {
 		return Result{}, err
 	}
-	m := len(want)
 	prog, err := firProgram(m, len(h))
 	if err != nil {
 		return Result{}, err
 	}
-	return runUni("fir", prog, len(x)+len(h)+m+16, concat(x, h), len(x)+len(h), m, want, opts)
+	return runUni("fir", prog, len(x)+len(h)+m+16, x, h, len(x)+len(h), m, func() ([]isa.Word, error) { return RefFIR(x, h) }, opts)
 }
 
 // FIR runs the FIR filter on a local-addressing class using overlapped
@@ -151,11 +167,11 @@ func FIRUni(x, h []isa.Word, opts ...Option) (Result, error) {
 // IAP-I (no DP-DP switch) runs it — the overlap is the software workaround
 // for the missing switch, bought with duplicated input words.
 func FIR(c taxonomy.Class, procs int, x, h []isa.Word, opts ...Option) (Result, error) {
-	want, err := RefFIR(x, h)
+	outputs, err := firOutputs(x, h)
 	if err != nil {
 		return Result{}, err
 	}
-	m, err := shard(len(want), procs, 2, "outputs")
+	m, err := shard(outputs, procs, 2, "outputs")
 	if err != nil {
 		return Result{}, err
 	}
@@ -165,5 +181,5 @@ func FIR(c taxonomy.Class, procs int, x, h []isa.Word, opts ...Option) (Result, 
 		load: func(p int) []segment {
 			return []segment{{base: 0, vals: x[p*m : p*m+m+taps-1]}, {base: m + taps - 1, vals: h}}
 		},
-		outBase: m + 2*taps - 1, outLen: m}, want, opts)
+		outBase: m + 2*taps - 1, outLen: m}, func() ([]isa.Word, error) { return RefFIR(x, h) }, opts)
 }

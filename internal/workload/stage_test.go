@@ -139,8 +139,11 @@ func stagedCases(t *testing.T) []stagedCase {
 // eight goroutines run the same staged IUP, IAP, IMP (direct and crossbar
 // DP-DM) and ISP programs at once, traced and untraced, and every run's
 // output, Stats, per-core stats and folded events equal a serial run's.
-// Run it under -race: the shared decoded form, op chain and fused blocks
-// must only ever be read.
+// The traced runs emit into a Tally, so the IUP and IMP runs take their
+// fused paths traced as well as untraced, the crossbar IMP through the
+// block table cut around its loads and stores. Run it under -race: the
+// shared decoded form, op chain and both block tables must only ever be
+// read.
 func TestStagedRunsConcurrent(t *testing.T) {
 	cases := stagedCases(t)
 	want := make([][2]stagedRun, len(cases))

@@ -105,10 +105,19 @@ type Result struct {
 	Stats machine.Stats
 }
 
+// sameLength is the operand check of the two-vector kernels and their
+// references.
+func sameLength(a, b []isa.Word) error {
+	if len(a) != len(b) {
+		return fmt.Errorf("workload: vector lengths differ (%d vs %d)", len(a), len(b))
+	}
+	return nil
+}
+
 // RefVecAdd is the reference c[i] = a[i] + b[i].
 func RefVecAdd(a, b []isa.Word) ([]isa.Word, error) {
-	if len(a) != len(b) {
-		return nil, fmt.Errorf("workload: vector lengths differ (%d vs %d)", len(a), len(b))
+	if err := sameLength(a, b); err != nil {
+		return nil, err
 	}
 	c := make([]isa.Word, len(a))
 	for i := range a {
@@ -119,8 +128,8 @@ func RefVecAdd(a, b []isa.Word) ([]isa.Word, error) {
 
 // RefDot is the reference sum of a[i] * b[i].
 func RefDot(a, b []isa.Word) (isa.Word, error) {
-	if len(a) != len(b) {
-		return 0, fmt.Errorf("workload: vector lengths differ (%d vs %d)", len(a), len(b))
+	if err := sameLength(a, b); err != nil {
+		return 0, err
 	}
 	var s isa.Word
 	for i := range a {
@@ -142,6 +151,20 @@ func RefSum(a []isa.Word) isa.Word {
 // kernel must produce on every machine class. It is RefSum under the name
 // the conformance matrix uses for the kernel row.
 func RefReduce(a []isa.Word) isa.Word { return RefSum(a) }
+
+// reference computes a run's expected output. Runners validate their
+// operands' shapes up front and pass the reference computation on
+// unevaluated, so a program-sink run, which stops once its programs are
+// recorded, never computes it.
+type reference func() ([]isa.Word, error)
+
+// refDot is RefDot as a one-word reference.
+func refDot(a, b []isa.Word) reference {
+	return func() ([]isa.Word, error) {
+		s, err := RefDot(a, b)
+		return []isa.Word{s}, err
+	}
+}
 
 // checkEqual compares a machine output with the reference.
 func checkEqual(got, want []isa.Word) error {
@@ -229,8 +252,8 @@ func chunks(m int, vs ...[]isa.Word) func(p int) []segment {
 // decide the machine: a switched DP-DM means global addressing over all
 // banks, a switched DP-DP gives the processors a network, and on an IMP
 // a switched IP-IM shares one program image where a direct one needs a
-// copy per core. The gathered output must equal want.
-func runSPMD(c taxonomy.Class, k spmd, want []isa.Word, opts []Option) (Result, error) {
+// copy per core. The gathered output must equal what ref computes.
+func runSPMD(c taxonomy.Class, k spmd, ref reference, opts []Option) (Result, error) {
 	if c.Name.Machine != taxonomy.InstructionFlow || c.Name.Proc == taxonomy.UniProcessor {
 		return Result{}, fmt.Errorf("workload: %s is not an array, multi- or spatial processor", c)
 	}
@@ -249,6 +272,10 @@ func runSPMD(c taxonomy.Class, k spmd, want []isa.Word, opts []Option) (Result, 
 	if ro.record(ProgramSpec{Name: k.name, Program: prog, MemWords: mem, Procs: k.procs,
 		HasNetwork: c.Links[taxonomy.SiteDPDP].Switched(), HasBarrier: true}) {
 		return Result{}, nil
+	}
+	want, err := ref()
+	if err != nil {
+		return Result{}, err
 	}
 	mach, err := newBanked(c, k.procs, k.bankWords, prog, ro)
 	if err != nil {
@@ -288,19 +315,26 @@ func runSPMD(c taxonomy.Class, k spmd, want []isa.Word, opts []Option) (Result, 
 }
 
 // runUni runs prog on the uni-processor with memWords words of data
-// memory: input is copied in from address 0, and the outLen words at
-// outBase must equal want.
-func runUni(name string, prog isa.Program, memWords int, input []isa.Word, outBase, outLen int, want []isa.Word, opts []Option) (Result, error) {
+// memory: a and then b are copied in from address 0, and the outLen words
+// at outBase must equal what ref computes.
+func runUni(name string, prog isa.Program, memWords int, a, b []isa.Word, outBase, outLen int, ref reference, opts []Option) (Result, error) {
 	ro := applyOpts(opts)
 	if ro.record(ProgramSpec{Name: name, Program: prog, MemWords: memWords, Procs: 1}) {
 		return Result{}, nil
+	}
+	want, err := ref()
+	if err != nil {
+		return Result{}, err
 	}
 	m, err := uniproc.New(uniproc.Config{MemWords: memWords, Tracer: ro.tracer, Interp: ro.interp}, prog)
 	if err != nil {
 		return Result{}, err
 	}
 	defer m.Release()
-	out, stats, err := m.RunWithInput(input, outBase, outLen)
+	if err := m.Memory().CopyIn(len(a), b); err != nil {
+		return Result{}, fmt.Errorf("uniproc: %w", err)
+	}
+	out, stats, err := m.RunWithInput(a, outBase, outLen)
 	if err != nil {
 		return Result{}, err
 	}

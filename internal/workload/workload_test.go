@@ -262,3 +262,46 @@ func TestParallelismPaysOff(t *testing.T) {
 			lanes16.Stats.Cycles, lanes2.Stats.Cycles)
 	}
 }
+
+// TestProgramSinkSkipsReference: a program-sink run records its program
+// and returns before it computes the reference output, on the
+// uni-processor and on every sharded family, while a real run computes it
+// once.
+func TestProgramSinkSkipsReference(t *testing.T) {
+	a := []isa.Word{1, 2, 3, 4}
+	calls := 0
+	ref := func() ([]isa.Word, error) {
+		calls++
+		return RefVecAdd(a, a)
+	}
+	prog, err := VecAddProgram(len(a))
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs := map[string]func(opts []Option) (Result, error){
+		"IUP": func(opts []Option) (Result, error) {
+			return runUni("vecadd", prog, 3*len(a)+16, a, a, 2*len(a), len(a), ref, opts)
+		},
+	}
+	for _, proc := range []taxonomy.ProcessingType{taxonomy.ArrayProcessor, taxonomy.MultiProcessor, taxonomy.SpatialProcessor} {
+		c := tableClasses(taxonomy.InstructionFlow, proc)[0]
+		runs[c.String()] = func(opts []Option) (Result, error) {
+			return runSPMD(c, spmd{name: "vecadd", procs: 2, bankWords: 3*2 + 16,
+				program: func(int) (isa.Program, error) { return VecAddProgram(2) },
+				load:    chunks(2, a, a), outBase: 4, outLen: 2}, ref, opts)
+		}
+	}
+	for name, run := range runs {
+		calls = 0
+		var specs []ProgramSpec
+		if _, err := run([]Option{WithProgramSink(&specs)}); err != nil || len(specs) != 1 || calls != 0 {
+			t.Errorf("%s: sink run recorded %d programs, computed the reference %d times, error %v; want 1, 0, nil",
+				name, len(specs), calls, err)
+		}
+		res, err := run(nil)
+		if err != nil || calls != 1 || !slices.Equal(res.Output, []isa.Word{2, 4, 6, 8}) {
+			t.Errorf("%s: run output %v, computed the reference %d times, error %v; want [2 4 6 8], 1, nil",
+				name, res.Output, calls, err)
+		}
+	}
+}
