@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 
 	"repro/internal/exec"
 	"repro/internal/isa"
@@ -30,8 +31,11 @@ var crossbarIMP = mustClass("IMP-III")
 // event stream; a run that fails must fail with the same error text,
 // Stats and per-core CoreStats. The IMP runs on a direct DP-DM (IMP-I),
 // where cores run ahead through whole blocks, and on a DP-DM crossbar
-// (IMP-III), where the blocks are cut around every load and store and both
-// cores' accesses meet in one bank. Each seed also runs both IMP shapes
+// (IMP-III), where the cores run through their loads and stores in
+// optimistic windows and both cores' accesses meet in one bank; there the
+// compiled runs, untraced and into a Tally, go again with every window
+// rolled back (mimd.Machine.RollBackWindows), so both the commit and the
+// rollback path are pinned. Each seed also runs both IMP shapes
 // into a failure twice, out of cycle budget partway and out of bank with
 // a different image per core, so the sweep pins the failing slot of cores
 // that ran ahead, and what a Tally folded for them. Where the
@@ -73,7 +77,7 @@ func diffOutcome(who string, got, want backendOutcome) error {
 	}
 	if want.err == "" {
 		for i := range want.mems {
-			if err := diffMemory(fmt.Sprintf("%s bank %d", who, i), got.mems[i], want.mems[i]); err != nil {
+			if err := diffMemory(fmt.Sprintf("%s bank %d", who, i), "interp", got.mems[i], want.mems[i]); err != nil {
 				return err
 			}
 		}
@@ -101,7 +105,10 @@ func diffOutcome(who string, got, want backendOutcome) error {
 
 // BackendCheck generates the program for one seed and runs it on the four
 // machine shapes, and twice more into a failure on each IMP, with both
-// executors, untraced, traced into a Tally and traced into a Trace. Within
+// executors, untraced, traced into a Tally and traced into a Trace, and
+// the compiled code untraced and into a Tally with every optimistic
+// window rolled back (the rollback mode; only the crossbar IMP opens
+// windows). Within
 // each (shape, tracing) cell the compiled code must match the interp
 // reference exactly: error text, memories of a finished run, the full
 // Stats struct, the IMP's CoreStats, the Tally's count and totals and the
@@ -129,19 +136,19 @@ func backendCheck(seed int64, cfg GenConfig) BackendResult {
 
 	type shape struct {
 		name string
-		run  func(bool, obs.Tracer) (backendOutcome, error)
+		run  runner
 	}
-	imp := func(c taxonomy.Class, banks [][]isa.Word, bankWords int, budget int64) func(bool, obs.Tracer) (backendOutcome, error) {
-		return func(interp bool, tr obs.Tracer) (backendOutcome, error) {
-			return runMIMDBackend(prog, c, banks, bankWords, budget, interp, tr)
+	imp := func(c taxonomy.Class, banks [][]isa.Word, bankWords int, budget int64) runner {
+		return func(interp, rollback bool, tr obs.Tracer) (backendOutcome, error) {
+			return runMIMDBackend(prog, c, banks, bankWords, budget, interp, rollback, tr)
 		}
 	}
 	same := [][]isa.Word{img, img}
 	shapes := []shape{
-		{"IUP", func(interp bool, tr obs.Tracer) (backendOutcome, error) {
+		{"IUP", func(interp, _ bool, tr obs.Tracer) (backendOutcome, error) {
 			return runUniBackend(prog, img, bank, interp, tr)
 		}},
-		{"IAP-I", func(interp bool, tr obs.Tracer) (backendOutcome, error) {
+		{"IAP-I", func(interp, _ bool, tr obs.Tracer) (backendOutcome, error) {
 			return runSIMDBackend(prog, img, bank, interp, tr)
 		}},
 		{"IMP-I", imp(lockstepIMP, same, bank, 0)},
@@ -184,12 +191,19 @@ func backendCheck(seed int64, cfg GenConfig) BackendResult {
 	return r
 }
 
+// runner runs one shape on the interp reference or the compiled code,
+// the latter with every optimistic window rolled back if rollback is set
+// (a no-op where the machine opens none), traced into tr.
+type runner func(interp, rollback bool, tr obs.Tracer) (backendOutcome, error)
+
 // checkShape runs one shape with both executors, untraced, traced into a
-// Tally and traced into a Trace, and diffs each compiled run against the
-// interp run of the same tracing mode. It returns the untraced interp run.
-func checkShape(name string, run func(bool, obs.Tracer) (backendOutcome, error)) (backendOutcome, error) {
+// Tally and traced into a Trace, and the compiled code again untraced and
+// into a Tally with every window rolled back, and diffs each compiled run
+// against the interp run of the same tracing mode. It returns the
+// untraced interp run.
+func checkShape(name string, run runner) (backendOutcome, error) {
 	var untraced backendOutcome
-	for _, mode := range []string{"", "tally", "traced"} {
+	for _, mode := range []string{"", "tally", "rollback", "tally rollback", "traced"} {
 		var ref backendOutcome
 		for i, interp := range []bool{true, false} {
 			executor := "compiled"
@@ -200,14 +214,14 @@ func checkShape(name string, run func(bool, obs.Tracer) (backendOutcome, error))
 			var tally *obs.Tally
 			var tracer obs.Tracer
 			switch mode {
-			case "tally":
+			case "tally", "tally rollback":
 				tally = &obs.Tally{}
 				tracer = tally
 			case "traced":
 				tr = obs.AcquireTrace()
 				tracer = tr
 			}
-			out, err := run(interp, tracer)
+			out, err := run(interp, strings.HasSuffix(mode, "rollback"), tracer)
 			if tr != nil {
 				out.events = tr.Events()
 				obs.ReleaseTrace(tr)
@@ -281,7 +295,7 @@ func runSIMDBackend(prog isa.Program, img []isa.Word, bank int, interp bool, tr 
 // runMIMDBackend runs prog on a lockstepProcs-core IMP of class c with
 // bankWords-word banks, core i's loaded with banks[i], under a cycle
 // budget (0 for the default).
-func runMIMDBackend(prog isa.Program, c taxonomy.Class, banks [][]isa.Word, bankWords int, budget int64, interp bool, tr obs.Tracer) (backendOutcome, error) {
+func runMIMDBackend(prog isa.Program, c taxonomy.Class, banks [][]isa.Word, bankWords int, budget int64, interp, rollback bool, tr obs.Tracer) (backendOutcome, error) {
 	images := make([]isa.Program, lockstepProcs)
 	for i := range images {
 		images[i] = prog
@@ -292,6 +306,9 @@ func runMIMDBackend(prog isa.Program, c taxonomy.Class, banks [][]isa.Word, bank
 		return backendOutcome{}, err
 	}
 	defer mp.Release()
+	if rollback {
+		mp.RollBackWindows()
+	}
 	for core := 0; core < lockstepProcs; core++ {
 		if err := mp.LoadBank(core, 0, banks[core]); err != nil {
 			return backendOutcome{}, err

@@ -239,7 +239,7 @@ func lockstepCheck(seed int64, cfg GenConfig) LockstepResult {
 		if err != nil {
 			return fail(err, prog)
 		}
-		if err := diffMemory(fmt.Sprintf("IAP-I lane %d", lane), laneMem, uniMem); err != nil {
+		if err := diffMemory(fmt.Sprintf("IAP-I lane %d", lane), "uniproc", laneMem, uniMem); err != nil {
 			return fail(err, prog)
 		}
 	}
@@ -268,7 +268,7 @@ func lockstepCheck(seed int64, cfg GenConfig) LockstepResult {
 		if err != nil {
 			return fail(err, prog)
 		}
-		if err := diffMemory(fmt.Sprintf("IMP-I core %d", core), coreMem, uniMem); err != nil {
+		if err := diffMemory(fmt.Sprintf("IMP-I core %d", core), "uniproc", coreMem, uniMem); err != nil {
 			return fail(err, prog)
 		}
 	}
@@ -280,14 +280,16 @@ func lockstepCheck(seed int64, cfg GenConfig) LockstepResult {
 	return r
 }
 
-// diffMemory compares one machine's final bank against the reference.
-func diffMemory(who string, got, want []isa.Word) error {
+// diffMemory compares one machine's final bank against the reference run,
+// named ref in the message: the uni-processor in the lockstep sweep, the
+// interp run in the executor sweep.
+func diffMemory(who, ref string, got, want []isa.Word) error {
 	if len(got) != len(want) {
-		return fmt.Errorf("conformance: %s bank has %d words, uniproc has %d", who, len(got), len(want))
+		return fmt.Errorf("conformance: %s bank has %d words, %s has %d", who, len(got), ref, len(want))
 	}
 	for i := range got {
 		if got[i] != want[i] {
-			return fmt.Errorf("conformance: %s diverged at word %d: %d, uniproc says %d", who, i, got[i], want[i])
+			return fmt.Errorf("conformance: %s diverged at word %d: %d, %s says %d", who, i, got[i], ref, want[i])
 		}
 	}
 	return nil

@@ -98,16 +98,25 @@ func TestGenConfigValidate(t *testing.T) {
 }
 
 // TestDiffMemoryDetectsDivergence exercises the detector half of the
-// differ directly.
+// differ directly, and pins its messages, which name the reference they
+// compare against: the uni-processor in the lockstep sweep, the interp run
+// in the executor sweep.
 func TestDiffMemoryDetectsDivergence(t *testing.T) {
-	if err := diffMemory("x", []isa.Word{1, 2}, []isa.Word{1, 2}); err != nil {
+	if err := diffMemory("x", "uniproc", []isa.Word{1, 2}, []isa.Word{1, 2}); err != nil {
 		t.Errorf("identical memories diffed: %v", err)
 	}
-	if err := diffMemory("x", []isa.Word{1, 3}, []isa.Word{1, 2}); err == nil {
-		t.Error("diverged memories passed")
-	}
-	if err := diffMemory("x", []isa.Word{1}, []isa.Word{1, 2}); err == nil {
-		t.Error("length mismatch passed")
+	for _, tc := range []struct {
+		ref       string
+		got, want []isa.Word
+		msg       string
+	}{
+		{"uniproc", []isa.Word{1, 3}, []isa.Word{1, 2}, "conformance: x diverged at word 1: 3, uniproc says 2"},
+		{"interp", []isa.Word{1, 3}, []isa.Word{1, 2}, "conformance: x diverged at word 1: 3, interp says 2"},
+		{"interp", []isa.Word{1}, []isa.Word{1, 2}, "conformance: x bank has 1 words, interp has 2"},
+	} {
+		if err := diffMemory("x", tc.ref, tc.got, tc.want); err == nil || err.Error() != tc.msg {
+			t.Errorf("diffMemory(%v, %v) against %s = %v, want %q", tc.got, tc.want, tc.ref, err, tc.msg)
+		}
 	}
 }
 

@@ -206,6 +206,21 @@ func (c *Crossbar) Transfer(now int64, src, dst int) (int64, error) {
 // Stats implements Network.
 func (c *Crossbar) Stats() Stats { return c.stats }
 
+// FreeAt returns the cycle from which dst's output port is free: a
+// transfer to dst issued at or after it arrives the cycle after it issued.
+func (c *Crossbar) FreeAt(dst int) int64 { return c.outBusy[dst] }
+
+// Admit records n transfers to dst that arrived the cycle after they
+// issued, the last of them issued at cycle last: what Transfer records for
+// them, taken in issue order, when none issued before FreeAt(dst) and no
+// two issued in one cycle. A batch checked against that rule may so be
+// admitted out of issue order, and then in one call per destination.
+func (c *Crossbar) Admit(dst int, n, last int64) {
+	c.outBusy[dst] = max(c.outBusy[dst], last+1)
+	c.stats.Transfers += n
+	c.stats.TotalLatency += n
+}
+
 // Reset implements Network.
 func (c *Crossbar) Reset() {
 	for i := range c.outBusy {

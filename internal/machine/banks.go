@@ -52,8 +52,16 @@ type Banks struct {
 
 	cfg   BankConfig
 	banks []Memory
-	// memNet carries cross-bank accesses; nil for direct DP-DM.
+	// global backs every bank, in processor order, under a DP-DM
+	// crossbar: the one address space its processors address. Nil under
+	// direct DP-DM, where each bank is its own allocation.
+	global Memory
+	// memNet carries cross-bank accesses; nil for direct DP-DM. xbar is
+	// the crossbar it wraps, which takes the batches a multi-processor's
+	// optimistic rounds admit: they waited for no port, so they owe the
+	// tracer no stall.
 	memNet interconnect.Network
+	xbar   *interconnect.Crossbar
 	// msgNet carries SEND/RECV; nil without a DP-DP switch.
 	msgNet interconnect.Network
 	// mail[src][dst] is the in-order queue of words sent from src to dst.
@@ -79,6 +87,7 @@ func NewBanks(cfg BankConfig) (*Banks, error) {
 		if err != nil {
 			return nil, err
 		}
+		b.xbar = net
 		b.memNet = obs.ObserveNetwork(net, cfg.Tracer)
 	}
 	if cfg.DPDP == taxonomy.LinkCrossbar {
@@ -99,7 +108,21 @@ func NewBanks(cfg BankConfig) (*Banks, error) {
 		}
 	}
 	b.banks = make([]Memory, cfg.Procs)
+	if b.xbar != nil {
+		global, err := GetMemory(cfg.Procs * cfg.BankWords)
+		if err != nil {
+			return nil, err
+		}
+		b.global = global
+		for i := range b.banks {
+			lo, hi := i*cfg.BankWords, (i+1)*cfg.BankWords
+			b.banks[i] = global[lo:hi:hi]
+		}
+	}
 	for i := range b.banks {
+		if b.banks[i] != nil {
+			continue
+		}
 		bank, err := GetMemory(cfg.BankWords)
 		if err != nil {
 			b.Release()
@@ -117,6 +140,12 @@ func NewBanks(cfg BankConfig) (*Banks, error) {
 // Release returns the banks to the pool. The owning machine must not be
 // used afterwards; a second Release does nothing.
 func (b *Banks) Release() {
+	if b.global != nil {
+		PutMemory(b.global)
+		b.global = nil
+		clear(b.banks)
+		return
+	}
 	for i := range b.banks {
 		PutMemory(b.banks[i])
 		b.banks[i] = nil
@@ -153,6 +182,15 @@ func (b *Banks) Bank(p int) Memory { return b.banks[p] }
 
 // MemNet returns the DP-DM crossbar, nil under direct DP-DM.
 func (b *Banks) MemNet() interconnect.Network { return b.memNet }
+
+// Global returns the one address space a DP-DM crossbar gives its
+// processors: every bank, in processor order, so global address a is word
+// a%BankWords of bank a/BankWords. It is nil under direct DP-DM.
+func (b *Banks) Global() Memory { return b.global }
+
+// Crossbar returns the DP-DM crossbar model itself, without the tracer
+// MemNet reports its stalls to; nil under direct DP-DM.
+func (b *Banks) Crossbar() *interconnect.Crossbar { return b.xbar }
 
 // Resolve maps processor p's address to a (bank, offset) pair under the
 // DP-DM kind: its own bank under direct wiring, one global address space

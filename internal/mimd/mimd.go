@@ -27,11 +27,15 @@
 // which no core is ready. A block is private when it holds no SEND, RECV,
 // SYNC or HALT and cannot leave the program. Under a direct DP-DM switch,
 // where no other core can reach the bank, its loads and stores are
-// private too. Under a DP-DM crossbar the blocks are cut around every load
-// and store: a core runs ahead through the stretches between them and
-// steps each load and store at its own slot, where it meets the other
-// cores' accesses to the crossbar in slot order. Every other block steps
-// one op per slot. Run-ahead changes no result: Stats, CoreStats and error
+// private too. Under a DP-DM crossbar loads and stores are no longer
+// stepped one access per slot: the cores run through them in optimistic
+// rounds (window.go), each validated against the crossbar model and the
+// words the other cores touched, and committed, or rolled back and
+// stepped as before: the blocks cut around every load and store, a core
+// running ahead through the stretches between them and stepping each
+// load and store at its own slot, where it meets the other cores'
+// accesses to the crossbar in slot order. Every other block steps one op
+// per slot. Run-ahead changes no result: Stats, CoreStats and error
 // texts are those of the op-by-op loop. A fault inside a fused block stops
 // the core in front of the faulting op with its state as it was, and the
 // op is stepped again through the per-op chain at its own slot, so it is
@@ -40,13 +44,13 @@
 // after it. HALT never runs fused, so it takes effect at its own cycle.
 //
 // Untraced runs and runs traced into an obs.Tally run ahead. A Tally only
-// counts, so each run-ahead folds the events its ops would have emitted
-// (one per instruction, one more per load and per store) from the call's
-// batched Stats in one step, and a failure takes them back with the
-// instructions. Runs traced by any other Tracer and the machine.StepOps
-// reference step every op in slot order instead, because the emission
-// order of their events is part of what the goldens and the differential
-// sweeps compare.
+// counts, so each run-ahead and committed window folds the events its ops
+// would have emitted (one per instruction, one more per load and per
+// store) from the call's batched Stats in one step, and a failure takes
+// them back with the instructions. Runs traced by any other Tracer and
+// the machine.StepOps reference step every op in slot order instead,
+// because the emission order of their events is part of what the goldens
+// and the differential sweeps compare.
 package mimd
 
 import (
@@ -118,6 +122,9 @@ type image struct {
 	// qualifies or the run is interpreted or traced by a recorder that
 	// keeps its events.
 	ahead []bool
+	// win marks the pcs at which a core may open an optimistic window
+	// (window.go); nil unless the machine runs rounds.
+	win []bool
 }
 
 // tallyOf returns the run's tracer when it is an *obs.Tally, which only
@@ -128,22 +135,46 @@ func tallyOf(tr obs.Tracer) *obs.Tally {
 	return t
 }
 
+// runsAhead reports whether cores may run ahead of the slot order: on
+// the compiled code, untraced or traced into a Tally. The reference and
+// ordered traces step every op in slot order.
+func (c Config) runsAhead() bool {
+	return !c.Interp && (c.Tracer == nil || tallyOf(c.Tracer) != nil)
+}
+
+// windowed reports whether the machine runs optimistic rounds: cores run
+// ahead and their loads and stores cross a DP-DM crossbar.
+func (c Config) windowed() bool {
+	return c.runsAhead() && c.Class.Links[taxonomy.SiteDPDM] == taxonomy.LinkCrossbar &&
+		c.Cores <= maxWindowCores && c.BankWords > 1 && int64(c.Cores)*int64(c.BankWords) <= maxWindowWords
+}
+
 // newImage builds one program image from its loaded program.
 func newImage(ld machine.Loaded, cfg Config) *image {
 	img := &image{dec: ld.Dec, ops: ld.Ops, comp: ld.Comp}
-	if img.comp == nil || cfg.Tracer != nil && tallyOf(cfg.Tracer) == nil {
-		return img // the reference and ordered traces step every op in slot order
+	if img.comp == nil || !cfg.runsAhead() {
+		return img
 	}
 	memLocal := cfg.Class.Links[taxonomy.SiteDPDM] == taxonomy.LinkDirect
-	for pc := range img.dec {
-		if img.comp.RunsAhead(pc, memLocal) {
-			if img.ahead == nil {
-				img.ahead = make([]bool, len(img.dec))
-			}
-			img.ahead[pc] = true
-		}
+	img.ahead = marks(len(img.dec), func(pc int) bool { return img.comp.RunsAhead(pc, memLocal) })
+	if cfg.windowed() {
+		img.win = marks(len(img.dec), img.comp.WindowAt)
 	}
 	return img
+}
+
+// marks returns the pcs in [0, n) at which at holds, nil when none does.
+func marks(n int, at func(pc int) bool) []bool {
+	var m []bool
+	for pc := range n {
+		if at(pc) {
+			if m == nil {
+				m = make([]bool, n)
+			}
+			m[pc] = true
+		}
+	}
+	return m
 }
 
 // coreState tracks one core's execution.
@@ -182,6 +213,9 @@ type Machine struct {
 	// tally is Config.Tracer when it is an *obs.Tally: run-ahead folds
 	// its events into it, and stop takes back what it folded too far.
 	tally *obs.Tally
+	// win is the scratch of the optimistic rounds under a DP-DM crossbar,
+	// nil when the machine runs none.
+	win *windows
 }
 
 // CoreStats summarises one core's activity in a run.
@@ -245,12 +279,18 @@ func New(cfg Config, programs []isa.Program) (*Machine, error) {
 		tally:    tallyOf(cfg.Tracer),
 	}
 	m.Banks = banks
+	if cfg.windowed() {
+		m.win = getWindows(cfg.Cores, cfg.BankWords)
+	}
 	for i := range m.cores {
 		m.cores[i].img = images[0]
 		if ipimDirect {
 			m.cores[i].img = images[i]
 		}
 		m.cores[i].cpu.Mem = banks.Bank(i)
+		if m.win != nil {
+			m.cores[i].cpu.Mem = banks.Global()
+		}
 		m.cores[i].cpu.Lane = isa.Word(i)
 		// SYNC blocks until tryReleaseBarrier releases every live core.
 		m.Env(i).Barrier = func() error { return machine.ErrWouldBlock }
@@ -272,6 +312,16 @@ func (m *Machine) Assign(core, image int) error {
 	}
 	m.cores[core].img = m.images[image]
 	return nil
+}
+
+// Release returns the machine's banks and round scratch to their pools.
+// The machine must not be used afterwards; a second Release does nothing.
+func (m *Machine) Release() {
+	if m.win != nil {
+		putWindows(m.win)
+		m.win = nil
+	}
+	m.Banks.Release()
 }
 
 // Cores returns the core count.
@@ -314,6 +364,9 @@ func (m *Machine) Run() (machine.Stats, error) {
 			m.stop(&stats, cycle, -1)
 			return stats, fmt.Errorf("mimd: %w after %d cycles", machine.ErrDeadline, cycle)
 		}
+		if m.win != nil && cycle >= m.win.resume {
+			m.round(cycle, budget, &stats)
+		}
 		progress := false
 		anyScheduledLater := false
 		// next is the earliest cycle after this one at which a live core
@@ -340,15 +393,7 @@ func (m *Machine) Run() (machine.Stats, error) {
 			if img.ahead != nil && img.ahead[c.pc] {
 				pc, at := img.comp.RunAhead(&c.cpu, c.pc, cycle, budget, m.memLocal, &c.trail)
 				if at > cycle {
-					ran := &c.cpu.Stats
-					stats.Instructions += ran.Instructions
-					stats.ALUOps += ran.ALUOps
-					stats.MemReads += ran.MemReads
-					stats.MemWrites += ran.MemWrites
-					m.perCore[i].Instructions += ran.Instructions
-					if m.tally != nil {
-						machine.FoldPrivate(m.tally, *ran, 1)
-					}
+					m.credit(&stats, i, c.cpu.Stats, 1)
 					c.pc, c.readyAt = pc, at
 					stats.Cycles = max(stats.Cycles, at)
 					progress = true
@@ -453,18 +498,26 @@ func (m *Machine) stop(stats *machine.Stats, cycle int64, core int) {
 		if j < core {
 			cut++ // core j's slot of this cycle came before the failure
 		}
-		back := comp.After(&c.trail, cut)
-		stats.Instructions -= back.Instructions
-		stats.ALUOps -= back.ALUOps
-		stats.MemReads -= back.MemReads
-		stats.MemWrites -= back.MemWrites
-		m.perCore[j].Instructions -= back.Instructions
-		if m.tally != nil {
-			machine.FoldPrivate(m.tally, back, -1)
+		m.credit(stats, j, comp.After(&c.trail, cut), -1)
+		if m.win != nil {
+			m.credit(stats, j, comp.After(&m.win.cores[j].trail, cut), -1)
 		}
 	}
 	stats.NetConflictCycles += m.ConflictCycles()
 	stats.Cycles = cycle
+}
+
+// credit adds (sign 1) or takes back (sign -1) the work core retired
+// ahead of the slot order, in ran, and the events a Tally folded for it.
+func (m *Machine) credit(stats *machine.Stats, core int, ran machine.Stats, sign int64) {
+	stats.Instructions += sign * ran.Instructions
+	stats.ALUOps += sign * ran.ALUOps
+	stats.MemReads += sign * ran.MemReads
+	stats.MemWrites += sign * ran.MemWrites
+	m.perCore[core].Instructions += sign * ran.Instructions
+	if m.tally != nil {
+		machine.FoldPrivate(m.tally, ran, sign)
+	}
 }
 
 // tryReleaseBarrier releases all cores once every live core waits at SYNC,

@@ -378,17 +378,18 @@ loop:   addi r1, r1, -1
 	}
 }
 
-// diffAgainstInterp runs progs on cfg four ways: untraced compiled code
-// (where cores run ahead through private blocks), compiled code traced
-// into an obs.Tally (where they run ahead too, folding their events),
-// compiled code traced into an obs.Trace (which steps every op) and the
-// machine.StepOps reference traced into a Tally. All must agree on the
-// error text, the Stats and the CoreStats, and the compiled run's Tally
-// must hold the reference's event count and totals. It returns the
-// reference's Stats and error.
+// diffAgainstInterp runs progs on cfg six ways: untraced compiled code
+// (where cores run ahead through private blocks, and under a DP-DM
+// crossbar open optimistic windows), compiled code traced into an
+// obs.Tally (where they run ahead too, folding their events), both again
+// with every window rolled back, compiled code traced into an obs.Trace
+// (which steps every op) and the machine.StepOps reference traced into a
+// Tally. All must agree on the error text, the Stats and the CoreStats,
+// and each compiled run's Tally must hold the reference's event count and
+// totals. It returns the reference's Stats and error.
 func diffAgainstInterp(t *testing.T, cfg Config, progs []isa.Program) (machine.Stats, error) {
 	t.Helper()
-	run := func(interp bool, tr obs.Tracer) (machine.Stats, []CoreStats, error) {
+	run := func(interp, rollback bool, tr obs.Tracer) (machine.Stats, []CoreStats, error) {
 		c := cfg
 		c.Interp, c.Tracer = interp, tr
 		m, err := New(c, progs)
@@ -396,16 +397,24 @@ func diffAgainstInterp(t *testing.T, cfg Config, progs []isa.Program) (machine.S
 			t.Fatal(err)
 		}
 		defer m.Release()
+		if rollback {
+			m.RollBackWindows()
+		}
 		stats, err := m.Run()
 		return stats, m.CoreStats(), err
 	}
-	var refTally, tally obs.Tally
-	refStats, refCores, refErr := run(true, &refTally)
+	var refTally, tally, rollbackTally obs.Tally
+	refStats, refCores, refErr := run(true, false, &refTally)
 	for _, v := range []struct {
-		name string
-		tr   obs.Tracer
-	}{{"compiled", nil}, {"tally", &tally}, {"traced", obs.NewTrace()}} {
-		stats, cores, err := run(false, v.tr)
+		name     string
+		rollback bool
+		tr       obs.Tracer
+	}{
+		{"compiled", false, nil}, {"tally", false, &tally},
+		{"rollback", true, nil}, {"tally rollback", true, &rollbackTally},
+		{"traced", false, obs.NewTrace()},
+	} {
+		stats, cores, err := run(false, v.rollback, v.tr)
 		if fmt.Sprint(err) != fmt.Sprint(refErr) {
 			t.Errorf("%s: error %v, interp says %v", v.name, err, refErr)
 		}
@@ -416,9 +425,11 @@ func diffAgainstInterp(t *testing.T, cfg Config, progs []isa.Program) (machine.S
 			t.Errorf("%s: core stats %+v, interp says %+v", v.name, cores, refCores)
 		}
 	}
-	if tally.Len() != refTally.Len() || tally.Totals() != refTally.Totals() {
-		t.Errorf("tally: %d events, totals %+v; interp says %d, %+v",
-			tally.Len(), tally.Totals(), refTally.Len(), refTally.Totals())
+	for _, tl := range []*obs.Tally{&tally, &rollbackTally} {
+		if tl.Len() != refTally.Len() || tl.Totals() != refTally.Totals() {
+			t.Errorf("tally: %d events, totals %+v; interp says %d, %+v",
+				tl.Len(), tl.Totals(), refTally.Len(), refTally.Totals())
+		}
 	}
 	return refStats, refErr
 }
@@ -482,8 +493,10 @@ out:    halt`)
 // every offset inside a run-ahead, and requires the deadline's Stats,
 // CoreStats and Tally of the op-by-op reference at each. It sweeps a
 // direct DP-DM class, where the whole loop runs ahead, and a DP-DM
-// crossbar class, where the loop is cut around its loads and stores and
-// both cores' accesses meet in bank 0.
+// crossbar class, where both cores' accesses meet in bank 0: there the
+// cores run the loop in optimistic windows, committed and, in
+// diffAgainstInterp's rollback runs, rolled back, so the budget also
+// expires inside a window and at every cycle of a rolled-back round.
 func TestRunAhead_BudgetSweep(t *testing.T) {
 	// Core-local C = A x B with A at 0 (rows x 3), B at 12 (3 x 2), C at 20.
 	matmul := func(rows int) isa.Program {

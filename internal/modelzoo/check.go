@@ -37,8 +37,34 @@ type CheckedProgram struct {
 // Each distinct (program, target) pair is checked once per process: the
 // reports come from a memo keyed by the program's content and the target,
 // never by who asked, so the same program staged by another cell, request
-// or peer fill costs a lookup.
+// or peer fill costs a lookup. The checked programs of a (class, kernel,
+// n, procs) are memoized too, so asking again (a served miss asks twice:
+// when its request is decoded and when its result is loaded) runs no
+// program sink; errors are not memoized. The returned slice is shared:
+// treat it as read-only.
 func CheckKernel(c taxonomy.Class, kernel string, n, procs int) ([]CheckedProgram, error) {
+	return kernelMemo.Get(kernelKey{c, kernel, n, procs}, func() ([]CheckedProgram, error) {
+		return checkKernel(c, kernel, n, procs)
+	})
+}
+
+// kernelMemoSize bounds the memo of checked kernels: enough for the two
+// asks of one served miss to meet, and for a served epoch's hot cells.
+const kernelMemoSize = 512
+
+// kernelMemo is the process-wide memo of CheckKernel's results.
+var kernelMemo = memo.New[kernelKey, []CheckedProgram](kernelMemoSize)
+
+// kernelKey identifies one CheckKernel call.
+type kernelKey struct {
+	class    taxonomy.Class
+	kernel   string
+	n, procs int
+}
+
+// checkKernel is CheckKernel without the kernel memo: it stages the run's
+// programs through a program sink and checks each.
+func checkKernel(c taxonomy.Class, kernel string, n, procs int) ([]CheckedProgram, error) {
 	var specs []workload.ProgramSpec
 	if _, err := RunKernel(c, kernel, n, procs, workload.WithProgramSink(&specs)); err != nil {
 		return nil, err

@@ -249,7 +249,9 @@ func (k *Kernel) InMatrix(c taxonomy.Class) bool {
 }
 
 // Execute runs the kernel on c and returns the result together with the
-// pure-Go reference output for the same operands.
+// pure-Go reference output for the same operands. The runner checks its
+// output against that reference (workload.WithExpected), so the reference
+// is computed once and a wrong output fails the run.
 func (k *Kernel) Execute(c taxonomy.Class, n, procs int, opts ...workload.Option) (workload.Result, []isa.Word, error) {
 	run := k.runnerFor(c)
 	if run == nil {
@@ -260,7 +262,7 @@ func (k *Kernel) Execute(c taxonomy.Class, n, procs int, opts ...workload.Option
 	if err != nil {
 		return workload.Result{}, nil, err
 	}
-	res, err := run(c, procs, in, opts)
+	res, err := run(c, procs, in, append(opts[:len(opts):len(opts)], workload.WithExpected(want)))
 	return res, want, err
 }
 

@@ -204,3 +204,39 @@ func TestCheckKernelConcurrent(t *testing.T) {
 		t.Errorf("memo holds %d entries, bound 8", n)
 	}
 }
+
+// TestCheckKernelMemo: a second CheckKernel of one (class, kernel, n,
+// procs) is a kernel-memo hit that shares the first call's checked
+// programs and runs no program sink (the check memo sees no lookup), and
+// an error is not memoized.
+func TestCheckKernelMemo(t *testing.T) {
+	c, err := taxonomy.LookupString("IMP-III")
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := CheckKernel(c, "matmul", 48, 4)
+	if err != nil || len(first) == 0 {
+		t.Fatalf("CheckKernel: %v, %d programs", err, len(first))
+	}
+	hits, misses := kernelMemo.Lookups()
+	checkHits, checkMisses := checkMemo.Lookups()
+	again, err := CheckKernel(c, "matmul", 48, 4)
+	if err != nil || &again[0] != &first[0] {
+		t.Fatalf("second CheckKernel: %v, shares the first's programs: %v", err, err == nil && &again[0] == &first[0])
+	}
+	if h, m := kernelMemo.Lookups(); h != hits+1 || m != misses {
+		t.Errorf("second CheckKernel: kernel memo hits %d -> %d, misses %d -> %d; want one hit", hits, h, misses, m)
+	}
+	if h, m := checkMemo.Lookups(); h != checkHits || m != checkMisses {
+		t.Errorf("second CheckKernel looked up the check memo (hits %d -> %d, misses %d -> %d)", checkHits, h, checkMisses, m)
+	}
+	size := kernelMemo.Len()
+	for range 2 {
+		if _, err := CheckKernel(c, "matmul", 47, 4); err == nil {
+			t.Fatal("CheckKernel of a shape that does not shard: no error")
+		}
+	}
+	if kernelMemo.Len() != size {
+		t.Errorf("a failed CheckKernel was memoized (%d entries, was %d)", kernelMemo.Len(), size)
+	}
+}

@@ -105,10 +105,11 @@ func VecAddDataflow(c taxonomy.Class, pes int, a, b []isa.Word, opts ...Option) 
 	if pes < 1 || n%pes != 0 {
 		return Result{}, fmt.Errorf("workload: %d elements do not shard over %d PEs", n, pes)
 	}
-	if applyOpts(opts).sinkOnly() {
+	ro := applyOpts(opts)
+	if ro.sinkOnly() {
 		return Result{}, nil // token graph, no guest ISA program to record
 	}
-	want, err := RefVecAdd(a, b)
+	want, err := ro.reference(func() ([]isa.Word, error) { return RefVecAdd(a, b) })
 	if err != nil {
 		return Result{}, err
 	}
@@ -176,10 +177,11 @@ func VecAddFabric(width int, a, b []isa.Word, opts ...Option) (Result, error) {
 	if err := sameLength(a, b); err != nil {
 		return Result{}, err
 	}
-	if applyOpts(opts).sinkOnly() {
+	ro := applyOpts(opts)
+	if ro.sinkOnly() {
 		return Result{}, nil // LUT bitstream, no guest ISA program to record
 	}
-	want, err := RefVecAdd(a, b)
+	want, err := ro.reference(func() ([]isa.Word, error) { return RefVecAdd(a, b) })
 	if err != nil {
 		return Result{}, err
 	}
