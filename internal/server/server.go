@@ -39,8 +39,10 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"reflect"
 	"runtime"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -287,6 +289,10 @@ func New(cfg Config) (*Server, error) {
 		s.metrics[ep] = em
 	}
 
+	// /v1/simulate items are most of what the result cache holds, so
+	// their keys take the dictionary's one-byte codes; registering each
+	// endpoint adds its own response's keys.
+	cache.AddKeys(jsonKeys(reflect.TypeFor[SimulateResponse]())...)
 	registerRoutes(s)
 
 	// The distributed cache dispatches misses to the loader register()
@@ -500,6 +506,41 @@ func makeLoader[Req, Resp any](ep endpointSpec[Req, Resp]) func(ctx context.Cont
 	}
 }
 
+// jsonKeys returns the object keys encoding/json can write for a value of
+// type t: the JSON names of its fields and of the fields of the structs it
+// holds, in field order. Map keys depend on the data and are left out.
+func jsonKeys(t reflect.Type) []string {
+	var keys []string
+	seen := map[reflect.Type]bool{}
+	var walk func(reflect.Type)
+	walk = func(t reflect.Type) {
+		for t.Kind() == reflect.Pointer || t.Kind() == reflect.Slice || t.Kind() == reflect.Array || t.Kind() == reflect.Map {
+			t = t.Elem()
+		}
+		if t.Kind() != reflect.Struct || seen[t] {
+			return
+		}
+		seen[t] = true
+		for i := range t.NumField() {
+			f := t.Field(i)
+			name, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+			switch {
+			case name == "-" || !f.IsExported() && !f.Anonymous:
+				continue
+			case f.Anonymous && name == "":
+				walk(f.Type) // promoted fields
+				continue
+			case name == "":
+				name = f.Name
+			}
+			keys = append(keys, name)
+			walk(f.Type)
+		}
+	}
+	walk(t)
+	return keys
+}
+
 // register installs the endpoint on the server's mux with the full
 // middleware stack: method gate, concurrency gate, timeout, metrics,
 // per-item caching, exec fan-out.
@@ -510,6 +551,7 @@ func register[Req, Resp any](s *Server, ep endpointSpec[Req, Resp]) {
 		panic(fmt.Sprintf("server: endpoint %q not declared in Endpoints()", ep.path))
 	}
 	s.loaders[ep.path] = makeLoader(ep)
+	cache.AddKeys(jsonKeys(reflect.TypeFor[Resp]())...)
 	s.mux.HandleFunc(ep.path, func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		r, rt, root := s.traceStart(r, ep.path)
