@@ -13,10 +13,15 @@ import (
 // threaded code — one closure per instruction, specialized at compile time
 // to its operand registers, widened immediate and absolute branch target,
 // so the executed path has no per-op switch at all — plus a basic-block
-// program for the uni-processor fast path: straight-line runs are grouped
-// into blocks, fused into superinstructions where a known pattern matches
-// (load+ALU+store triples, induction-increment+branch pairs), and accounted
-// in one batched Stats update per block instead of one per instruction.
+// program for the fused fast paths: straight-line runs are grouped into
+// blocks, fused into superinstructions where a known pattern matches
+// (load+ALU+store triples, mul/muli/add+add ALU pairs, induction-increment
+// +branch pairs), and accounted in one batched Stats update per block
+// instead of one per instruction. Each unit of a block is one specialised
+// closure, so a block costs one indirect call per unit; its terminator is
+// data that runBlock switches on. A block that closes with a jmp to a
+// loop header (a conditional branch alone in its block) runs that branch
+// as its own terminator, so a loop iteration is one block.
 //
 // Equivalence with Step is architectural, not best-effort: the
 // differential sweeps in internal/conformance and the FuzzCompile oracle
@@ -66,9 +71,31 @@ const haltPC = -1
 // the runner re-derives exact per-instruction accounting.
 type microFn func(c *CPU) (int32, error)
 
-// termFn computes a block's successor pc (haltPC after HALT), applying the
-// taken-branch penalty and any fused induction increment.
-type termFn func(c *CPU) int
+// termKind is what a block's terminator does once the block's units ran.
+type termKind uint8
+
+const (
+	// termGo continues at tgt: the fall-through successor, a jmp's target
+	// or haltPC after HALT.
+	termGo termKind = iota
+	// termBeq..termBge continue at tgt when their condition on ra and rb
+	// holds, paying pen, and at fall otherwise.
+	termBeq
+	termBne
+	termBlt
+	termBge
+)
+
+// term is a block's terminator, as data runBlock switches on: a fused
+// induction increment (regs[prd] += pimm; pimm is 0 when there is none),
+// then the successor pc.
+type term struct {
+	kind        termKind
+	prd, ra, rb uint8
+	pimm        isa.Word
+	tgt, fall   int32
+	pen         int64
+}
 
 // unit is one microFn plus the pc range it covers.
 type unit struct {
@@ -78,17 +105,24 @@ type unit struct {
 }
 
 // block is one basic block: fused straight-line units, a terminator, and
-// the batched Stats of every instruction in [start, end).
+// the batched Stats of every instruction in [start, end), plus the
+// threaded loop header's, if any.
 type block struct {
 	start, end int32
 	units      []unit
-	term       termFn
+	term       term
+	// head is the pc of the loop header the block's closing jmp targets
+	// when the terminator runs that header's branch (jump threading), -1
+	// otherwise. The header counts in the batched accounting below.
+	head int32
 	// Batched accounting applied once per successful block execution.
 	nInstr, nALU, nLoads, nStores int64
 	// cycles is the static cycle cost of the whole block (instruction
-	// issues plus DP-DM latencies; the dynamic taken-branch penalty is the
-	// terminator's). It doubles as the budget-guard margin: a block only
-	// runs fused when the cycle budget cannot expire inside it.
+	// issues plus DP-DM latencies, a closing jmp's penalty and a threaded
+	// header's issue; the dynamic taken-branch penalty of a conditional
+	// terminator is the terminator's). It doubles as the budget-guard
+	// margin: a block only runs fused when the cycle budget cannot expire
+	// inside it.
 	cycles int64
 	// private marks a block no other processor can observe: no SEND, RECV,
 	// SYNC or HALT, and every successor inside the program. Its loads and
@@ -109,9 +143,10 @@ type block struct {
 // them, and one compiled program may be shared by goroutines: whole holds
 // the CFG's basic blocks; cut the same blocks cut around every load and
 // store, for cores whose loads and stores cross a DP-DM crossbar; and win
-// the same blocks cut before every load and store, for the optimistic
-// windows of those cores (RunWindow), where each block's one load or
-// store, if any, is its first op.
+// the whole blocks with logging loads and stores, plus a tail block from
+// each load or store inside one, for the optimistic windows of those
+// cores (RunWindow). ALU pairs fuse in every table, the load+ALU+store
+// triple only in whole, and every table threads loop headers.
 type CompiledProgram struct {
 	ops             []OpFn
 	whole, cut, win blockTable
@@ -207,7 +242,7 @@ func (p *CompiledProgram) buildBlocks(t *blockTable, kind tableKind) {
 	lower := func(start, end int) {
 		if start < end {
 			t.blockAt[start] = int32(len(t.blocks))
-			t.blocks = append(t.blocks, p.lowerBlock(start, end, kind == tableWin))
+			t.blocks = append(t.blocks, p.lowerBlock(start, end, kind))
 		}
 	}
 	for i := range cfg.Blocks {
@@ -238,18 +273,20 @@ func (p *CompiledProgram) buildBlocks(t *blockTable, kind tableKind) {
 				panic(fmt.Sprintf("machine: fused unit [%d,%d] spans CFG blocks %d and %d",
 					u.pc, lastPC, cfg.BlockAt[u.pc], cfg.BlockAt[lastPC]))
 			}
-			if kind != tableWhole && u.nops > 1 && b.nLoads+b.nStores > 0 {
-				panic(fmt.Sprintf("machine: fused unit [%d,%d] spans a cut around a load or store", u.pc, lastPC))
+			for pc := int(u.pc); kind != tableWhole && u.nops > 1 && pc <= lastPC; pc++ {
+				if p.dec[pc].IsMemory() {
+					panic(fmt.Sprintf("machine: fused unit [%d,%d] holds the load or store at %d", u.pc, lastPC, pc))
+				}
 			}
 		}
 	}
 }
 
 // lowerBlock lowers the ops in [start, end) into fused units plus a
-// terminator and computes the block's batched accounting. With logged,
-// loads and stores log their accesses and no units fuse.
-func (p *CompiledProgram) lowerBlock(start, end int, logged bool) block {
-	b := block{start: int32(start), end: int32(end), private: true, lastMem: -1}
+// terminator, as kind says, and computes the block's batched accounting.
+// In the window table loads and stores log their accesses.
+func (p *CompiledProgram) lowerBlock(start, end int, kind tableKind) block {
+	b := block{start: int32(start), end: int32(end), head: -1, private: true, lastMem: -1}
 	for pc := start; pc < end; pc++ {
 		d := &p.dec[pc]
 		if d.IsComm() || d.Op == isa.OpSync || d.Op == isa.OpHalt {
@@ -276,42 +313,53 @@ func (p *CompiledProgram) lowerBlock(start, end int, logged bool) block {
 		b.private = false // a successor leaves the program: the core halts
 	}
 	straight := end // ops [start, straight) become units
-	var pre *preInc
+	b.term = term{tgt: int32(end)}
 	if last.IsBranch() || last.Op == isa.OpHalt {
 		straight = end - 1
 		// Induction-increment fusion: fold a trailing `addi rX, rX, imm`
-		// into a branch terminator so hot loop back-edges are one closure.
+		// into a branch terminator so hot loop back-edges are one terminator.
 		if last.IsBranch() && straight > start {
 			if d := &p.dec[straight-1]; d.Op == isa.OpAddi && d.Rd == d.Ra {
-				pre = &preInc{rd: d.Rd, imm: d.Imm}
+				b.term.prd, b.term.pimm = d.Rd, d.Imm
 				straight--
 			}
 		}
-		b.term = p.genTerm(end-1, last, pre)
-	} else {
-		fall := end
-		b.term = func(*CPU) int { return fall }
+		switch h := int(last.Target); {
+		case last.Op == isa.OpHalt:
+			b.term.tgt = haltPC
+		case last.Op != isa.OpJmp:
+			p.condTerm(&b.term, end-1)
+		case p.threads(h):
+			// Jump threading: the jmp's static penalty and the header's
+			// issue join the block, and the header's branch terminates it.
+			b.head = int32(h)
+			b.nInstr++
+			b.cycles += p.penalty(end-1, h) + 1
+			p.condTerm(&b.term, h)
+		default:
+			b.cycles += p.penalty(end-1, h) // a jmp is always taken
+			b.term.tgt = last.Target
+		}
 	}
 
 	var at int64 // issue offset of pc within the block
 	for pc := start; pc < straight; {
 		d := &p.dec[pc]
-		if logged && d.IsMemory() {
-			b.units = append(b.units, unit{fn: p.genLogged(d, at), pc: int32(pc), nops: 1})
-			at += 1 + p.memLatency
-			pc++
-			continue
+		fn, n := p.fuseAt(pc, straight, kind == tableWhole)
+		switch {
+		case fn != nil:
+		case kind == tableWin && d.IsMemory():
+			fn, n = p.genLogged(d, at), 1
+		default:
+			fn, n = p.genMicro(pc, d), 1
 		}
-		if !logged {
-			if fn, n := p.fuseAt(pc, straight); fn != nil {
-				b.units = append(b.units, unit{fn: fn, pc: int32(pc), nops: n})
-				pc += int(n)
-				continue
+		b.units = append(b.units, unit{fn: fn, pc: int32(pc), nops: n})
+		for next := pc + int(n); pc < next; pc++ {
+			at++
+			if p.dec[pc].IsMemory() {
+				at += p.memLatency
 			}
 		}
-		b.units = append(b.units, unit{fn: p.genMicro(pc, d), pc: int32(pc), nops: 1})
-		at++
-		pc++
 	}
 	return b
 }
@@ -319,81 +367,125 @@ func (p *CompiledProgram) lowerBlock(start, end int, logged bool) block {
 // inside reports whether pc is an instruction of the program.
 func (p *CompiledProgram) inside(pc int) bool { return pc >= 0 && pc < p.n }
 
-// preInc is an induction increment fused into a branch terminator.
-type preInc struct {
-	rd  uint8
-	imm isa.Word
+// penalty returns the cycles the op at pc pays for continuing at next:
+// the taken-branch penalty for a branch whose next pc is not pc+1 (so
+// `jmp +0` and not-taken branches stay free, as in the interpreter), 0
+// otherwise.
+func (p *CompiledProgram) penalty(pc, next int) int64 {
+	if p.dec[pc].IsBranch() && next != pc+1 {
+		return p.branchPenalty
+	}
+	return 0
 }
 
-// fusable ALU kernels for the load+ALU+store superinstruction. DIV/REM are
-// excluded: they fault on zero divisors and the fused unit would have to
-// carry their pc-stamped error, for no gain on real kernels.
-func aluKernel(d *isa.DecodedOp) func(c *CPU) {
-	rd, ra, rb, imm := d.Rd, d.Ra, d.Rb, d.Imm
-	switch d.Op {
-	case isa.OpAdd:
-		return func(c *CPU) { c.Regs[rd] = c.Regs[ra] + c.Regs[rb] }
-	case isa.OpSub:
-		return func(c *CPU) { c.Regs[rd] = c.Regs[ra] - c.Regs[rb] }
-	case isa.OpMul:
-		return func(c *CPU) { c.Regs[rd] = c.Regs[ra] * c.Regs[rb] }
-	case isa.OpAnd:
-		return func(c *CPU) { c.Regs[rd] = c.Regs[ra] & c.Regs[rb] }
-	case isa.OpOr:
-		return func(c *CPU) { c.Regs[rd] = c.Regs[ra] | c.Regs[rb] }
-	case isa.OpXor:
-		return func(c *CPU) { c.Regs[rd] = c.Regs[ra] ^ c.Regs[rb] }
-	case isa.OpShl:
-		return func(c *CPU) { c.Regs[rd] = c.Regs[ra] << uint(c.Regs[rb]&63) }
-	case isa.OpShr:
-		return func(c *CPU) { c.Regs[rd] = c.Regs[ra] >> uint(c.Regs[rb]&63) }
-	case isa.OpSlt:
-		return func(c *CPU) { c.Regs[rd] = boolWord(c.Regs[ra] < c.Regs[rb]) }
-	case isa.OpSeq:
-		return func(c *CPU) { c.Regs[rd] = boolWord(c.Regs[ra] == c.Regs[rb]) }
-	case isa.OpMin:
-		return func(c *CPU) { c.Regs[rd] = minWord(c.Regs[ra], c.Regs[rb]) }
-	case isa.OpMax:
-		return func(c *CPU) { c.Regs[rd] = maxWord(c.Regs[ra], c.Regs[rb]) }
-	case isa.OpAddi:
-		return func(c *CPU) { c.Regs[rd] = c.Regs[ra] + imm }
-	case isa.OpMuli:
-		return func(c *CPU) { c.Regs[rd] = c.Regs[ra] * imm }
-	default:
-		return nil // not a fusable ALU op
+// threads reports whether a block closing with a jmp to h runs the branch
+// at h as its terminator: h is a conditional branch, which a jmp target
+// leads and a branch ends, so it is alone in its block in every table, and
+// both its successors are inside the program.
+func (p *CompiledProgram) threads(h int) bool {
+	if !p.inside(h) {
+		return false
 	}
+	d := &p.dec[h]
+	return d.IsBranch() && d.Op != isa.OpJmp && p.inside(int(d.Target)) && p.inside(h+1)
+}
+
+// condTerm makes t the conditional branch at pc, keeping t's induction
+// increment.
+func (p *CompiledProgram) condTerm(t *term, pc int) {
+	d := &p.dec[pc]
+	switch d.Op {
+	case isa.OpBeq:
+		t.kind = termBeq
+	case isa.OpBne:
+		t.kind = termBne
+	case isa.OpBlt:
+		t.kind = termBlt
+	case isa.OpBge:
+		t.kind = termBge
+	default:
+		panic(fmt.Sprintf("machine: %v at pc %d is not a conditional branch", d.Op, pc))
+	}
+	t.ra, t.rb = d.Ra, d.Rb
+	t.tgt, t.fall = d.Target, int32(pc+1)
+	t.pen = p.penalty(pc, int(d.Target))
 }
 
 // fuseAt tries the superinstruction patterns at pc within the straight-line
-// region [pc, limit). It returns (nil, 0) when nothing matches. To add a
-// fusion rule: match the decoded ops here, build one microFn that performs
-// them in program order and returns how many retired before any fault, and
-// cover the new rule in compile_test.go's fusion tables — the batched block
-// accounting is derived from the decoded ops, so it needs no change.
-func (p *CompiledProgram) fuseAt(pc, limit int) (microFn, int32) {
+// region [pc, limit); mem allows the patterns that hold a load or store,
+// which only the whole table fuses. It returns (nil, 0) when nothing
+// matches. To add a fusion rule: match the decoded ops here, build one
+// microFn that performs them in program order and returns how many retired
+// before any fault, keep loads and stores out of it unless mem says so,
+// and cover the new rule in compile_test.go's TestCompileFusionEdgeCases
+// and in tools/genfuzzcorpus's FuzzCompile seeds. The batched block
+// accounting and the window table's issue offsets are derived from the
+// decoded ops, so they need no change.
+func (p *CompiledProgram) fuseAt(pc, limit int, mem bool) (microFn, int32) {
 	// load + ALU + store: the inner-loop body of most of the kernel suite.
-	if pc+3 <= limit {
+	// DIV and REM stay out: they fault on zero divisors and the fused unit
+	// would have to carry their pc-stamped error, for no gain on real
+	// kernels.
+	if mem && pc+3 <= limit {
 		ld, mid, st := &p.dec[pc], &p.dec[pc+1], &p.dec[pc+2]
-		if ld.Op == isa.OpLd && st.Op == isa.OpSt {
-			if alu := aluKernel(mid); alu != nil {
-				lrd, lra, limm := ld.Rd, ld.Ra, ld.Imm
-				sra, srb, simm := st.Ra, st.Rb, st.Imm
-				return func(c *CPU) (int32, error) {
-					v, err := c.Mem.Load(c.Regs[lra] + limm)
-					if err != nil {
-						return 0, err
-					}
-					c.Regs[lrd] = v
-					alu(c)
-					if err := c.Mem.Store(c.Regs[sra]+simm, c.Regs[srb]); err != nil {
-						return 2, err
-					}
-					return 3, nil
-				}, 3
-			}
+		if ld.Op == isa.OpLd && st.Op == isa.OpSt && mid.IsALU() && mid.Op != isa.OpDiv && mid.Op != isa.OpRem {
+			alu := p.genMicro(pc+1, mid)
+			lrd, lra, limm := ld.Rd, ld.Ra, ld.Imm
+			sra, srb, simm := st.Ra, st.Rb, st.Imm
+			return func(c *CPU) (int32, error) {
+				v, err := c.Mem.Load(c.Regs[lra] + limm)
+				if err != nil {
+					return 0, err
+				}
+				c.Regs[lrd] = v
+				alu(c)
+				if err := c.Mem.Store(c.Regs[sra]+simm, c.Regs[srb]); err != nil {
+					return 2, err
+				}
+				return 3, nil
+			}, 3
+		}
+	}
+	if pc+2 <= limit {
+		if fn := aluPair(&p.dec[pc], &p.dec[pc+1]); fn != nil {
+			return fn, 2
 		}
 	}
 	return nil, 0
+}
+
+// aluPair builds the superinstruction for the ALU ops a, b when a is a mul,
+// muli or add and b an add (multiply-accumulate and scaled index, matmul's
+// inner loop), nil otherwise. The ops run in program order, so b reads
+// what a wrote when their registers alias. Neither can fault.
+func aluPair(a, b *isa.DecodedOp) microFn {
+	if b.Op != isa.OpAdd {
+		return nil
+	}
+	rd, ra, rb, imm := a.Rd, a.Ra, a.Rb, a.Imm
+	sd, sa, sb := b.Rd, b.Ra, b.Rb
+	switch a.Op {
+	case isa.OpMul:
+		return func(c *CPU) (int32, error) {
+			c.Regs[rd] = c.Regs[ra] * c.Regs[rb]
+			c.Regs[sd] = c.Regs[sa] + c.Regs[sb]
+			return 2, nil
+		}
+	case isa.OpMuli:
+		return func(c *CPU) (int32, error) {
+			c.Regs[rd] = c.Regs[ra] * imm
+			c.Regs[sd] = c.Regs[sa] + c.Regs[sb]
+			return 2, nil
+		}
+	case isa.OpAdd:
+		return func(c *CPU) (int32, error) {
+			c.Regs[rd] = c.Regs[ra] + c.Regs[rb]
+			c.Regs[sd] = c.Regs[sa] + c.Regs[sb]
+			return 2, nil
+		}
+	default:
+		return nil // no pair starts with this op
+	}
 }
 
 // genMicro builds the direct-memory single-op unit of the fused code: same
@@ -402,12 +494,6 @@ func (p *CompiledProgram) fuseAt(pc, limit int) (microFn, int32) {
 // multi-processor core only runs private blocks fused and steps a faulting
 // op again through its own chain, so its bank-error texts come from there.
 func (p *CompiledProgram) genMicro(pc int, d *isa.DecodedOp) microFn {
-	if alu := aluKernel(d); alu != nil {
-		return func(c *CPU) (int32, error) {
-			alu(c)
-			return 1, nil
-		}
-	}
 	rd, ra, rb, imm := d.Rd, d.Ra, d.Rb, d.Imm
 	switch d.Op {
 	case isa.OpNop:
@@ -420,6 +506,76 @@ func (p *CompiledProgram) genMicro(pc int, d *isa.DecodedOp) microFn {
 	case isa.OpMov:
 		return func(c *CPU) (int32, error) {
 			c.Regs[rd] = c.Regs[ra]
+			return 1, nil
+		}
+	case isa.OpAdd:
+		return func(c *CPU) (int32, error) {
+			c.Regs[rd] = c.Regs[ra] + c.Regs[rb]
+			return 1, nil
+		}
+	case isa.OpSub:
+		return func(c *CPU) (int32, error) {
+			c.Regs[rd] = c.Regs[ra] - c.Regs[rb]
+			return 1, nil
+		}
+	case isa.OpMul:
+		return func(c *CPU) (int32, error) {
+			c.Regs[rd] = c.Regs[ra] * c.Regs[rb]
+			return 1, nil
+		}
+	case isa.OpAnd:
+		return func(c *CPU) (int32, error) {
+			c.Regs[rd] = c.Regs[ra] & c.Regs[rb]
+			return 1, nil
+		}
+	case isa.OpOr:
+		return func(c *CPU) (int32, error) {
+			c.Regs[rd] = c.Regs[ra] | c.Regs[rb]
+			return 1, nil
+		}
+	case isa.OpXor:
+		return func(c *CPU) (int32, error) {
+			c.Regs[rd] = c.Regs[ra] ^ c.Regs[rb]
+			return 1, nil
+		}
+	case isa.OpShl:
+		return func(c *CPU) (int32, error) {
+			c.Regs[rd] = c.Regs[ra] << uint(c.Regs[rb]&63)
+			return 1, nil
+		}
+	case isa.OpShr:
+		return func(c *CPU) (int32, error) {
+			c.Regs[rd] = c.Regs[ra] >> uint(c.Regs[rb]&63)
+			return 1, nil
+		}
+	case isa.OpSlt:
+		return func(c *CPU) (int32, error) {
+			c.Regs[rd] = boolWord(c.Regs[ra] < c.Regs[rb])
+			return 1, nil
+		}
+	case isa.OpSeq:
+		return func(c *CPU) (int32, error) {
+			c.Regs[rd] = boolWord(c.Regs[ra] == c.Regs[rb])
+			return 1, nil
+		}
+	case isa.OpMin:
+		return func(c *CPU) (int32, error) {
+			c.Regs[rd] = minWord(c.Regs[ra], c.Regs[rb])
+			return 1, nil
+		}
+	case isa.OpMax:
+		return func(c *CPU) (int32, error) {
+			c.Regs[rd] = maxWord(c.Regs[ra], c.Regs[rb])
+			return 1, nil
+		}
+	case isa.OpAddi:
+		return func(c *CPU) (int32, error) {
+			c.Regs[rd] = c.Regs[ra] + imm
+			return 1, nil
+		}
+	case isa.OpMuli:
+		return func(c *CPU) (int32, error) {
+			c.Regs[rd] = c.Regs[ra] * imm
 			return 1, nil
 		}
 	case isa.OpDiv:
@@ -506,68 +662,6 @@ func (p *CompiledProgram) genLogged(d *isa.DecodedOp, at int64) microFn {
 	}
 }
 
-// genTerm builds a block terminator for the branch or halt at pc, folding
-// in an induction increment when fuseAt matched one. The taken-branch
-// penalty replicates the interpreter rule exactly: it applies only when
-// NextPC differs from pc+1, so `jmp +0` and not-taken branches stay free.
-func (p *CompiledProgram) genTerm(pc int, d *isa.DecodedOp, pre *preInc) termFn {
-	if d.Op == isa.OpHalt {
-		return func(*CPU) int { return haltPC }
-	}
-	ra, rb := d.Ra, d.Rb
-	tgt, fall := int(d.Target), pc+1
-	pen := int64(0)
-	if tgt != fall {
-		pen = p.branchPenalty
-	}
-	if d.Op == isa.OpJmp {
-		if pre != nil {
-			prd, pimm := pre.rd, pre.imm
-			return func(c *CPU) int {
-				c.Regs[prd] += pimm
-				c.Stats.Cycles += pen
-				return tgt
-			}
-		}
-		return func(c *CPU) int {
-			c.Stats.Cycles += pen
-			return tgt
-		}
-	}
-	var cond func(c *CPU) bool
-	switch d.Op {
-	case isa.OpBeq:
-		cond = func(c *CPU) bool { return c.Regs[ra] == c.Regs[rb] }
-	case isa.OpBne:
-		cond = func(c *CPU) bool { return c.Regs[ra] != c.Regs[rb] }
-	case isa.OpBlt:
-		cond = func(c *CPU) bool { return c.Regs[ra] < c.Regs[rb] }
-	case isa.OpBge:
-		cond = func(c *CPU) bool { return c.Regs[ra] >= c.Regs[rb] }
-	default:
-		// Unreachable: every branch op is one of the four above or OpJmp.
-		return func(*CPU) int { return fall }
-	}
-	if pre != nil {
-		prd, pimm := pre.rd, pre.imm
-		return func(c *CPU) int {
-			c.Regs[prd] += pimm
-			if cond(c) {
-				c.Stats.Cycles += pen
-				return tgt
-			}
-			return fall
-		}
-	}
-	return func(c *CPU) int {
-		if cond(c) {
-			c.Stats.Cycles += pen
-			return tgt
-		}
-		return fall
-	}
-}
-
 // Run executes the block program on a CPU until halt, fall-off or a guest
 // fault, with uni-processor accounting (one cycle per instruction, the
 // configured DP-DM latency per memory op, the taken-branch penalty). It is
@@ -610,7 +704,26 @@ func (p *CompiledProgram) runBlock(c *CPU, b *block) (int, error) {
 	c.Stats.ALUOps += b.nALU
 	c.Stats.MemReads += b.nLoads
 	c.Stats.MemWrites += b.nStores
-	return b.term(c), nil
+	t := &b.term
+	c.Regs[t.prd] += t.pimm // r0 += 0 when no increment was fused
+	var taken bool
+	switch t.kind {
+	case termGo:
+		return int(t.tgt), nil
+	case termBeq:
+		taken = c.Regs[t.ra] == c.Regs[t.rb]
+	case termBne:
+		taken = c.Regs[t.ra] != c.Regs[t.rb]
+	case termBlt:
+		taken = c.Regs[t.ra] < c.Regs[t.rb]
+	case termBge:
+		taken = c.Regs[t.ra] >= c.Regs[t.rb]
+	}
+	if !taken {
+		return int(t.fall), nil
+	}
+	c.Stats.Cycles += t.pen
+	return int(t.tgt), nil
 }
 
 // trailCap bounds how many blocks one RunAhead call runs, so its Trail
@@ -621,7 +734,9 @@ const trailCap = 64
 // Trail records the blocks one RunAhead call ran, or the consecutive
 // RunWindow calls of one processor, from the cycle it started to the cycle
 // it stopped, so a scheduler whose run ends at an earlier slot can take
-// back the work after it (After).
+// back the work after it (After). One entry is one block as it ran: its
+// ops and, when its closing jmp threads a loop header, that header's
+// branch.
 type Trail struct {
 	from, to int64       // issue cycle of the first block; issue cycle of stopPC
 	stopPC   int         // the pc the run stopped at
@@ -697,17 +812,17 @@ func (b *block) runsAhead(memLocal bool) bool {
 
 // After returns the work of the trail's instructions that issue at or
 // after cycle cut: what a processor that ran ahead takes back when the run
-// stops at an earlier slot. Cycles is left zero.
+// stops at an earlier slot. Cycles is left zero. It walks each block's ops
+// in issue order, a threaded loop header after the jmp that reached it.
 func (p *CompiledProgram) After(t *Trail, cut int64) Stats {
 	var s Stats
 	if cut >= t.to {
 		return s // every instruction of the trail issued before cut
 	}
 	at := t.from
-	for i := 0; i < len(t.blocks) && at < t.to; i++ {
-		b := &t.tab.blocks[t.blocks[i]]
-		end, penalty := p.ran(t, i)
-		for pc := b.start; pc < end && at < t.to; pc++ {
+	// walk credits the ops in [from, to) that issue at or after cut.
+	walk := func(from, to int32) {
+		for pc := from; pc < to && at < t.to; pc++ {
 			d := &p.dec[pc]
 			issue := at
 			at++
@@ -727,34 +842,36 @@ func (p *CompiledProgram) After(t *Trail, cut int64) Stats {
 				s.MemWrites++
 			}
 		}
-		at += penalty
+	}
+	for i := 0; i < len(t.blocks) && at < t.to; i++ {
+		b := &t.tab.blocks[t.blocks[i]]
+		// The block's successor is the next block's start, or the pc the
+		// trail stopped at. One strictly inside the block (no branch
+		// targets one) is where a window stopped in front of a load or
+		// store and the next resumed, so the block ran up to there,
+		// terminator not included.
+		next := int32(t.stopPC)
+		if i+1 < len(t.blocks) {
+			next = t.tab.blocks[t.blocks[i+1]].start
+		}
+		if b.start < next && next < b.end {
+			walk(b.start, next)
+			continue
+		}
+		walk(b.start, b.end)
+		if b.head >= 0 {
+			at += p.penalty(int(b.end)-1, int(b.head))
+			walk(b.head, b.head+1)
+			at += p.penalty(int(b.head), int(next))
+		} else {
+			at += p.penalty(int(b.end)-1, int(next))
+		}
 	}
 	return s
 }
 
 // Reset empties the trail, keeping the buffer its blocks grew into.
 func (t *Trail) Reset() { *t = Trail{blocks: t.blocks[:0]} }
-
-// ran returns the end of the ops the trail's i-th block ran and the
-// taken-branch penalty it paid. Its successor is the next block's start,
-// or the pc the trail stopped at; a successor strictly inside the block
-// (no branch targets one) is where a window stopped in front of a load or
-// store and the next resumed, so the block ran up to there, terminator
-// not included.
-func (p *CompiledProgram) ran(t *Trail, i int) (end int32, penalty int64) {
-	b := &t.tab.blocks[t.blocks[i]]
-	next := int32(t.stopPC)
-	if i+1 < len(t.blocks) {
-		next = t.tab.blocks[t.blocks[i+1]].start
-	}
-	if b.start < next && next < b.end {
-		return next, 0
-	}
-	if p.dec[b.end-1].IsBranch() && next != b.end {
-		return b.end, p.branchPenalty
-	}
-	return b.end, 0
-}
 
 // Prune drops the blocks of the trail's windows before the latest one
 // when that one began by cycle cut: work that no failure at or after cut
@@ -832,7 +949,7 @@ func (p *CompiledProgram) RunWindow(c *CPU, pc int, now, horizon, budget int64, 
 			pc, err = p.runBlock(c, b)
 		}
 		// A block that ran nothing (its first op faulted, or is a load or
-		// store at or past the horizon) stays off the trail: ran would
+		// store at or past the horizon) stays off the trail: After would
 		// read its entry as the whole block once a later window resumes
 		// the trail at the same pc.
 		if c.Stats.Instructions > before {
@@ -854,8 +971,8 @@ func (p *CompiledProgram) RunWindow(c *CPU, pc int, now, horizon, budget int64, 
 
 // runUntil runs the units of window-table block b up to its first load or
 // store issuing at offset off or later, credits the instructions before it
-// and returns its pc; no unit of the window table holds more than one op.
-// A fault before that op returns the faulting pc and the error, as
+// and returns its pc; no unit of the window table holds a load or store
+// with another op, so it stops between units. A fault before that op returns the faulting pc and the error, as
 // runBlock does.
 func (p *CompiledProgram) runUntil(c *CPU, b *block, off int64) (int, error) {
 	stop, at := int(b.end), int64(0)

@@ -289,23 +289,34 @@ func TestCompiledOpUnimplemented(t *testing.T) {
 
 // randCompileProgram generates a random valid program mixing ALU ops,
 // loads/stores (mostly in-bank, sometimes wild), DIV/REM (fault bait) and
-// branches in both directions. Unlike the conformance generator it allows
-// backward branches: non-termination is the budget check's job, and the
-// deadline path must match across backends too.
+// branches in both directions, with the shapes the block builder fuses:
+// ALU pairs over three registers, so their operands alias, and jmps
+// retargeted at conditional branches, the loop headers jump threading
+// runs as the jmp block's terminator. Unlike the conformance generator it
+// allows backward branches: non-termination is the budget check's job,
+// and the deadline path must match across backends too.
 func randCompileProgram(rng *rand.Rand, n, bank int) isa.Program {
 	prog := make(isa.Program, 0, n+1)
 	for pc := 0; pc < n; pc++ {
 		var ins isa.Instruction
 		reg := func() uint8 { return uint8(rng.Intn(isa.NumRegs)) }
 		switch pick := rng.Intn(100); {
-		case pick < 30:
+		case pick < 22:
 			alu := []isa.Op{isa.OpAdd, isa.OpSub, isa.OpMul, isa.OpAnd, isa.OpOr, isa.OpXor,
 				isa.OpShl, isa.OpShr, isa.OpSlt, isa.OpSeq, isa.OpMin, isa.OpMax}
 			ins = isa.Instruction{Op: alu[rng.Intn(len(alu))], Rd: reg(), Ra: reg(), Rb: reg()}
+		case pick < 30 && pc+1 < n:
+			few := func() uint8 { return uint8(rng.Intn(3)) }
+			first := []isa.Op{isa.OpMul, isa.OpMuli, isa.OpAdd}[rng.Intn(3)]
+			prog = append(prog, isa.Instruction{Op: first, Rd: few(), Ra: few(), Rb: few(), Imm: int32(rng.Intn(9) - 4)})
+			pc++
+			ins = isa.Instruction{Op: isa.OpAdd, Rd: few(), Ra: few(), Rb: few()}
 		case pick < 40:
 			ins = isa.Instruction{Op: isa.OpLdi, Rd: reg(), Imm: int32(rng.Intn(2*bank) - bank/2)}
-		case pick < 50:
+		case pick < 45:
 			ins = isa.Instruction{Op: isa.OpAddi, Rd: reg(), Ra: reg(), Imm: int32(rng.Intn(9) - 4)}
+		case pick < 50:
+			ins = isa.Instruction{Op: isa.OpMuli, Rd: reg(), Ra: reg(), Imm: int32(rng.Intn(9) - 4)}
 		case pick < 65:
 			ins = isa.Instruction{Op: isa.OpLd, Rd: reg(), Ra: reg(), Imm: int32(rng.Intn(bank))}
 		case pick < 80:
@@ -327,6 +338,20 @@ func randCompileProgram(rng *rand.Rand, n, bank int) isa.Program {
 		prog = append(prog, ins)
 	}
 	prog = append(prog, isa.Instruction{Op: isa.OpHalt})
+	var heads []int
+	for pc, ins := range prog {
+		if ins.Op.IsBranch() && ins.Op != isa.OpJmp {
+			heads = append(heads, pc)
+		}
+	}
+	for pc := range prog {
+		if prog[pc].Op == isa.OpJmp && len(heads) > 0 && rng.Intn(2) == 0 {
+			prog[pc].Imm = int32(heads[rng.Intn(len(heads))] - (pc + 1))
+			if pc > 0 && prog[pc-1].Op == isa.OpAddi {
+				prog[pc-1].Ra = prog[pc-1].Rd // the loop's induction increment
+			}
+		}
+	}
 	return prog
 }
 
@@ -369,19 +394,24 @@ func TestCompileRunMatchesInterp(t *testing.T) {
 
 // TestCompileBlockProperties checks the structural invariants of the block
 // program on random inputs: every branch target begins a block, the blocks
-// partition the program, and every block's batched accounting equals the
-// sum of its instructions' unfused costs (so superinstruction fusion can
-// never change Stats).
+// partition the program, and in every table each block's batched
+// accounting equals the sum of its instructions' unfused costs, plus the
+// static penalty of a closing jmp and, when that jmp targets a conditional
+// branch alone in its CFG block whose successors are both in the program,
+// the threaded header's branch (so superinstruction fusion and jump
+// threading can never change Stats).
 func TestCompileBlockProperties(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
+	threaded := 0
 	for trial := 0; trial < 500; trial++ {
 		prog := randCompileProgram(rng, 1+rng.Intn(60), 32)
-		memLat := int64(rng.Intn(4))
-		p := Compile(isa.Predecode(prog), CompileOptions{MemLatency: memLat})
+		memLat, bp := int64(rng.Intn(4)), int64(rng.Intn(3))
+		p := Compile(isa.Predecode(prog), CompileOptions{MemLatency: memLat, BranchPenalty: bp})
 		p.blocksFor(true)
 		if memLat == 0 {
 			memLat = 1
 		}
+		cfg := isa.BuildCFG(p.dec)
 
 		// Branch targets begin blocks.
 		for pc := range p.dec {
@@ -410,43 +440,67 @@ func TestCompileBlockProperties(t *testing.T) {
 			t.Fatalf("trial %d: blocks cover [0,%d), program has %d ops", trial, next, p.n)
 		}
 
-		// Fused accounting equals the per-op sum; fused units cover the
-		// straight-line ops exactly once, in order.
-		for i, b := range p.whole.blocks {
-			var want block
-			for pc := b.start; pc < b.end; pc++ {
-				d := &p.dec[pc]
-				want.nInstr++
-				want.cycles++
-				if d.IsALU() {
-					want.nALU++
+		// Fused accounting equals the per-op sum plus the threaded branch;
+		// fused units cover the straight-line ops exactly once, in order.
+		for _, tab := range []*blockTable{&p.whole, p.table(&p.cut, tableCut), p.table(&p.win, tableWin)} {
+			for i, b := range tab.blocks {
+				want := block{head: -1}
+				for pc := b.start; pc < b.end; pc++ {
+					d := &p.dec[pc]
+					want.nInstr++
+					want.cycles++
+					if d.IsALU() {
+						want.nALU++
+					}
+					switch d.Op {
+					case isa.OpLd:
+						want.nLoads++
+						want.cycles += memLat
+					case isa.OpSt:
+						want.nStores++
+						want.cycles += memLat
+					}
 				}
-				switch d.Op {
-				case isa.OpLd:
-					want.nLoads++
-					want.cycles += memLat
-				case isa.OpSt:
-					want.nStores++
-					want.cycles += memLat
+				if last := &p.dec[b.end-1]; last.Op == isa.OpJmp {
+					h := int(last.Target)
+					if h != int(b.end) {
+						want.cycles += bp
+					}
+					if h < p.n {
+						hb, hd := &cfg.Blocks[cfg.BlockAt[h]], &p.dec[h]
+						if hb.Start == int32(h) && hb.End == int32(h+1) && hd.IsBranch() && hd.Op != isa.OpJmp &&
+							int(hd.Target) < p.n && h+1 < p.n {
+							want.head = int32(h)
+							want.nInstr++
+							want.cycles++
+							threaded++
+						}
+					}
 				}
-			}
-			if b.nInstr != want.nInstr || b.nALU != want.nALU || b.nLoads != want.nLoads ||
-				b.nStores != want.nStores || b.cycles != want.cycles {
-				t.Fatalf("trial %d block %d: fused stats {%d %d %d %d %d} != op sum {%d %d %d %d %d}\n%s",
-					trial, i, b.nInstr, b.nALU, b.nLoads, b.nStores, b.cycles,
-					want.nInstr, want.nALU, want.nLoads, want.nStores, want.cycles, isa.Disassemble(prog))
-			}
-			pc := b.start
-			for _, u := range b.units {
-				if u.pc != pc || u.nops < 1 {
-					t.Fatalf("trial %d block %d: unit at pc %d (nops %d), want pc %d", trial, i, u.pc, u.nops, pc)
+				if b.nInstr != want.nInstr || b.nALU != want.nALU || b.nLoads != want.nLoads ||
+					b.nStores != want.nStores || b.cycles != want.cycles || b.head != want.head {
+					t.Fatalf("trial %d block %d: fused stats {%d %d %d %d %d head %d} != op sum {%d %d %d %d %d head %d}\n%s",
+						trial, i, b.nInstr, b.nALU, b.nLoads, b.nStores, b.cycles, b.head,
+						want.nInstr, want.nALU, want.nLoads, want.nStores, want.cycles, want.head, isa.Disassemble(prog))
 				}
-				pc += u.nops
-			}
-			if pc > b.end {
-				t.Fatalf("trial %d block %d: units overrun block end %d", trial, i, b.end)
+				if b.head >= 0 && tab.blockAt[b.head] < 0 {
+					t.Fatalf("trial %d block %d: threaded header %d lost its own block", trial, i, b.head)
+				}
+				pc := b.start
+				for _, u := range b.units {
+					if u.pc != pc || u.nops < 1 {
+						t.Fatalf("trial %d block %d: unit at pc %d (nops %d), want pc %d", trial, i, u.pc, u.nops, pc)
+					}
+					pc += u.nops
+				}
+				if pc > b.end {
+					t.Fatalf("trial %d block %d: units overrun block end %d", trial, i, b.end)
+				}
 			}
 		}
+	}
+	if threaded == 0 {
+		t.Fatal("no block threaded a loop header: the generator lost its loop shapes")
 	}
 }
 
@@ -607,6 +661,167 @@ func TestCompileFusionEdgeCases(t *testing.T) {
 			prog: isa.Program{
 				{Op: isa.OpLdi, Rd: 1, Imm: 7},
 				{Op: isa.OpSt, Rb: 1, Ra: 15, Imm: 2},
+			},
+		},
+		{
+			// mul+add, muli+add and add+add each fuse into one two-op unit
+			// in every table, reading what the first op wrote, and never
+			// take the store in with them.
+			name: "alu pairs with aliased registers",
+			prog: isa.Program{
+				{Op: isa.OpLdi, Rd: 1, Imm: 3},
+				{Op: isa.OpLdi, Rd: 2, Imm: 5},
+				{Op: isa.OpMul, Rd: 1, Ra: 1, Rb: 2},
+				{Op: isa.OpAdd, Rd: 2, Ra: 1, Rb: 2},
+				{Op: isa.OpMuli, Rd: 3, Ra: 2, Imm: -4},
+				{Op: isa.OpAdd, Rd: 3, Ra: 3, Rb: 3},
+				{Op: isa.OpAdd, Rd: 4, Ra: 3, Rb: 1},
+				{Op: isa.OpAdd, Rd: 4, Ra: 4, Rb: 4},
+				{Op: isa.OpSt, Rb: 4, Ra: 15, Imm: 1},
+				{Op: isa.OpHalt},
+			},
+			check: func(t *testing.T, p *CompiledProgram) {
+				for _, tab := range []*blockTable{&p.whole, p.table(&p.cut, tableCut), p.table(&p.win, tableWin)} {
+					var nops []int32
+					for _, u := range tab.blocks[tab.blockAt[0]].units {
+						nops = append(nops, u.nops)
+					}
+					if want := []int32{1, 1, 2, 2, 2}; !slices.Equal(nops[:min(len(nops), 5)], want) {
+						t.Fatalf("units of ops %v, want the three pairs fused: %v first", nops, want)
+					}
+				}
+			},
+		},
+		{
+			// A pair never spans a leader: the add is a branch target.
+			name: "alu pair split by a branch target",
+			prog: isa.Program{
+				{Op: isa.OpBeq, Ra: 0, Rb: 1, Imm: 1},
+				{Op: isa.OpMul, Rd: 1, Ra: 2, Rb: 3},
+				{Op: isa.OpAdd, Rd: 1, Ra: 1, Rb: 1},
+				{Op: isa.OpHalt},
+			},
+			check: func(t *testing.T, p *CompiledProgram) {
+				if p.whole.blockAt[2] < 0 {
+					t.Fatal("branch target pc 2 does not begin a block")
+				}
+			},
+		},
+		{
+			// The divide after a pair faults: the pair retired both ops.
+			name: "fault after alu pair",
+			prog: isa.Program{
+				{Op: isa.OpMuli, Rd: 1, Ra: 1, Imm: 7},
+				{Op: isa.OpAdd, Rd: 2, Ra: 1, Rb: 1},
+				{Op: isa.OpDiv, Rd: 2, Ra: 2, Rb: 3}, // r3 = 0
+				{Op: isa.OpHalt},
+			},
+		},
+		{
+			// The loop's jmp (with its fused induction increment) runs the
+			// header's bge as its own terminator, in every table; the
+			// header keeps its block for the entry that falls into it.
+			name: "threaded loop header",
+			prog: isa.Program{
+				{Op: isa.OpLdi, Rd: 2, Imm: 4},
+				{Op: isa.OpBge, Ra: 1, Rb: 2, Imm: 4}, // kl: -> done
+				{Op: isa.OpAdd, Rd: 3, Ra: 3, Rb: 1},
+				{Op: isa.OpSt, Rb: 3, Ra: 1, Imm: 8},
+				{Op: isa.OpAddi, Rd: 1, Ra: 1, Imm: 1},
+				{Op: isa.OpJmp, Imm: -5},              // -> kl
+				{Op: isa.OpSt, Rb: 3, Ra: 15, Imm: 0}, // done
+				{Op: isa.OpHalt},
+			},
+			check: func(t *testing.T, p *CompiledProgram) {
+				for _, tab := range []*blockTable{&p.whole, p.table(&p.cut, tableCut), p.table(&p.win, tableWin)} {
+					if tab.blockAt[1] < 0 {
+						t.Fatal("the header lost its own block")
+					}
+					at := 2 // the body's block; the cut table's closes at the store
+					if tab == &p.cut {
+						at = 4
+					}
+					if b := &tab.blocks[tab.blockAt[at]]; b.head != 1 || b.term.kind != termBge || b.term.pimm != 1 {
+						t.Fatalf("the jmp block at %d: head %d, terminator %+v; want the bge at 1 with the increment", b.start, b.head, b.term)
+					}
+				}
+			},
+		},
+		{
+			// jmp +0 into a header: threaded, with no penalty for the jmp.
+			name: "jmp plus zero into a header",
+			prog: isa.Program{
+				{Op: isa.OpLdi, Rd: 2, Imm: 3},
+				{Op: isa.OpAddi, Rd: 1, Ra: 1, Imm: 1},
+				{Op: isa.OpJmp, Imm: 0},
+				{Op: isa.OpBlt, Ra: 1, Rb: 2, Imm: -3},
+				{Op: isa.OpHalt},
+			},
+			check: func(t *testing.T, p *CompiledProgram) {
+				if b := p.whole.blocks[p.whole.blockAt[1]]; b.head != 3 || b.cycles != 3 {
+					t.Fatalf("the jmp block: head %d, cycles %d; want the blt at 3 threaded and 3 cycles", b.head, b.cycles)
+				}
+			},
+		},
+		{
+			// A header whose branch can leave the program (its target is
+			// the end) is not threaded: the core must halt at its own slot.
+			name: "header leaving the program not threaded",
+			prog: isa.Program{
+				{Op: isa.OpBeq, Ra: 1, Rb: 2, Imm: 2}, // -> 3, the end
+				{Op: isa.OpAddi, Rd: 1, Ra: 1, Imm: 1},
+				{Op: isa.OpJmp, Imm: -3},
+			},
+			check: func(t *testing.T, p *CompiledProgram) {
+				if b := p.whole.blocks[p.whole.blockAt[1]]; b.head != -1 {
+					t.Fatalf("threaded a header that leaves the program: head %d", b.head)
+				}
+			},
+		},
+		{
+			// A header that is the program's last op falls through out of
+			// the program, so it is not threaded.
+			name: "header at the end not threaded",
+			prog: isa.Program{
+				{Op: isa.OpAddi, Rd: 1, Ra: 1, Imm: 1},
+				{Op: isa.OpJmp, Imm: 0},
+				{Op: isa.OpBlt, Ra: 1, Rb: 2, Imm: -3},
+			},
+			check: func(t *testing.T, p *CompiledProgram) {
+				if b := p.whole.blocks[0]; b.head != -1 {
+					t.Fatalf("threaded a header that falls out of the program: head %d", b.head)
+				}
+			},
+		},
+		{
+			// A jmp to anything but a conditional branch keeps its target.
+			name: "jmp to a non-branch not threaded",
+			prog: isa.Program{
+				{Op: isa.OpLdi, Rd: 2, Imm: 3},
+				{Op: isa.OpAddi, Rd: 1, Ra: 1, Imm: 1},
+				{Op: isa.OpBlt, Ra: 1, Rb: 2, Imm: 1},
+				{Op: isa.OpHalt},
+				{Op: isa.OpJmp, Imm: -4},
+			},
+			check: func(t *testing.T, p *CompiledProgram) {
+				if b := p.whole.blocks[p.whole.blockAt[4]]; b.head != -1 || b.term.tgt != 1 {
+					t.Fatalf("jmp to an addi: head %d, target %d", b.head, b.term.tgt)
+				}
+			},
+		},
+		{
+			// A threaded header taken to itself: the threaded block and the
+			// header's own block run in turn until the deadline.
+			name: "threaded header looping on itself",
+			prog: isa.Program{
+				{Op: isa.OpJmp, Imm: 0},
+				{Op: isa.OpBeq, Ra: 0, Rb: 0, Imm: -1},
+				{Op: isa.OpHalt},
+			},
+			check: func(t *testing.T, p *CompiledProgram) {
+				if b := p.whole.blocks[0]; b.head != 1 {
+					t.Fatalf("block 0: head %d, want the beq at 1", b.head)
+				}
 			},
 		},
 	}
@@ -772,6 +987,15 @@ func TestRunWindowTrailAcrossWindows(t *testing.T) {
 			}
 			horizon := at + int64(rng.Intn(14)) - 3
 			next, to, faulted := p.RunWindow(&c, pc, at, horizon, budget, &tr, &log)
+			// The window logs each load and store at the cycle the op-by-op
+			// run issues it.
+			for _, a := range slices.Concat(log.Loads, log.Stores) {
+				k := slices.IndexFunc(ref[retired:], func(in issue) bool { return in.at == a.Cycle })
+				if k < 0 || ref[retired+k].work.MemReads+ref[retired+k].work.MemWrites != 1 {
+					t.Fatalf("trial %d call %d: the window logged an access at cycle %d, where the op-by-op run issues no load or store\n%s",
+						trial, call, a.Cycle, isa.Disassemble(prog))
+				}
+			}
 			log.Loads, log.Stores = log.Loads[:0], log.Stores[:0]
 			retired += int(c.Stats.Instructions)
 			pc, at = next, to
@@ -807,7 +1031,8 @@ func TestRunWindowTrailAcrossWindows(t *testing.T) {
 // the first fused run builds the blocks, once, and one compiled program
 // runs on several goroutines at once with the same results. The same holds
 // for the table cut around loads and stores, which the first crossbar
-// run-ahead builds.
+// run-ahead builds, and for the window table, which the first window
+// builds.
 func TestCompileBuildsBlocksOnFirstRun(t *testing.T) {
 	prog := isa.MustAssemble(`
         ldi  r1, 50
@@ -821,10 +1046,10 @@ loop:   addi r1, r1, -1
 		t.Fatalf("Compile built %d blocks before any fused run", len(p.whole.blocks)+len(p.cut.blocks))
 	}
 	type result struct {
-		stats, ahead Stats
-		pc           int
-		at           int64
-		err          error
+		stats, ahead, win Stats
+		pc, winPC         int
+		at                int64
+		err               error
 	}
 	const runs = 8
 	results := make([]result, runs)
@@ -846,12 +1071,17 @@ loop:   addi r1, r1, -1
 			if i%2 == 1 {
 				_, r.err = p.Run(&c, 1000)
 			}
+			c = CPU{Mem: make(Memory, 8)}
+			var log WindowLog
+			r.winPC, _, _ = p.RunWindow(&c, 0, 0, 1<<20, 1000, &Trail{}, &log)
+			r.win = c.Stats
 		}()
 	}
 	wg.Wait()
 	for i := range runs {
 		if results[i].err != nil || results[i].ahead != results[0].ahead || results[i].pc != results[0].pc ||
-			results[i].at != results[0].at || i%2 == 0 && results[i].stats != results[0].stats {
+			results[i].at != results[0].at || i%2 == 0 && results[i].stats != results[0].stats ||
+			results[i].win != results[0].win || results[i].winPC != results[0].winPC {
 			t.Fatalf("run %d: %+v; run 0: %+v", i, results[i], results[0])
 		}
 	}
@@ -861,6 +1091,9 @@ loop:   addi r1, r1, -1
 	if len(p.cut.blocks) <= len(p.whole.blocks) {
 		t.Fatalf("the crossbar table has %d blocks, the whole table %d: the store did not cut its block",
 			len(p.cut.blocks), len(p.whole.blocks))
+	}
+	if results[0].winPC != 5 || results[0].win.MemWrites != 50 {
+		t.Fatalf("a window from pc 0 stopped at %d after %+v, want the halt at 5 after 50 stores", results[0].winPC, results[0].win)
 	}
 	if results[0].pc != 3 || results[0].ahead.Instructions != 1 {
 		t.Fatalf("crossbar run-ahead from the loop's addi stopped at %d after %+v, want the store at 3 after one op",

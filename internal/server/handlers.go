@@ -372,10 +372,11 @@ func (e *checkError) Error() string {
 // checkSimulateProgram statically verifies every guest program the request
 // would execute against the machine shape it would run on, before the item
 // is admitted to the pool. Rejections are structured 400s carrying the
-// findings. Programs whose worst-case cycle bound exceeds the run budget
-// are rejected here too — previously such requests were admitted and burned
-// their entire budget before failing at run time. (class, kernel) pairs the
-// dispatch cannot run are left for the run stage's per-item error.
+// findings. A program the checker cannot prove bounded (Budget.Bounded
+// false) is rejected too; the bound's value is not compared with the run
+// budget, so every admitted run still runs under the default cycle budget.
+// (class, kernel) pairs the dispatch cannot run are left for the run
+// stage's per-item error.
 func checkSimulateProgram(r SimulateRequest) error {
 	c, err := taxonomy.LookupString(r.Class) // validated present
 	if err != nil {

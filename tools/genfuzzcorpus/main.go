@@ -136,6 +136,36 @@ func main() {
 		{Op: isa.OpSync},
 		{Op: isa.OpHalt},
 	}))
+	writeSeed(cmpDir, "alu_pairs", encode(isa.Program{
+		{Op: isa.OpLdi, Rd: 1, Imm: 3},
+		{Op: isa.OpLdi, Rd: 2, Imm: 5},
+		{Op: isa.OpMul, Rd: 1, Ra: 1, Rb: 2},
+		{Op: isa.OpAdd, Rd: 2, Ra: 1, Rb: 2},
+		{Op: isa.OpMuli, Rd: 3, Ra: 2, Imm: -4},
+		{Op: isa.OpAdd, Rd: 3, Ra: 3, Rb: 3},
+		{Op: isa.OpAdd, Rd: 4, Ra: 3, Rb: 1},
+		{Op: isa.OpAdd, Rd: 4, Ra: 4, Rb: 4},
+		{Op: isa.OpSt, Rb: 4, Ra: 0, Imm: 1},
+		{Op: isa.OpHalt},
+	}))
+	writeSeed(cmpDir, "threaded_header", encode(isa.Program{
+		{Op: isa.OpLdi, Rd: 6, Imm: 8},
+		{Op: isa.OpBeq, Ra: 5, Rb: 6, Imm: 8}, // kl: -> done
+		{Op: isa.OpMuli, Rd: 9, Ra: 5, Imm: 3},
+		{Op: isa.OpAdd, Rd: 9, Ra: 9, Rb: 5},
+		{Op: isa.OpLd, Rd: 10, Ra: 9, Imm: 0},
+		{Op: isa.OpMul, Rd: 13, Ra: 10, Rb: 9},
+		{Op: isa.OpAdd, Rd: 8, Ra: 8, Rb: 13},
+		{Op: isa.OpSt, Rb: 8, Ra: 5, Imm: 40},
+		{Op: isa.OpAddi, Rd: 5, Ra: 5, Imm: 1},
+		{Op: isa.OpJmp, Imm: -9}, // -> kl
+		{Op: isa.OpHalt},
+	}))
+	writeSeed(cmpDir, "threaded_header_on_itself", encode(isa.Program{
+		{Op: isa.OpJmp, Imm: 0},
+		{Op: isa.OpBeq, Ra: 0, Rb: 0, Imm: -1},
+		{Op: isa.OpHalt},
+	}))
 	writeSeed(cmpDir, "max_imm", encode(isa.Program{
 		{Op: isa.OpLdi, Rd: 1, Imm: math.MaxInt32},
 		{Op: isa.OpAddi, Rd: 2, Ra: 1, Imm: math.MinInt32},
